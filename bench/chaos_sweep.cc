@@ -16,8 +16,7 @@
 // --failures-dir for artifact upload; chaos_replay reproduces any of them
 // from the seed alone.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering. Runs on the inline pool: deterministic per seed.
+// Runs on the inline pool: deterministic per seed.
 //
 // Usage: chaos_sweep [--seeds=N] [--schemes=CSV] [--mixes=CSV]
 //                    [--horizon=SECONDS] [--check-every=N]
@@ -34,6 +33,7 @@
 #include "chaos/harness.h"
 #include "common/check.h"
 #include "ec/registry.h"
+#include "report.h"
 
 namespace {
 
@@ -55,16 +55,6 @@ struct ComboStats {
   double traffic_total_bytes = 0;
   double traffic_cross_rack_bytes = 0;
 };
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 /// Topology sized for the scheme: three racks, enough headroom that the
 /// cluster can keep placing stripes under a handful of failures.
@@ -97,39 +87,19 @@ int main(int argc, char** argv) {
   std::string failures_dir;
   std::string json_path = "BENCH_chaos_sweep.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--seeds=", 0) == 0) {
-        seeds = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--mixes=", 0) == 0) {
-        mix_names = split_csv(arg.substr(8));
-      } else if (arg.rfind("--horizon=", 0) == 0) {
-        horizon_s = std::stod(arg.substr(10));
-      } else if (arg.rfind("--check-every=", 0) == 0) {
-        check_every = std::stoull(arg.substr(14));
-      } else if (arg.rfind("--replay-check=", 0) == 0) {
-        replay_check = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--layering-check=", 0) == 0) {
-        layering_check = std::stoull(arg.substr(17));
-      } else if (arg.rfind("--failures-dir=", 0) == 0) {
-        failures_dir = arg.substr(15);
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("seeds", &seeds);
+  flags.add("schemes", &schemes);
+  flags.add("mixes", &mix_names);
+  flags.add("horizon", &horizon_s);
+  flags.add("check-every", &check_every);
+  flags.add("replay-check", &replay_check);
+  flags.add("layering-check", &layering_check);
+  flags.add("failures-dir", &failures_dir);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
   if (seeds == 0 || schemes.empty() || mix_names.empty()) {
-    std::fprintf(stderr, "--seeds, --schemes, --mixes must be non-empty\n");
-    return 2;
+    return flags.fail("--seeds, --schemes, --mixes must be non-empty");
   }
   if (!failures_dir.empty()) {
     std::filesystem::create_directories(failures_dir);
@@ -138,8 +108,8 @@ int main(int argc, char** argv) {
   std::vector<ComboStats> combos;
   std::size_t scenarios = 0;
   std::size_t total_violations = 0;
-  bool replay_ok = true;
-  bool layering_ok = true;
+  std::size_t replay_divergences = 0;
+  std::size_t layering_violations = 0;
 
   const auto dump_failure = [&](const chaos::ChaosHarness& harness,
                                 const chaos::ChaosReport& report,
@@ -226,7 +196,7 @@ int main(int argc, char** argv) {
           const chaos::ChaosReport again = replay_harness.run_seed(seed);
           if (again.trace != report.trace ||
               again.final_fingerprint != report.final_fingerprint) {
-            replay_ok = false;
+            ++replay_divergences;
             std::fprintf(stderr,
                          "REPLAY DIVERGED scheme=%s mix=%s seed=%llu\n",
                          spec.c_str(), mix_name.c_str(),
@@ -255,7 +225,7 @@ int main(int argc, char** argv) {
       const auto violations =
           chaos::check_layering_equivalence(config, 77 + s);
       for (const auto& violation : violations) {
-        layering_ok = false;
+        ++layering_violations;
         std::fprintf(stderr, "LAYERING scheme=%s seed=%llu: %s\n",
                      spec.c_str(), static_cast<unsigned long long>(77 + s),
                      violation.c_str());
@@ -263,62 +233,46 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"chaos_sweep\",\n"
-       << "  \"scenarios\": " << scenarios << ",\n"
-       << "  \"horizon_s\": " << horizon_s << ",\n"
-       << "  \"total_violations\": " << total_violations << ",\n"
-       << "  \"replay_deterministic\": " << (replay_ok ? "true" : "false")
-       << ",\n"
-       << "  \"layering_equivalent\": " << (layering_ok ? "true" : "false")
-       << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < combos.size(); ++i) {
-    const ComboStats& s = combos[i];
+  bench::Report report("chaos_sweep");
+  report.gate("invariant violations", 0, total_violations,
+              total_violations == 0);
+  report.gate("seed replay divergences", 0, replay_divergences,
+              replay_divergences == 0);
+  report.gate("layered repair equivalence violations", 0, layering_violations,
+              layering_violations == 0);
+
+  auto& json = report.json();
+  json.field("scenarios", scenarios)
+      .field("horizon_s", horizon_s)
+      .field("total_violations", total_violations);
+  json.begin_array("results");
+  for (const ComboStats& s : combos) {
     const double rate =
         s.repair_attempts == 0
             ? 1.0
             : static_cast<double>(s.repair_successes) /
                   static_cast<double>(s.repair_attempts);
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"mix\": \"" << s.mix
-         << "\", \"seeds\": " << s.seeds << ", \"events\": " << s.events
-         << ", \"violations\": " << s.violations
-         << ", \"repair_attempts\": " << s.repair_attempts
-         << ", \"repair_success_rate\": " << rate
-         << ", \"reads\": " << s.reads
-         << ", \"read_errors\": " << s.read_errors
-         << ", \"writes\": " << s.writes
-         << ", \"write_errors\": " << s.write_errors
-         << ", \"degraded_reads\": " << s.degraded_read_us.count()
-         << ", \"degraded_read_mean_us\": "
-         << (s.degraded_read_us.count() > 0 ? s.degraded_read_us.mean() : 0)
-         << ", \"degraded_read_max_us\": "
-         << (s.degraded_read_us.count() > 0 ? s.degraded_read_us.max() : 0)
-         << ", \"traffic_total_bytes\": " << s.traffic_total_bytes
-         << ", \"traffic_cross_rack_bytes\": " << s.traffic_cross_rack_bytes
-         << "}" << (i + 1 == combos.size() ? "\n" : ",\n");
+    const bool any = s.degraded_read_us.count() > 0;
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("mix", s.mix)
+        .field("seeds", s.seeds)
+        .field("events", s.events)
+        .field("violations", s.violations)
+        .field("repair_attempts", s.repair_attempts)
+        .field("repair_success_rate", rate)
+        .field("reads", s.reads)
+        .field("read_errors", s.read_errors)
+        .field("writes", s.writes)
+        .field("write_errors", s.write_errors)
+        .field("degraded_reads", s.degraded_read_us.count())
+        .field("degraded_read_mean_us", any ? s.degraded_read_us.mean() : 0)
+        .field("degraded_read_max_us", any ? s.degraded_read_us.max() : 0)
+        .field("traffic_total_bytes", s.traffic_total_bytes)
+        .field("traffic_cross_rack_bytes", s.traffic_cross_rack_bytes)
+        .end();
   }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s (%zu scenarios)\n", json_path.c_str(),
-               scenarios);
-
-  // ---- acceptance gates --------------------------------------------------
-  bool ok = true;
-  if (total_violations != 0) {
-    std::fprintf(stderr, "FAIL: %zu invariant violations\n",
-                 total_violations);
-    ok = false;
-  }
-  if (!replay_ok) {
-    std::fprintf(stderr, "FAIL: seed replay diverged\n");
-    ok = false;
-  }
-  if (!layering_ok) {
-    std::fprintf(stderr, "FAIL: layered repair not equivalent\n");
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  json.end();
+  std::fprintf(stderr, "%zu scenarios\n", scenarios);
+  return report.finish(json_path);
 }

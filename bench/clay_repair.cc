@@ -15,13 +15,11 @@
 //    ships exactly beta = 4 sub-chunks, for every failed node;
 //  * baselines pinned: rs-4-2 repairs at 4 blocks, rs-10-4 at 10.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering; runs on the inline pool so every number is a
-// deterministic function of the seed.
+// Runs on the inline pool so every number is a deterministic function of
+// the seed.
 //
 // Usage: clay_repair [--block-size=BYTES] [--stripes=N] [--json=PATH]
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +29,7 @@
 #include "common/check.h"
 #include "ec/registry.h"
 #include "hdfs/minidfs.h"
+#include "report.h"
 
 namespace {
 
@@ -60,34 +59,20 @@ int main(int argc, char** argv) {
   std::size_t block_size = 4096;
   std::size_t stripes = 4;
   std::string json_path = "BENCH_clay_repair.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", &block_size);
+  flags.add("stripes", &stripes);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
   if (block_size == 0 || stripes == 0) {
-    std::fprintf(stderr, "--block-size and --stripes must be nonzero\n");
-    return 2;
+    return flags.fail("--block-size and --stripes must be nonzero");
   }
 
   constexpr std::uint64_t kSeed = 31;
   const std::vector<std::string> specs = {"clay-6-4", "rs-4-2", "pgy-10-4",
                                           "rs-10-4"};
   std::map<std::string, Sample> by_scheme;
-  bool ok = true;
+  bench::Report report("clay_repair");
 
   for (const auto& spec : specs) {
     const auto code = ec::make_code(spec).value();
@@ -119,16 +104,17 @@ int main(int argc, char** argv) {
         std::map<ec::NodeIndex, std::size_t> per_helper;
         for (const auto& send : plan->aggregates) ++per_helper[send.from_node];
         const std::size_t beta = alpha / 2;
-        if (per_helper.size() != code->num_nodes() - 1) ok = false;
+        const std::string node = "clay-6-4 node " + std::to_string(j);
+        report.gate(node + " repair helpers", code->num_nodes() - 1,
+                    per_helper.size(),
+                    per_helper.size() == code->num_nodes() - 1);
+        // Some helper's count other than beta, or beta when all match.
+        std::size_t worst = beta;
         for (const auto& [helper, count] : per_helper) {
-          if (count != beta) {
-            std::fprintf(stderr,
-                         "FAIL: clay-6-4 node %zu repair: helper %d ships "
-                         "%zu sub-chunks, want beta = %zu\n",
-                         j, helper, count, beta);
-            ok = false;
-          }
+          if (count != beta) worst = count;
         }
+        report.gate(node + " sub-chunks per helper", beta, worst,
+                    worst == beta);
       }
     }
 
@@ -182,34 +168,6 @@ int main(int argc, char** argv) {
     by_scheme[spec] = s;
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"clay_repair\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const Sample& s = by_scheme.at(specs[i]);
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"alpha\": " << s.alpha
-         << ", \"storage_overhead\": " << s.overhead
-         << ", \"repair_units_min\": " << s.repair_units_min
-         << ", \"repair_units_max\": " << s.repair_units_max
-         << ", \"repair_bytes_min\": " << s.repair_bytes_min
-         << ", \"repair_bytes_max\": " << s.repair_bytes_max
-         << ", \"data_repair_units_max\": " << s.data_repair_units_max
-         << ", \"e2e_measured_bytes\": " << s.e2e_measured_bytes
-         << ", \"e2e_planned_bytes\": " << s.e2e_planned_bytes
-         << ", \"e2e_exact\": " << (s.e2e_exact ? "true" : "false")
-         << ", \"e2e_restored\": " << (s.e2e_restored ? "true" : "false")
-         << ", \"stored_overhead_exact\": "
-         << (s.stored_overhead_exact ? "true" : "false") << "}"
-         << (i + 1 == specs.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
   // ---- acceptance gates --------------------------------------------------
   const Sample& clay = by_scheme.at("clay-6-4");
   const Sample& rs42 = by_scheme.at("rs-4-2");
@@ -217,55 +175,59 @@ int main(int argc, char** argv) {
   const Sample& rs104 = by_scheme.at("rs-10-4");
 
   // Baselines pinned: plain RS repairs k whole blocks.
-  if (rs42.repair_units_max != 4 || rs42.repair_units_min != 4) {
-    std::fprintf(stderr, "FAIL: rs-4-2 repair not 4 blocks\n");
-    ok = false;
-  }
-  if (rs104.repair_units_max != 10 || rs104.repair_units_min != 10) {
-    std::fprintf(stderr, "FAIL: rs-10-4 repair not 10 blocks\n");
-    ok = false;
+  for (const auto& [rs, k] : {std::pair{&rs42, std::size_t{4}},
+                              std::pair{&rs104, std::size_t{10}}}) {
+    report.gate(rs->scheme + " best repair units", k, rs->repair_units_min,
+                rs->repair_units_min == k);
+    report.gate(rs->scheme + " worst repair units", k, rs->repair_units_max,
+                rs->repair_units_max == k);
   }
   // Equal storage overhead is what makes the comparison fair.
-  if (clay.overhead != rs42.overhead || pgy.overhead != rs104.overhead) {
-    std::fprintf(stderr, "FAIL: overhead pairing broken\n");
-    ok = false;
-  }
+  report.gate("clay-6-4 overhead equals rs-4-2", rs42.overhead, clay.overhead,
+              clay.overhead == rs42.overhead);
+  report.gate("pgy-10-4 overhead equals rs-10-4", rs104.overhead,
+              pgy.overhead, pgy.overhead == rs104.overhead);
   // The frontier: strictly fewer repair bytes at equal overhead.
-  if (!(clay.repair_bytes_max < rs42.repair_bytes_min)) {
-    std::fprintf(stderr,
-                 "FAIL: clay-6-4 worst repair (%.0f bytes) not below rs-4-2 "
-                 "(%.0f bytes)\n",
-                 clay.repair_bytes_max, rs42.repair_bytes_min);
-    ok = false;
-  }
+  report.gate("clay-6-4 worst repair bytes below rs-4-2",
+              rs42.repair_bytes_min, clay.repair_bytes_max,
+              clay.repair_bytes_max < rs42.repair_bytes_min);
   const double pgy_data_worst =
       static_cast<double>(pgy.data_repair_units_max) *
       static_cast<double>(block_size / pgy.alpha);
-  if (!(pgy_data_worst < rs104.repair_bytes_min)) {
-    std::fprintf(stderr,
-                 "FAIL: pgy-10-4 worst data-node repair (%.0f bytes) not "
-                 "below rs-10-4 (%.0f bytes)\n",
-                 pgy_data_worst, rs104.repair_bytes_min);
-    ok = false;
-  }
+  report.gate("pgy-10-4 worst data-node repair bytes below rs-10-4",
+              rs104.repair_bytes_min, pgy_data_worst,
+              pgy_data_worst < rs104.repair_bytes_min);
   // Exact byte accounting + data integrity + overhead, all schemes.
-  for (const auto& [spec, s] : by_scheme) {
-    if (!s.e2e_exact) {
-      std::fprintf(stderr,
-                   "FAIL: %s e2e repair moved %.0f bytes, plans say %.0f\n",
-                   spec.c_str(), s.e2e_measured_bytes, s.e2e_planned_bytes);
-      ok = false;
-    }
-    if (!s.e2e_restored) {
-      std::fprintf(stderr, "FAIL: %s file corrupt after repair\n",
-                   spec.c_str());
-      ok = false;
-    }
-    if (!s.stored_overhead_exact) {
-      std::fprintf(stderr, "FAIL: %s stored bytes off advertised overhead\n",
-                   spec.c_str());
-      ok = false;
-    }
+  for (const auto& spec : specs) {
+    const Sample& s = by_scheme.at(spec);
+    report.gate(spec + " e2e repair bytes equal the plans'",
+                s.e2e_planned_bytes, s.e2e_measured_bytes, s.e2e_exact);
+    report.gate(spec + " file intact after repair", s.e2e_restored);
+    report.gate(spec + " stored bytes at advertised overhead",
+                s.stored_overhead_exact);
   }
-  return ok ? 0 : 1;
+
+  auto& json = report.json();
+  json.field("block_size", block_size).field("stripes", stripes);
+  json.begin_array("results");
+  for (const auto& spec : specs) {
+    const Sample& s = by_scheme.at(spec);
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("alpha", s.alpha)
+        .field("storage_overhead", s.overhead)
+        .field("repair_units_min", s.repair_units_min)
+        .field("repair_units_max", s.repair_units_max)
+        .field("repair_bytes_min", s.repair_bytes_min)
+        .field("repair_bytes_max", s.repair_bytes_max)
+        .field("data_repair_units_max", s.data_repair_units_max)
+        .field("e2e_measured_bytes", s.e2e_measured_bytes)
+        .field("e2e_planned_bytes", s.e2e_planned_bytes)
+        .field("e2e_exact", s.e2e_exact)
+        .field("e2e_restored", s.e2e_restored)
+        .field("stored_overhead_exact", s.stored_overhead_exact)
+        .end();
+  }
+  json.end();
+  return report.finish(json_path);
 }

@@ -2,11 +2,9 @@
 // GF kernel backends -- the "encoding duration" metric the paper lists as
 // future work (Section 5).
 //
-// Self-contained harness (no google-benchmark) so it can force each kernel
-// in turn via gf::set_active_kernel and emit machine-readable JSON
-// (BENCH_encode_throughput.json) with MB/s per scheme per kernel, plus the
-// per-scheme speedup of each SIMD kernel over scalar. Future PRs track the
-// perf trajectory from that file.
+// Forces each kernel in turn via gf::set_active_kernel and emits
+// BENCH_encode_throughput.json with MB/s per scheme per kernel, plus the
+// per-scheme speedup of each SIMD kernel over scalar.
 //
 // Reported as bytes/second of *data* processed (not stored bytes), so the
 // schemes are directly comparable at equal logical input.
@@ -34,7 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -47,6 +44,7 @@
 #include "ec/stripe_codec.h"
 #include "gf/gf256.h"
 #include "gf/kernel.h"
+#include "report.h"
 
 namespace {
 
@@ -139,30 +137,13 @@ int main(int argc, char** argv) {
   double min_time = 0.2;
   double roof_gate = -1;  // <0: resolved from the supported kernel set
   std::string json_path = "BENCH_encode_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--min-time=", 0) == 0) {
-        min_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--roof-gate=", 0) == 0) {
-        roof_gate = std::stod(arg.substr(12));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (block_size == 0) {
-    std::fprintf(stderr, "--block-size must be positive\n");
-    return 2;
-  }
+  bench::Flags flags;
+  flags.add("block-size", &block_size);
+  flags.add("min-time", &min_time);
+  flags.add("roof-gate", &roof_gate);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
+  if (block_size == 0) return flags.fail("--block-size must be positive");
 
   const std::vector<std::string> specs = {"pentagon",       "heptagon",
                                           "heptagon-local", "raidm-9",
@@ -316,74 +297,56 @@ int main(int argc, char** argv) {
   // ---- gates ----------------------------------------------------------
   // Roofline: every scheme's best kernel must clear the stated fraction of
   // this host's memcpy bandwidth.
-  bool roof_gate_ok = true;
+  bench::Report report("encode_throughput");
   std::map<std::string, double> best_fraction;
   for (const auto& s : samples) {
     best_fraction[s.scheme] = std::max(best_fraction[s.scheme],
                                        s.roof_fraction);
   }
   for (const auto& [scheme, fraction] : best_fraction) {
-    if (fraction < roof_gate) {
-      roof_gate_ok = false;
-      std::fprintf(stderr,
-                   "ROOF GATE FAIL: %s best encode is %.4f of memcpy roof "
-                   "(< %.4f)\n",
-                   scheme.c_str(), fraction, roof_gate);
-    }
+    report.gate(scheme + " best encode fraction of memcpy roof", roof_gate,
+                fraction, fraction >= roof_gate);
   }
 
   // Non-temporal win: some xor-only scheme on some streaming-capable
   // kernel must model strictly fewer bytes moved with NT on. Skipped (not
   // failed) when the sweep produced no eligible sample -- a scalar-only
   // host or a sub-threshold block size cannot exercise the NT path.
-  bool nt_gate_applicable = false;
-  bool nt_gate_ok = false;
+  double best_nt_ratio = -1;  // bytes moved NT / regular; <0: no sample
   for (const auto& s : samples) {
     if (s.bytes_moved_regular == 0) continue;
-    nt_gate_applicable = true;
-    if (s.bytes_moved_nt < s.bytes_moved_regular) nt_gate_ok = true;
+    const double ratio = static_cast<double>(s.bytes_moved_nt) /
+                         static_cast<double>(s.bytes_moved_regular);
+    if (best_nt_ratio < 0 || ratio < best_nt_ratio) best_nt_ratio = ratio;
   }
-  if (nt_gate_applicable && !nt_gate_ok) {
-    std::fprintf(stderr,
-                 "NT GATE FAIL: no xor-only scheme moved strictly fewer "
-                 "modeled bytes with streaming stores enabled\n");
+  if (best_nt_ratio >= 0) {
+    report.gate("best NT / regular modeled bytes moved", 1, best_nt_ratio,
+                best_nt_ratio < 1);
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"encode_throughput\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"min_time_s\": " << min_time << ",\n"
-       << "  \"roofline\": {\"memcpy_mb_per_s\": " << roof.memcpy_mb_s
-       << ", \"stream_copy_mb_per_s\": " << roof.stream_mb_s
-       << ", \"encode_gate_fraction\": " << roof_gate
-       << ", \"gate_ok\": " << (roof_gate_ok ? "true" : "false") << "},\n"
-       << "  \"nt_bytes_moved_gate\": {\"applicable\": "
-       << (nt_gate_applicable ? "true" : "false")
-       << ", \"gate_ok\": "
-       << (!nt_gate_applicable || nt_gate_ok ? "true" : "false") << "},\n"
-       << "  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"kernel\": \""
-         << s.kernel << "\", \"encode_mb_per_s\": " << s.encode_mb_s
-         << ", \"decode_mb_per_s\": " << s.decode_mb_s
-         << ", \"degraded_read_mb_per_s\": " << s.degraded_read_mb_s
-         << ", \"speedup_vs_scalar\": " << s.speedup_vs_scalar
-         << ", \"roof_fraction\": " << s.roof_fraction
-         << ", \"xor_only\": " << (s.xor_only ? "true" : "false");
+  auto& json = report.json();
+  json.field("block_size", block_size).field("min_time_s", min_time);
+  json.begin_object("roofline")
+      .field("memcpy_mb_per_s", roof.memcpy_mb_s)
+      .field("stream_copy_mb_per_s", roof.stream_mb_s)
+      .end();
+  json.begin_array("results");
+  for (const auto& s : samples) {
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("kernel", s.kernel)
+        .field("encode_mb_per_s", s.encode_mb_s)
+        .field("decode_mb_per_s", s.decode_mb_s)
+        .field("degraded_read_mb_per_s", s.degraded_read_mb_s)
+        .field("speedup_vs_scalar", s.speedup_vs_scalar)
+        .field("roof_fraction", s.roof_fraction)
+        .field("xor_only", s.xor_only);
     if (s.bytes_moved_regular > 0) {
-      json << ", \"bytes_moved_regular\": " << s.bytes_moved_regular
-           << ", \"bytes_moved_nt\": " << s.bytes_moved_nt;
+      json.field("bytes_moved_regular", s.bytes_moved_regular)
+          .field("bytes_moved_nt", s.bytes_moved_nt);
     }
-    json << "}" << (i + 1 == samples.size() ? "\n" : ",\n");
+    json.end();
   }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
-  if (!roof_gate_ok || (nt_gate_applicable && !nt_gate_ok)) return 1;
-  return 0;
+  json.end();
+  return report.finish(json_path);
 }

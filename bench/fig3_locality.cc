@@ -4,38 +4,26 @@
 // node -- plus the fourth panel comparing the modified peeling algorithm
 // against DS and MM at mu = 4.
 //
-// Usage: fig3_locality [--csv] [--trials N]
+// Usage: fig3_locality [--csv] [--trials=N]
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
 #include "ec/registry.h"
+#include "report.h"
 #include "sched/locality_sim.h"
-
-namespace {
 
 using namespace dblrep;
 
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool csv = has_flag(argc, argv, "--csv");
-  const int trials = parse_trials(argc, argv, 40);
+  bool csv = false;
+  int trials = 40;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  flags.add("trials", &trials);
+  if (!flags.parse(argc, argv)) return 2;
+  if (trials <= 0) return flags.fail("--trials must be positive");
 
   const std::vector<std::string> codes = {"2-rep", "pentagon", "heptagon"};
   const std::vector<double> loads = {0.25, 0.50, 0.75, 1.00};

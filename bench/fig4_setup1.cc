@@ -3,7 +3,7 @@
 // vs load for 3-rep / 2-rep / pentagon / heptagon, with Hadoop's delay
 // scheduler for map-task assignment.
 //
-// Usage: fig4_setup1 [--csv] [--trials N] [--degraded]
+// Usage: fig4_setup1 [--csv] [--trials=N] [--degraded]
 //   --degraded additionally runs the paper's future-work scenario (two
 //   failed nodes; on-the-fly repairs with partial parities).
 #include <iostream>
@@ -13,24 +13,11 @@
 #include "common/table.h"
 #include "ec/registry.h"
 #include "mapred/terasort_sim.h"
+#include "report.h"
 
 namespace {
 
 using namespace dblrep;
-
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
 
 void run_panel(const std::vector<std::string>& codes,
                const std::vector<double>& loads, mapred::JobConfig config,
@@ -77,8 +64,15 @@ void run_panel(const std::vector<std::string>& codes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = has_flag(argc, argv, "--csv");
-  const int trials = parse_trials(argc, argv, 10);
+  bool csv = false;
+  int trials = 10;
+  bool degraded = false;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  flags.add("trials", &trials);
+  flags.add("degraded", &degraded);
+  if (!flags.parse(argc, argv)) return 2;
+  if (trials <= 0) return flags.fail("--trials must be positive");
 
   const std::vector<std::string> codes = {"3-rep", "2-rep", "pentagon",
                                           "heptagon"};
@@ -92,7 +86,7 @@ int main(int argc, char** argv) {
             << trials << " trials per point\n";
   run_panel(codes, loads, config, csv);
 
-  if (has_flag(argc, argv, "--degraded")) {
+  if (degraded) {
     std::cout << "\n== Degraded mode (nodes 3 and 7 down; Section 5 "
                  "future-work scenario) ==\n";
     config.down_nodes = {3, 7};

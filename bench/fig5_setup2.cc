@@ -2,7 +2,7 @@
 // slots, 512 MB blocks): network traffic and data locality vs load for
 // 3-rep / 2-rep / pentagon.
 //
-// Usage: fig5_setup2 [--csv] [--trials N]
+// Usage: fig5_setup2 [--csv] [--trials=N]
 #include <iostream>
 #include <string>
 #include <vector>
@@ -10,30 +10,18 @@
 #include "common/table.h"
 #include "ec/registry.h"
 #include "mapred/terasort_sim.h"
-
-namespace {
+#include "report.h"
 
 using namespace dblrep;
 
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool csv = has_flag(argc, argv, "--csv");
-  const int trials = parse_trials(argc, argv, 10);
+  bool csv = false;
+  int trials = 10;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  flags.add("trials", &trials);
+  if (!flags.parse(argc, argv)) return 2;
+  if (trials <= 0) return flags.fail("--trials must be positive");
 
   const std::vector<std::string> codes = {"3-rep", "2-rep", "pentagon"};
   const std::vector<double> loads = {0.25, 0.50, 0.75, 1.00};

@@ -2,10 +2,8 @@
 // backend (scalar/ssse3/avx2/avx512/gfni) x every hot operation x a
 // cache-tiered set of slice lengths, emitted as BENCH_gf_ops.json.
 //
-// Self-contained harness (no google-benchmark) for the same reason as
-// bench_encode_throughput: it must force each kernel in turn through
-// gf::set_active_kernel, and CI parses the JSON artifact. The ops are the
-// primitives every encoder/repair path decomposes into:
+// It forces each kernel in turn through gf::set_active_kernel. The ops are
+// the primitives every encoder/repair path decomposes into:
 //
 //   mul        dst = c * src            (split-table / affine multiply)
 //   addmul     dst ^= c * src           (the matrix_apply inner loop)
@@ -28,7 +26,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,6 +33,7 @@
 #include "common/check.h"
 #include "gf/gf256.h"
 #include "gf/kernel.h"
+#include "report.h"
 
 namespace {
 
@@ -73,26 +71,17 @@ struct Sample {
 int main(int argc, char** argv) {
   double min_time = 0.05;
   std::string json_path = "BENCH_gf_ops.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--min-time=", 0) == 0) {
-        min_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg == "--list-kernels") {
-        for (const gf::GfKernel* kernel : gf::supported_kernels()) {
-          std::printf("%s\n", kernel->name);
-        }
-        return 0;
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
+  bool list_kernels = false;
+  bench::Flags flags;
+  flags.add("min-time", &min_time);
+  flags.add("json", &json_path);
+  flags.add("list-kernels", &list_kernels);
+  if (!flags.parse(argc, argv)) return 2;
+  if (list_kernels) {
+    for (const gf::GfKernel* kernel : gf::supported_kernels()) {
+      std::printf("%s\n", kernel->name);
     }
+    return 0;
   }
 
   // L1-resident, L2-resident, and memory-bound slices. The last tier is
@@ -191,20 +180,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Report report("gf_ops");
+  auto& json = report.json();
+  json.field("min_time_s", min_time);
+  json.begin_array("results");
+  for (const auto& s : samples) {
+    json.begin_object()
+        .field("kernel", s.kernel)
+        .field("op", s.op)
+        .field("length", s.length)
+        .field("mb_per_s", s.mb_s)
+        .end();
   }
-  json << "{\n  \"bench\": \"gf_ops\",\n"
-       << "  \"min_time_s\": " << min_time << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"kernel\": \"" << s.kernel << "\", \"op\": \"" << s.op
-         << "\", \"length\": " << s.length << ", \"mb_per_s\": " << s.mb_s
-         << "}" << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return 0;
+  json.end();
+  return report.finish(json_path);
 }

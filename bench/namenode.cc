@@ -28,9 +28,8 @@
 //   much, which is why the smoke gate pairs a lower --gate-scaling with a
 //   matching --gate-files.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_repair_qos: fixed seeds, everything a deterministic function of
-// the flags. Emits BENCH_namenode.json.
+// Fixed seeds, everything a deterministic function of the flags. Emits
+// BENCH_namenode.json.
 //
 // Usage: namenode [--files=N] [--mixed-ops=N] [--threads=N] [--reps=N]
 //                 [--shards=CSV] [--journal-records=CSV]
@@ -40,10 +39,8 @@
 // (best-of-N is the standard throughput-gate estimator: interference only
 // ever slows a run down, so the max is the least-noisy observation and
 // the ratio of two maxes is what the scaling gate judges).
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,6 +53,7 @@
 #include "ec/code.h"
 #include "ec/registry.h"
 #include "hdfs/namenode.h"
+#include "report.h"
 
 namespace {
 
@@ -221,17 +219,6 @@ RecoverySample run_recovery_sample(std::size_t target_records) {
   return sample;
 }
 
-std::vector<std::size_t> split_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = std::min(csv.find(',', pos), csv.size());
-    if (comma > pos) out.push_back(std::stoull(csv.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -244,40 +231,20 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> shard_counts = {1, 4, 16};
   std::vector<std::size_t> journal_records = {10000, 20000, 40000, 80000};
   std::string json_path = "BENCH_namenode.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--files=", 0) == 0) {
-        files = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--mixed-ops=", 0) == 0) {
-        mixed_ops = std::stoull(arg.substr(12));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        threads = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--reps=", 0) == 0) {
-        reps = std::stoull(arg.substr(7));
-      } else if (arg.rfind("--gate-files=", 0) == 0) {
-        gate_files = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--gate-scaling=", 0) == 0) {
-        gate_scaling = std::stod(arg.substr(15));
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        shard_counts = split_sizes(arg.substr(9));
-      } else if (arg.rfind("--journal-records=", 0) == 0) {
-        journal_records = split_sizes(arg.substr(18));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("files", &files);
+  flags.add("mixed-ops", &mixed_ops);
+  flags.add("threads", &threads);
+  flags.add("reps", &reps);
+  flags.add("gate-files", &gate_files);
+  flags.add("gate-scaling", &gate_scaling);
+  flags.add("shards", &shard_counts);
+  flags.add("journal-records", &journal_records);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
   if (files == 0 || mixed_ops == 0 || threads == 0 || reps == 0 ||
       shard_counts.empty() || journal_records.empty()) {
-    std::fprintf(stderr, "need positive sizes\n");
-    return 2;
+    return flags.fail("need positive sizes");
   }
 
   std::vector<ShardSample> shard_samples;
@@ -318,78 +285,55 @@ int main(int argc, char** argv) {
   const double ops4 = ops_at(4);
   const double scaling = ops1 > 0 ? ops4 / ops1 : 0;
   const bool scaling_enforced = files >= gate_files && ops1 > 0 && ops4 > 0;
-  const bool scaling_ok = !scaling_enforced || scaling > gate_scaling;
 
   double min_cost = 0, max_cost = 0;
   for (const auto& s : recovery_samples) {
     if (min_cost == 0 || s.per_record_us < min_cost) min_cost = s.per_record_us;
     if (s.per_record_us > max_cost) max_cost = s.per_record_us;
   }
-  const bool linear_ok = max_cost <= 2.5 * min_cost;
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"namenode\",\n"
-       << "  \"files\": " << files << ",\n"
-       << "  \"mixed_ops\": " << mixed_ops << ",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"shard_sweep\": [\n";
-  for (std::size_t i = 0; i < shard_samples.size(); ++i) {
-    const auto& s = shard_samples[i];
-    json << "    {\"shards\": " << s.shards << ", \"create_s\": "
-         << s.create_s << ", \"create_files_per_s\": "
-         << s.create_files_per_s << ", \"mixed_s\": " << s.mixed_s
-         << ", \"mixed_ops_per_s\": " << s.mixed_ops_per_s << "}"
-         << (i + 1 < shard_samples.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"recovery_sweep\": [\n";
-  for (std::size_t i = 0; i < recovery_samples.size(); ++i) {
-    const auto& s = recovery_samples[i];
-    json << "    {\"target_records\": " << s.target_records
-         << ", \"replayed\": " << s.replayed << ", \"restore_s\": "
-         << s.restore_s << ", \"per_record_us\": " << s.per_record_us
-         << "}" << (i + 1 < recovery_samples.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"scaling_1_to_4\": " << scaling << ",\n"
-       << "  \"scaling_gate\": " << gate_scaling << ",\n"
-       << "  \"scaling_gate_enforced\": "
-       << (scaling_enforced ? "true" : "false") << ",\n"
-       << "  \"scaling_ok\": " << (scaling_ok ? "true" : "false") << ",\n"
-       << "  \"recovery_per_record_us_min\": " << min_cost << ",\n"
-       << "  \"recovery_per_record_us_max\": " << max_cost << ",\n"
-       << "  \"recovery_linear_ok\": " << (linear_ok ? "true" : "false")
-       << "\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
-  bool ok = true;
-  if (!scaling_ok) {
-    std::fprintf(stderr,
-                 "GATE FAIL: mixed ops/s scaling 1->4 shards %.2fx <= %.2fx\n",
-                 scaling, gate_scaling);
-    ok = false;
-  } else if (scaling_enforced) {
-    std::fprintf(stderr, "gate ok: 1->4 shard scaling %.2fx > %.2fx\n",
-                 scaling, gate_scaling);
+  bench::Report report("namenode");
+  if (scaling_enforced) {
+    report.gate("mixed ops/s scaling 1->4 shards", gate_scaling, scaling,
+                scaling > gate_scaling);
   } else {
     std::fprintf(stderr,
                  "scaling gate not enforced (%zu files < %zu gate-files); "
                  "measured %.2fx\n",
                  files, gate_files, scaling);
   }
-  if (!linear_ok) {
-    std::fprintf(stderr,
-                 "GATE FAIL: recovery per-record cost spread %.2f..%.2f "
-                 "us exceeds 2.5x\n",
-                 min_cost, max_cost);
-    ok = false;
-  } else {
-    std::fprintf(stderr,
-                 "gate ok: recovery linear (%.2f..%.2f us/record)\n",
-                 min_cost, max_cost);
+  report.gate("recovery per-record cost max/min", 2.5,
+              min_cost > 0 ? max_cost / min_cost : 0,
+              max_cost <= 2.5 * min_cost);
+
+  auto& json = report.json();
+  json.field("files", files)
+      .field("mixed_ops", mixed_ops)
+      .field("threads", threads);
+  json.begin_array("shard_sweep");
+  for (const auto& s : shard_samples) {
+    json.begin_object()
+        .field("shards", s.shards)
+        .field("create_s", s.create_s)
+        .field("create_files_per_s", s.create_files_per_s)
+        .field("mixed_s", s.mixed_s)
+        .field("mixed_ops_per_s", s.mixed_ops_per_s)
+        .end();
   }
-  return ok ? 0 : 1;
+  json.end();
+  json.begin_array("recovery_sweep");
+  for (const auto& s : recovery_samples) {
+    json.begin_object()
+        .field("target_records", s.target_records)
+        .field("replayed", s.replayed)
+        .field("restore_s", s.restore_s)
+        .field("per_record_us", s.per_record_us)
+        .end();
+  }
+  json.end();
+  json.field("scaling_1_to_4", scaling)
+      .field("scaling_gate_enforced", scaling_enforced)
+      .field("recovery_per_record_us_min", min_cost)
+      .field("recovery_per_record_us_max", max_cost);
+  return report.finish(json_path);
 }

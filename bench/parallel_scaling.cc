@@ -12,9 +12,6 @@
 // scenario -- the scaling numbers are only meaningful if the parallel
 // path is exact.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_encode_throughput.
-//
 // Usage: bench_parallel_scaling [--block-size=BYTES] [--stripes=N]
 //                               [--min-time=SECONDS] [--workers=CSV]
 //                               [--schemes=CSV] [--json=PATH]
@@ -25,11 +22,10 @@
 // buckets) for offline latency-distribution analysis.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -39,6 +35,7 @@
 #include "exec/thread_pool.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
+#include "report.h"
 
 namespace {
 
@@ -91,16 +88,6 @@ std::uint64_t cluster_fingerprint(hdfs::MiniDfs& dfs,
   return h;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,45 +98,27 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = {"rs-10-4", "pentagon", "heptagon-local"};
   std::string json_path = "BENCH_parallel_scaling.json";
   std::string latency_json_path;  // empty: no per-run histogram export
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--min-time=", 0) == 0) {
-        min_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--workers=", 0) == 0) {
-        worker_counts.clear();
-        for (const auto& w : split_csv(arg.substr(10))) {
-          worker_counts.push_back(std::stoull(w));
-        }
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg.rfind("--latency-json=", 0) == 0) {
-        latency_json_path = arg.substr(15);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", &block_size);
+  flags.add("stripes", &stripes);
+  flags.add("min-time", &min_time);
+  flags.add("workers", &worker_counts);
+  flags.add("schemes", &schemes);
+  flags.add("json", &json_path);
+  flags.add("latency-json", &latency_json_path);
+  if (!flags.parse(argc, argv)) return 2;
   if (block_size == 0 || stripes == 0 || worker_counts.empty()) {
-    std::fprintf(stderr, "--block-size, --stripes, --workers must be set\n");
-    return 2;
+    return flags.fail("--block-size, --stripes, --workers must be set");
   }
 
   cluster::Topology topology;
   topology.num_nodes = 25;
 
   std::vector<Sample> samples;
-  std::vector<std::string> latency_entries;
+  bench::Json latency;
+  latency.begin_object()
+      .field("bench", "parallel_scaling_latency")
+      .begin_array("reports");
   std::map<std::string, double> serial_encode, serial_repair;
   std::map<std::string, std::uint64_t> serial_fingerprint;
 
@@ -251,10 +220,11 @@ int main(int argc, char** argv) {
         sample.mixed_repair_s = report->repair_s;
         sample.mixed_errors = report->total_errors();
         if (!latency_json_path.empty()) {
-          std::ostringstream entry;
-          entry << "    {\"scheme\": \"" << spec << "\", \"workers\": "
-                << workers << ", \"report\":\n" << report->to_json() << "}";
-          latency_entries.push_back(entry.str());
+          latency.begin_object()
+              .field("scheme", spec)
+              .field("workers", workers)
+              .raw_field("report", report->to_json())
+              .end();
         }
       }
 
@@ -283,60 +253,43 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+  // Any parallel repair that diverged from the serial bytes fails the run;
+  // scaling numbers for a wrong result are meaningless.
+  bench::Report report("parallel_scaling");
+  for (const auto& s : samples) {
+    report.gate(s.scheme + " at " + std::to_string(s.workers) +
+                    " workers repairs the serial bytes",
+                s.bytes_identical);
+  }
+
+  auto& json = report.json();
+  json.field("block_size", block_size)
+      .field("stripes", stripes)
+      .field("min_time_s", min_time)
+      .field("host_hardware_threads", std::thread::hardware_concurrency());
+  json.begin_array("results");
+  for (const auto& s : samples) {
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("workers", s.workers)
+        .field("encode_mb_per_s", s.encode_mb_s)
+        .field("repair_mb_per_s", s.repair_mb_s)
+        .field("encode_speedup_vs_serial", s.encode_speedup)
+        .field("repair_speedup_vs_serial", s.repair_speedup)
+        .field("bytes_identical_to_serial", s.bytes_identical)
+        .field("mixed_read_p50_us", s.mixed_read_p50_us)
+        .field("mixed_read_p99_us", s.mixed_read_p99_us)
+        .field("mixed_read_p999_us", s.mixed_read_p999_us)
+        .field("mixed_ops_per_s", s.mixed_ops_per_s)
+        .field("mixed_repair_s", s.mixed_repair_s)
+        .field("mixed_errors", s.mixed_errors)
+        .end();
+  }
+  json.end();
+  const int exit_code = report.finish(json_path);
+  if (!latency_json_path.empty() &&
+      !latency.end().end().save(latency_json_path)) {
     return 1;
   }
-  json << "{\n  \"bench\": \"parallel_scaling\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n"
-       << "  \"min_time_s\": " << min_time << ",\n"
-       << "  \"host_hardware_threads\": "
-       << std::thread::hardware_concurrency() << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"workers\": "
-         << s.workers << ", \"encode_mb_per_s\": " << s.encode_mb_s
-         << ", \"repair_mb_per_s\": " << s.repair_mb_s
-         << ", \"encode_speedup_vs_serial\": " << s.encode_speedup
-         << ", \"repair_speedup_vs_serial\": " << s.repair_speedup
-         << ", \"bytes_identical_to_serial\": "
-         << (s.bytes_identical ? "true" : "false")
-         << ", \"mixed_read_p50_us\": " << s.mixed_read_p50_us
-         << ", \"mixed_read_p99_us\": " << s.mixed_read_p99_us
-         << ", \"mixed_read_p999_us\": " << s.mixed_read_p999_us
-         << ", \"mixed_ops_per_s\": " << s.mixed_ops_per_s
-         << ", \"mixed_repair_s\": " << s.mixed_repair_s
-         << ", \"mixed_errors\": " << s.mixed_errors << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
-  if (!latency_json_path.empty()) {
-    std::ofstream lj(latency_json_path);
-    if (!lj) {
-      std::fprintf(stderr, "cannot write %s\n", latency_json_path.c_str());
-      return 1;
-    }
-    lj << "{\n  \"bench\": \"parallel_scaling_latency\",\n  \"reports\": [\n";
-    for (std::size_t i = 0; i < latency_entries.size(); ++i) {
-      lj << latency_entries[i]
-         << (i + 1 == latency_entries.size() ? "\n" : ",\n");
-    }
-    lj << "  ]\n}\n";
-    std::fprintf(stderr, "wrote %s\n", latency_json_path.c_str());
-  }
-
-  // Fail loudly if any parallel repair diverged from the serial bytes;
-  // scaling numbers for a wrong result are meaningless.
-  for (const auto& s : samples) {
-    if (!s.bytes_identical) {
-      std::fprintf(stderr, "FAIL: %s at %zu workers diverged from serial\n",
-                   s.scheme.c_str(), s.workers);
-      return 1;
-    }
-  }
-  return 0;
+  return exit_code;
 }

@@ -9,16 +9,13 @@
 // layered and unlayered repairs of the same configuration leave every
 // datanode byte-identical and move the same total number of bytes.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_parallel_scaling. Runs on the inline (serial) pool so every number
-// is a deterministic function of the seed.
+// Runs on the inline (serial) pool so every number is a deterministic
+// function of the seed.
 //
 // Usage: rack_layering [--block-size=BYTES] [--stripes=N] [--racks=CSV]
 //                      [--schemes=CSV] [--json=PATH] [--skip-mixed]
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +26,7 @@
 #include "ec/registry.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
+#include "report.h"
 
 namespace {
 
@@ -74,16 +72,6 @@ std::uint64_t stored_fingerprint(hdfs::MiniDfs& dfs, std::size_t num_nodes) {
   return h;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,36 +81,16 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = {"heptagon-local", "rs-10-4", "pentagon"};
   std::string json_path = "BENCH_rack_layering.json";
   bool skip_mixed = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--racks=", 0) == 0) {
-        rack_counts.clear();
-        for (const auto& r : split_csv(arg.substr(8))) {
-          rack_counts.push_back(std::stoull(r));
-        }
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg == "--skip-mixed") {
-        skip_mixed = true;
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", &block_size);
+  flags.add("stripes", &stripes);
+  flags.add("racks", &rack_counts);
+  flags.add("schemes", &schemes);
+  flags.add("json", &json_path);
+  flags.add("skip-mixed", &skip_mixed);
+  if (!flags.parse(argc, argv)) return 2;
   if (block_size == 0 || stripes == 0 || rack_counts.empty()) {
-    std::fprintf(stderr, "--block-size, --stripes, --racks must be set\n");
-    return 2;
+    return flags.fail("--block-size, --stripes, --racks must be set");
   }
 
   constexpr std::size_t kNumNodes = 27;  // divides evenly into 1/3/9 racks
@@ -221,45 +189,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"rack_layering\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n"
-       << "  \"num_nodes\": " << kNumNodes << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"policy\": \""
-         << s.policy << "\", \"racks\": " << s.racks
-         << ", \"layered\": " << (s.layered ? "true" : "false")
-         << ", \"repair_total_bytes\": " << s.repair_total_bytes
-         << ", \"repair_cross_rack_bytes\": " << s.repair_cross_rack_bytes
-         << ", \"repair_intra_rack_bytes\": " << s.repair_intra_rack_bytes
-         << ", \"repair_bytes_identical_to_unlayered\": "
-         << (s.repair_bytes_identical ? "true" : "false")
-         << ", \"mixed_total_bytes\": " << s.mixed_total_bytes
-         << ", \"mixed_cross_rack_bytes\": " << s.mixed_cross_rack_bytes
-         << ", \"mixed_client_bytes\": " << s.mixed_client_bytes
-         << ", \"mixed_errors\": " << s.mixed_errors << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
   // ---- acceptance gates --------------------------------------------------
-  bool ok = true;
-  for (const auto& s : samples) {
-    if (!s.repair_bytes_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s/%s at %zu racks: layered repair diverged from "
-                   "unlayered bytes\n",
-                   s.scheme.c_str(), s.policy.c_str(), s.racks);
-      ok = false;
-    }
-  }
+  bench::Report report("rack_layering");
   auto find_sample = [&](const std::string& scheme, const std::string& policy,
                          std::size_t racks, bool layered) -> const Sample* {
     for (const auto& s : samples) {
@@ -270,35 +201,55 @@ int main(int argc, char** argv) {
     }
     return nullptr;
   };
-  // Layering must never increase cross-rack repair bytes (totals equal).
+  // Layered repair must store the unlayered bytes, move the same total and
+  // never more cross-rack bytes.
   for (const auto& s : samples) {
     if (!s.layered) continue;
+    const std::string name = s.scheme + "/" + s.policy + " at " +
+                             std::to_string(s.racks) + " racks: layered ";
+    report.gate(name + "repair bytes identical to unlayered",
+                s.repair_bytes_identical);
     const Sample* twin = find_sample(s.scheme, s.policy, s.racks, false);
     if (twin == nullptr) continue;
-    if (s.repair_cross_rack_bytes > twin->repair_cross_rack_bytes ||
-        s.repair_total_bytes != twin->repair_total_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: %s/%s at %zu racks: layered cross %.0f vs %.0f, "
-                   "total %.0f vs %.0f\n",
-                   s.scheme.c_str(), s.policy.c_str(), s.racks,
-                   s.repair_cross_rack_bytes, twin->repair_cross_rack_bytes,
-                   s.repair_total_bytes, twin->repair_total_bytes);
-      ok = false;
-    }
+    report.gate(name + "cross-rack bytes within unlayered",
+                twin->repair_cross_rack_bytes, s.repair_cross_rack_bytes,
+                s.repair_cross_rack_bytes <= twin->repair_cross_rack_bytes);
+    report.gate(name + "total bytes equal unlayered", twin->repair_total_bytes,
+                s.repair_total_bytes,
+                s.repair_total_bytes == twin->repair_total_bytes);
   }
   // The headline: layered group_per_rack heptagon-local at 3 racks beats
   // flat placement on cross-rack repair bytes, strictly.
   const Sample* hero = find_sample("heptagon-local", "group_per_rack", 3, true);
   const Sample* flat = find_sample("heptagon-local", "flat", 3, false);
   if (hero != nullptr && flat != nullptr) {
-    if (!(hero->repair_cross_rack_bytes < flat->repair_cross_rack_bytes)) {
-      std::fprintf(stderr,
-                   "FAIL: layered group_per_rack heptagon-local (%.0f "
-                   "cross-rack bytes) not below flat (%.0f)\n",
-                   hero->repair_cross_rack_bytes,
-                   flat->repair_cross_rack_bytes);
-      ok = false;
-    }
+    report.gate(
+        "layered group_per_rack heptagon-local cross-rack bytes below flat",
+        flat->repair_cross_rack_bytes, hero->repair_cross_rack_bytes,
+        hero->repair_cross_rack_bytes < flat->repair_cross_rack_bytes);
   }
-  return ok ? 0 : 1;
+
+  auto& json = report.json();
+  json.field("block_size", block_size)
+      .field("stripes", stripes)
+      .field("num_nodes", kNumNodes);
+  json.begin_array("results");
+  for (const auto& s : samples) {
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("policy", s.policy)
+        .field("racks", s.racks)
+        .field("layered", s.layered)
+        .field("repair_total_bytes", s.repair_total_bytes)
+        .field("repair_cross_rack_bytes", s.repair_cross_rack_bytes)
+        .field("repair_intra_rack_bytes", s.repair_intra_rack_bytes)
+        .field("repair_bytes_identical_to_unlayered", s.repair_bytes_identical)
+        .field("mixed_total_bytes", s.mixed_total_bytes)
+        .field("mixed_cross_rack_bytes", s.mixed_cross_rack_bytes)
+        .field("mixed_client_bytes", s.mixed_client_bytes)
+        .field("mixed_errors", s.mixed_errors)
+        .end();
+  }
+  json.end();
+  return report.finish(json_path);
 }

@@ -14,17 +14,14 @@
 // partition of [0, length) is byte-identical to read_file; and a
 // one-block pread moves strictly fewer client bytes than read_file.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering. Runs on the inline (serial) pool so every number is
-// a deterministic function of the seed.
+// Runs on the inline (serial) pool so every number is a deterministic
+// function of the seed.
 //
 // Usage: range_read [--block-size=BYTES] [--stripes=N] [--schemes=CSV]
 //                   [--failures=CSV] [--reps=N] [--json=PATH]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +31,7 @@
 #include "ec/registry.h"
 #include "hdfs/client.h"
 #include "hdfs/minidfs.h"
+#include "report.h"
 
 namespace {
 
@@ -53,16 +51,6 @@ struct Sample {
   bool partition_identical = true;
 };
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,36 +60,16 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = ec::paper_code_specs();
   std::vector<std::size_t> failure_counts = {0, 1, 2, 3};
   std::string json_path = "BENCH_range_read.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--reps=", 0) == 0) {
-        reps = std::stoull(arg.substr(7));
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--failures=", 0) == 0) {
-        failure_counts.clear();
-        for (const auto& f : split_csv(arg.substr(11))) {
-          failure_counts.push_back(std::stoull(f));
-        }
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", &block_size);
+  flags.add("stripes", &stripes);
+  flags.add("reps", &reps);
+  flags.add("schemes", &schemes);
+  flags.add("failures", &failure_counts);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
   if (block_size == 0 || stripes == 0 || reps == 0) {
-    std::fprintf(stderr, "--block-size, --stripes, --reps must be > 0\n");
-    return 2;
+    return flags.fail("--block-size, --stripes, --reps must be > 0");
   }
 
   constexpr std::uint64_t kSeed = 29;
@@ -109,7 +77,7 @@ int main(int argc, char** argv) {
   topology.num_nodes = 25;
 
   std::vector<Sample> samples;
-  bool single_block_win = true;
+  bench::Report report("range_read");
 
   for (const auto& spec : schemes) {
     const auto code = ec::make_code(spec).value();
@@ -157,6 +125,10 @@ int main(int argc, char** argv) {
         }
         partition_identical = partition_identical && (reassembled == *whole);
       }
+      const std::string state =
+          spec + " failures=" + std::to_string(failures) + ": ";
+      report.gate(state + "concatenated preads identical to read_file",
+                  partition_identical);
 
       const std::vector<std::pair<std::string, std::size_t>> ranges = {
           {"1_block", block_size},
@@ -197,14 +169,10 @@ int main(int argc, char** argv) {
         sample.partition_identical = partition_identical;
         samples.push_back(sample);
 
-        if (label == "1_block" &&
-            !(sample.client_bytes_per_read < read_file_client)) {
-          single_block_win = false;
-          std::fprintf(stderr,
-                       "FAIL: %s failures=%zu: one-block pread moved %.0f "
-                       "client bytes, read_file moved %.0f\n",
-                       spec.c_str(), failures,
-                       sample.client_bytes_per_read, read_file_client);
+        if (label == "1_block") {
+          report.gate(state + "one-block pread client bytes below read_file",
+                      read_file_client, sample.client_bytes_per_read,
+                      sample.client_bytes_per_read < read_file_client);
         }
       }
       std::fprintf(stderr,
@@ -217,47 +185,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"range_read\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n"
-       << "  \"reps\": " << reps << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme
-         << "\", \"failures\": " << s.failures << ", \"range\": \""
-         << s.range_label << "\", \"range_bytes\": " << s.range_bytes
-         << ", \"client_bytes_per_read\": " << s.client_bytes_per_read
-         << ", \"total_bytes_per_read\": " << s.total_bytes_per_read
-         << ", \"mean_us\": " << s.mean_us
-         << ", \"read_file_client_bytes\": " << s.read_file_client_bytes
-         << ", \"partition_identical_to_read_file\": "
-         << (s.partition_identical ? "true" : "false") << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
-  // ---- acceptance gates --------------------------------------------------
-  bool ok = single_block_win;
+  auto& json = report.json();
+  json.field("block_size", block_size)
+      .field("stripes", stripes)
+      .field("reps", reps);
+  json.begin_array("results");
   for (const auto& s : samples) {
-    if (!s.partition_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s failures=%zu: concatenated preads diverge "
-                   "from read_file\n",
-                   s.scheme.c_str(), s.failures);
-      ok = false;
-      break;
-    }
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("failures", s.failures)
+        .field("range", s.range_label)
+        .field("range_bytes", s.range_bytes)
+        .field("client_bytes_per_read", s.client_bytes_per_read)
+        .field("total_bytes_per_read", s.total_bytes_per_read)
+        .field("mean_us", s.mean_us)
+        .field("read_file_client_bytes", s.read_file_client_bytes)
+        .field("partition_identical_to_read_file", s.partition_identical)
+        .end();
   }
-  if (!ok) return 1;
-  std::fprintf(stderr,
-               "OK: partitioned preads byte-identical to read_file and "
-               "one-block preads strictly cheaper, across %zu samples\n",
-               samples.size());
-  return 0;
+  json.end();
+  return report.finish(json_path);
 }

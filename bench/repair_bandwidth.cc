@@ -15,6 +15,7 @@
 #include "ec/local_polygon.h"
 #include "ec/registry.h"
 #include "hdfs/minidfs.h"
+#include "report.h"
 
 namespace {
 
@@ -57,7 +58,10 @@ PlanNumbers plan_numbers(const ec::CodeScheme& code) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  bool csv = false;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  if (!flags.parse(argc, argv)) return 2;
 
   TextTable table({"Code", "1-node repair", "2-node repair",
                    "degraded read (2 lost)", "paper says"});

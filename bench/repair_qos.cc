@@ -20,9 +20,8 @@
 //   * network conservation (chaos::check_network_conservation, drained
 //     form) holds after every simulation run.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering: inline pool, fixed seeds, everything a
-// deterministic function of the flags. Emits BENCH_repair_qos.json.
+// Inline pool, fixed seeds, everything a deterministic function of the
+// flags. Emits BENCH_repair_qos.json.
 //
 // Usage: repair_qos [--block-size=BYTES] [--files=N] [--stripes=N]
 //                   [--reads=N] [--window-ms=MS] [--schemes=CSV]
@@ -30,8 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +42,7 @@
 #include "hdfs/minidfs.h"
 #include "net/model.h"
 #include "net/transfer.h"
+#include "report.h"
 #include "sim/event_queue.h"
 
 namespace {
@@ -162,25 +160,14 @@ SimOutcome simulate(const Capture& capture, const cluster::Topology& topology,
   return outcome;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::string outcome_json(const char* name, const SimOutcome& o) {
-  std::ostringstream out;
-  out << "\"" << name << "\": {\"p99_read_s\": " << o.p99_read_s
-      << ", \"max_read_s\": " << o.max_read_s
-      << ", \"storm_makespan_s\": " << o.storm_makespan_s
-      << ", \"repair_delivered_bytes\": " << o.repair_delivered_bytes
-      << ", \"conservation_ok\": " << (o.conservation_ok ? "true" : "false")
-      << "}";
-  return out.str();
+void outcome_json(bench::Json& json, const char* name, const SimOutcome& o) {
+  json.begin_object(name)
+      .field("p99_read_s", o.p99_read_s)
+      .field("max_read_s", o.max_read_s)
+      .field("storm_makespan_s", o.storm_makespan_s)
+      .field("repair_delivered_bytes", o.repair_delivered_bytes)
+      .field("conservation_ok", o.conservation_ok)
+      .end();
 }
 
 }  // namespace
@@ -194,38 +181,19 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = {"heptagon-local", "pentagon", "rs-10-4"};
   double budget = 3.0;
   std::string json_path = "BENCH_repair_qos.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--files=", 0) == 0) {
-        files = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--reads=", 0) == 0) {
-        reads = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--window-ms=", 0) == 0) {
-        window_ms = std::stod(arg.substr(12));
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--budget=", 0) == 0) {
-        budget = std::stod(arg.substr(9));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", &block_size);
+  flags.add("files", &files);
+  flags.add("stripes", &stripes);
+  flags.add("reads", &reads);
+  flags.add("window-ms", &window_ms);
+  flags.add("schemes", &schemes);
+  flags.add("budget", &budget);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
   if (block_size == 0 || files == 0 || stripes == 0 || reads == 0 ||
       window_ms <= 0 || schemes.empty() || budget <= 1.0) {
-    std::fprintf(stderr, "need positive sizes and --budget > 1\n");
-    return 2;
+    return flags.fail("need positive sizes and --budget > 1");
   }
   const double window_s = window_ms / 1e3;
 
@@ -335,66 +303,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"repair_qos\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"files\": " << files << ",\n  \"stripes\": " << stripes
-       << ",\n  \"reads\": " << reads << ",\n  \"window_ms\": " << window_ms
-       << ",\n  \"budget\": " << budget
-       << ",\n  \"num_nodes\": " << kNumNodes
-       << ",\n  \"num_racks\": " << kNumRacks
-       << ",\n  \"qos_cluster_rate\": " << throttled_config.qos.cluster_rate
-       << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"layered\": "
-         << (s.layered ? "true" : "false")
-         << ", \"repair_records\": " << s.repair_records
-         << ", \"repair_flows\": " << s.repair_flows
-         << ", \"storm_bytes\": " << s.storm_bytes << ",\n     "
-         << outcome_json("baseline", s.baseline) << ",\n     "
-         << outcome_json("unthrottled", s.unthrottled) << ",\n     "
-         << outcome_json("throttled", s.throttled) << ",\n     "
-         << outcome_json("adaptive", s.adaptive) << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
   // ---- acceptance gates ----------------------------------------------
-  bool ok = true;
+  bench::Report report("repair_qos");
   for (const auto& s : samples) {
-    for (const SimOutcome* o :
-         {&s.baseline, &s.unthrottled, &s.throttled, &s.adaptive}) {
+    const std::string name =
+        s.scheme + " layered=" + std::to_string(s.layered ? 1 : 0) + ": ";
+    for (const auto& [variant, o] :
+         {std::pair{"baseline", &s.baseline},
+          std::pair{"unthrottled", &s.unthrottled},
+          std::pair{"throttled", &s.throttled},
+          std::pair{"adaptive", &s.adaptive}}) {
       if (!o->conservation_ok) {
-        std::fprintf(stderr, "FAIL: %s layered=%d: %s\n", s.scheme.c_str(),
-                     s.layered ? 1 : 0, o->violation.c_str());
-        ok = false;
+        std::fprintf(stderr, "%s%s: %s\n", name.c_str(), variant,
+                     o->violation.c_str());
       }
+      report.gate(name + variant + " network conservation",
+                  o->conservation_ok);
     }
     // Throttled and unthrottled storms deliver the same repair bytes --
     // pacing delays, never drops.
-    if (s.throttled.repair_delivered_bytes != s.storm_bytes ||
-        s.unthrottled.repair_delivered_bytes != s.storm_bytes) {
-      std::fprintf(stderr, "FAIL: %s layered=%d: storm bytes not delivered\n",
-                   s.scheme.c_str(), s.layered ? 1 : 0);
-      ok = false;
-    }
+    report.gate(name + "throttled storm bytes delivered", s.storm_bytes,
+                s.throttled.repair_delivered_bytes,
+                s.throttled.repair_delivered_bytes == s.storm_bytes);
+    report.gate(name + "unthrottled storm bytes delivered", s.storm_bytes,
+                s.unthrottled.repair_delivered_bytes,
+                s.unthrottled.repair_delivered_bytes == s.storm_bytes);
     // The adaptive throttler exploits idle headroom: never slower than the
     // fixed budget, for every configuration.
-    if (s.adaptive.storm_makespan_s > s.throttled.storm_makespan_s) {
-      std::fprintf(stderr,
-                   "FAIL: %s layered=%d: adaptive makespan %.3f s exceeds "
-                   "fixed %.3f s\n",
-                   s.scheme.c_str(), s.layered ? 1 : 0,
-                   s.adaptive.storm_makespan_s,
-                   s.throttled.storm_makespan_s);
-      ok = false;
-    }
+    report.gate(name + "adaptive makespan within fixed throttler's",
+                s.throttled.storm_makespan_s, s.adaptive.storm_makespan_s,
+                s.adaptive.storm_makespan_s <= s.throttled.storm_makespan_s);
   }
   // The headline, per scheme: layered + throttled repair keeps p99 read
   // degradation under budget; the flat unthrottled storm blows it.
@@ -414,20 +352,36 @@ int main(int argc, char** argv) {
         hero->throttled.p99_read_s / hero->baseline.p99_read_s;
     const double villain_ratio =
         villain->unthrottled.p99_read_s / villain->baseline.p99_read_s;
-    if (hero_ratio > budget) {
-      std::fprintf(stderr,
-                   "FAIL: %s layered+throttled p99 degradation x%.2f over "
-                   "budget x%.2f\n",
-                   spec.c_str(), hero_ratio, budget);
-      ok = false;
-    }
-    if (villain_ratio <= budget) {
-      std::fprintf(stderr,
-                   "FAIL: %s flat unthrottled p99 degradation x%.2f did not "
-                   "exceed budget x%.2f (storm too weak to matter)\n",
-                   spec.c_str(), villain_ratio, budget);
-      ok = false;
-    }
+    report.gate(spec + " layered+throttled p99 degradation within budget",
+                budget, hero_ratio, hero_ratio <= budget);
+    report.gate(spec + " flat unthrottled p99 degradation over budget", budget,
+                villain_ratio, villain_ratio > budget);
   }
-  return ok ? 0 : 1;
+
+  auto& json = report.json();
+  json.field("block_size", block_size)
+      .field("files", files)
+      .field("stripes", stripes)
+      .field("reads", reads)
+      .field("window_ms", window_ms)
+      .field("budget", budget)
+      .field("num_nodes", kNumNodes)
+      .field("num_racks", kNumRacks)
+      .field("qos_cluster_rate", throttled_config.qos.cluster_rate);
+  json.begin_array("results");
+  for (const auto& s : samples) {
+    json.begin_object()
+        .field("scheme", s.scheme)
+        .field("layered", s.layered)
+        .field("repair_records", s.repair_records)
+        .field("repair_flows", s.repair_flows)
+        .field("storm_bytes", s.storm_bytes);
+    outcome_json(json, "baseline", s.baseline);
+    outcome_json(json, "unthrottled", s.unthrottled);
+    outcome_json(json, "throttled", s.throttled);
+    outcome_json(json, "adaptive", s.adaptive);
+    json.end();
+  }
+  json.end();
+  return report.finish(json_path);
 }

@@ -4,25 +4,19 @@
 //  * stripe-aware vs basic peeling (the paper's "modified" peeling);
 //  * headroom left to the max-matching optimum.
 //
-// Usage: sched_ablation [--csv] [--trials N]
+// Usage: sched_ablation [--csv] [--trials=N]
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
 #include "ec/registry.h"
+#include "report.h"
 #include "sched/locality_sim.h"
 
 namespace {
 
 using namespace dblrep;
-
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
 
 double locality_of(const std::string& spec, sched::Scheduler& scheduler,
                    int mu, double load, int trials) {
@@ -37,8 +31,13 @@ double locality_of(const std::string& spec, sched::Scheduler& scheduler,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
-  const int trials = parse_trials(argc, argv, 30);
+  bool csv = false;
+  int trials = 30;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  flags.add("trials", &trials);
+  if (!flags.parse(argc, argv)) return 2;
+  if (trials <= 0) return flags.fail("--trials must be positive");
 
   std::cout << "Scheduler ablations (25 nodes, mu=4, 100% load, " << trials
             << " trials)\n\n";

@@ -14,6 +14,7 @@
 #include "common/table.h"
 #include "ec/registry.h"
 #include "reliability/markov.h"
+#include "report.h"
 
 namespace {
 
@@ -36,7 +37,10 @@ constexpr PaperRow kPaperRows[] = {
 
 int main(int argc, char** argv) {
   using namespace dblrep;
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  bool csv = false;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  if (!flags.parse(argc, argv)) return 2;
 
   rel::ReliabilityParams params;  // documented defaults
   TextTable table({"Code", "Storage Overhead", "Code Length",

@@ -18,9 +18,9 @@
 //    crashes, rack outages, namenode crashes, ...) reports zero invariant
 //    violations and executes at least one mid-transition-capable event.
 //
-// Self-contained harness (no google-benchmark); runs on the inline pool so
-// storage results are a deterministic function of the seed (latencies are
-// wall-clock and only gated against a same-process baseline).
+// Runs on the inline pool so storage results are a deterministic function
+// of the seed (latencies are wall-clock and only gated against a
+// same-process baseline).
 //
 // Usage: tiering [--files=N] [--file-blocks=N] [--block-size=BYTES]
 //                [--rounds=N] [--reads-per-round=N] [--zipf=S]
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "exec/thread_pool.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
+#include "report.h"
 #include "sched/schedulers.h"
 #include "tier/engine.h"
 
@@ -122,46 +122,25 @@ int main(int argc, char** argv) {
   std::size_t chaos_seeds = 4;
   double chaos_horizon = 15.0;
   std::string json_path = "BENCH_tiering.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    try {
-      if (arg.rfind("--files=", 0) == 0) {
-        files = std::stoul(value("--files="));
-      } else if (arg.rfind("--file-blocks=", 0) == 0) {
-        file_blocks = std::stoul(value("--file-blocks="));
-      } else if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoul(value("--block-size="));
-      } else if (arg.rfind("--rounds=", 0) == 0) {
-        rounds = std::stoul(value("--rounds="));
-      } else if (arg.rfind("--reads-per-round=", 0) == 0) {
-        reads_per_round = std::stoul(value("--reads-per-round="));
-      } else if (arg.rfind("--zipf=", 0) == 0) {
-        zipf_s = std::stod(value("--zipf="));
-      } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
-        chaos_seeds = std::stoul(value("--chaos-seeds="));
-      } else if (arg.rfind("--chaos-horizon=", 0) == 0) {
-        chaos_horizon = std::stod(value("--chaos-horizon="));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = value("--json=");
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad value in arg: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("files", &files);
+  flags.add("file-blocks", &file_blocks);
+  flags.add("block-size", &block_size);
+  flags.add("rounds", &rounds);
+  flags.add("reads-per-round", &reads_per_round);
+  flags.add("zipf", &zipf_s);
+  flags.add("chaos-seeds", &chaos_seeds);
+  flags.add("chaos-horizon", &chaos_horizon);
+  flags.add("json", &json_path);
+  if (!flags.parse(argc, argv)) return 2;
 
-  bool ok = true;
-  const auto gate = [&ok](bool passed, const std::string& what) {
-    if (!passed) {
-      std::fprintf(stderr, "FAIL: %s\n", what.c_str());
-      ok = false;
-    }
+  bench::Report report("tiering");
+  // Per-operation checks: each kind's failure count is one gate at 0.
+  std::map<std::string, std::size_t> failures;
+  const auto check = [&failures](bool passed, const std::string& kind,
+                                 const std::string& path) {
+    failures[kind] += passed ? 0 : 1;
+    if (!passed) std::fprintf(stderr, "%s: %s\n", kind.c_str(), path.c_str());
   };
 
   cluster::Topology topology;
@@ -193,10 +172,10 @@ int main(int argc, char** argv) {
   for (std::size_t f = 0; f < files; ++f) {
     payloads.push_back(random_buffer(file_blocks * block_size, f + 1));
     const auto& path = file_path(f);
-    gate(dfs.write_file(path, payloads[f], "3-rep", block_size).is_ok(),
-         "ingest (tiered) " + path);
-    gate(baseline.write_file(path, payloads[f], "3-rep", block_size).is_ok(),
-         "ingest (baseline) " + path);
+    check(dfs.write_file(path, payloads[f], "3-rep", block_size).is_ok(),
+          "failed ingests (tiered)", path);
+    check(baseline.write_file(path, payloads[f], "3-rep", block_size).is_ok(),
+          "failed ingests (baseline)", path);
   }
   const double logical_bytes =
       static_cast<double>(files * file_blocks * block_size);
@@ -215,7 +194,7 @@ int main(int argc, char** argv) {
       const std::size_t rank = zipf.sample(rng);
       const std::size_t block = rng.next_below(file_blocks);
       const auto read = dfs.read_block(file_path(rank), block);
-      gate(read.is_ok(), "workload read of " + file_path(rank));
+      check(read.is_ok(), "failed workload reads", file_path(rank));
     }
     const auto pass =
         engine.run_once(static_cast<double>(round) * round_dt_s);
@@ -232,28 +211,30 @@ int main(int argc, char** argv) {
     total_errors += pass.errors;
     if (pass.transitions == 0) break;
   }
-  gate(total_errors == 0, "transition errors on a healthy cluster");
-  gate(total_transitions > 0, "no transitions executed at all");
+  report.gate("transition errors on a healthy cluster", 0, total_errors,
+              total_errors == 0);
+  report.gate("transitions executed", 0, total_transitions,
+              total_transitions > 0);
 
   // Census + byte identity after every re-encode.
   std::map<std::string, std::size_t> census;
   const std::size_t hot_count = std::max<std::size_t>(1, files / 10);
   std::vector<std::string> hot_paths, cold_paths;
-  bool hot_all_replicated = true;
+  std::size_t hot_off_replica = 0;
   for (std::size_t f = 0; f < files; ++f) {
     const auto info = dfs.stat(file_path(f));
-    gate(info.is_ok(), "stat " + file_path(f));
+    check(info.is_ok(), "failed stats", file_path(f));
     if (!info.is_ok()) continue;
     ++census[info->code_spec];
     if (f < hot_count) {
       hot_paths.push_back(file_path(f));
-      if (info->code_spec != "3-rep") hot_all_replicated = false;
+      if (info->code_spec != "3-rep") ++hot_off_replica;
     } else {
       cold_paths.push_back(file_path(f));
     }
     const auto read = dfs.read_file(file_path(f));
-    gate(read.is_ok() && *read == payloads[f],
-         "byte identity of " + file_path(f) + " after transitions");
+    check(read.is_ok() && *read == payloads[f],
+          "files not byte-identical after transitions", file_path(f));
   }
   const double tiered_overhead =
       static_cast<double>(dfs.stored_bytes()) / logical_bytes;
@@ -265,13 +246,16 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "\n");
 
-  gate(tiered_overhead < baseline_overhead,
-       "storage overhead not strictly below all-3-rep");
-  gate(tiered_overhead <= 2.7, "storage overhead above 2.7x (not 'well "
-                               "below' the 3.0x baseline)");
-  gate(hot_all_replicated, "a hot-decile file left the replicated tier");
-  gate(census["heptagon-local"] > 0, "no file on the heptagon-local rung");
-  gate(census["rs-10-4"] > 0, "no file on the rs-10-4 rung");
+  report.gate("storage overhead strictly below all-3-rep", baseline_overhead,
+              tiered_overhead, tiered_overhead < baseline_overhead);
+  report.gate("storage overhead well below the 3.0x baseline", 2.7,
+              tiered_overhead, tiered_overhead <= 2.7);
+  report.gate("hot-decile files off the replicated tier", 0, hot_off_replica,
+              hot_off_replica == 0);
+  for (const std::string rung : {"heptagon-local", "rs-10-4"}) {
+    report.gate("files on the " + rung + " rung", 0, census[rung],
+                census[rung] > 0);
+  }
 
   // Hot-file latency: the same measurement loop against both clusters.
   // Wall-clock, so gated only relative to the in-process baseline.
@@ -286,7 +270,7 @@ int main(int argc, char** argv) {
       us.push_back(std::chrono::duration<double, std::micro>(Clock::now() -
                                                              start)
                        .count());
-      gate(read.is_ok(), "hot measurement read");
+      check(read.is_ok(), "failed hot measurement reads", file_path(rank));
     }
     return us;
   };
@@ -301,8 +285,8 @@ int main(int argc, char** argv) {
                "hot reads: tiered p50/p99 %.1f/%.1f us, baseline %.1f/%.1f "
                "us (budget %.1f)\n",
                hot_p50, hot_p99, base_p50, base_p99, latency_budget_us);
-  gate(hot_p99 <= latency_budget_us,
-       "hot-file p99 above the replicated-tier budget");
+  report.gate("hot-file p99 us within the replicated-tier budget",
+              latency_budget_us, hot_p99, hot_p99 <= latency_budget_us);
 
   // Locality: hot files (replicated) must schedule at least as locally as
   // the erasure-coded cold tail under the same offered load.
@@ -310,8 +294,8 @@ int main(int argc, char** argv) {
   const double cold_locality = locality_of(dfs, cold_paths, 3);
   std::fprintf(stderr, "max-matching locality: hot %.3f, cold %.3f\n",
                hot_locality, cold_locality);
-  gate(hot_locality >= cold_locality,
-       "hot-tier locality below the cold tier's");
+  report.gate("hot-tier locality at least the cold tier's", cold_locality,
+              hot_locality, hot_locality >= cold_locality);
 
   // Chaos: tier transitions interleaved with node/rack/namenode failures
   // (the mixed preset's tier_rate), mid-transition crashes included.
@@ -337,43 +321,53 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(seed), report.trace.size(),
                  report.violations.size());
   }
-  gate(chaos_violations == 0, "chaos violations with tier transitions");
-  gate(chaos_tier_events > 0, "chaos sweep executed no tier transitions");
+  report.gate("chaos violations with tier transitions", 0, chaos_violations,
+              chaos_violations == 0);
+  report.gate("chaos tier transitions executed", 0, chaos_tier_events,
+              chaos_tier_events > 0);
+  for (const auto& [kind, count] : failures) {
+    report.gate(kind, 0, count, count == 0);
+  }
 
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"config\": {\"files\": " << files << ", \"file_blocks\": "
-       << file_blocks << ", \"block_size\": " << block_size
-       << ", \"rounds\": " << rounds << ", \"reads_per_round\": "
-       << reads_per_round << ", \"zipf_s\": " << zipf_s
-       << ", \"chaos_seeds\": " << chaos_seeds << ", \"chaos_horizon_s\": "
-       << chaos_horizon << "},\n"
-       << "  \"transitions\": {\"total\": " << total_transitions
-       << ", \"errors\": " << total_errors << ", \"per_round\": [";
-  for (std::size_t i = 0; i < per_round_transitions.size(); ++i) {
-    json << (i ? ", " : "") << per_round_transitions[i];
-  }
-  json << "]},\n"
-       << "  \"storage\": {\"logical_bytes\": " << logical_bytes
-       << ", \"tiered_overhead\": " << tiered_overhead
-       << ", \"baseline_overhead\": " << baseline_overhead << "},\n"
-       << "  \"census\": {";
-  bool first = true;
-  for (const auto& [spec, count] : census) {
-    json << (first ? "" : ", ") << "\"" << spec << "\": " << count;
-    first = false;
-  }
-  json << "},\n"
-       << "  \"hot_reads\": {\"tiered_p50_us\": " << hot_p50
-       << ", \"tiered_p99_us\": " << hot_p99 << ", \"baseline_p50_us\": "
-       << base_p50 << ", \"baseline_p99_us\": " << base_p99
-       << ", \"budget_us\": " << latency_budget_us << "},\n"
-       << "  \"locality\": {\"hot\": " << hot_locality << ", \"cold\": "
-       << cold_locality << "},\n"
-       << "  \"chaos\": {\"violations\": " << chaos_violations
-       << ", \"tier_events\": " << chaos_tier_events << "},\n"
-       << "  \"gates_passed\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return ok ? 0 : 1;
+  auto& json = report.json();
+  json.begin_object("config")
+      .field("files", files)
+      .field("file_blocks", file_blocks)
+      .field("block_size", block_size)
+      .field("rounds", rounds)
+      .field("reads_per_round", reads_per_round)
+      .field("zipf_s", zipf_s)
+      .field("chaos_seeds", chaos_seeds)
+      .field("chaos_horizon_s", chaos_horizon)
+      .end();
+  json.begin_object("transitions")
+      .field("total", total_transitions)
+      .field("errors", total_errors)
+      .begin_array("per_round");
+  for (const std::size_t n : per_round_transitions) json.element(n);
+  json.end().end();
+  json.begin_object("storage")
+      .field("logical_bytes", logical_bytes)
+      .field("tiered_overhead", tiered_overhead)
+      .field("baseline_overhead", baseline_overhead)
+      .end();
+  json.begin_object("census");
+  for (const auto& [spec, count] : census) json.field(spec, count);
+  json.end();
+  json.begin_object("hot_reads")
+      .field("tiered_p50_us", hot_p50)
+      .field("tiered_p99_us", hot_p99)
+      .field("baseline_p50_us", base_p50)
+      .field("baseline_p99_us", base_p99)
+      .field("budget_us", latency_budget_us)
+      .end();
+  json.begin_object("locality")
+      .field("hot", hot_locality)
+      .field("cold", cold_locality)
+      .end();
+  json.begin_object("chaos")
+      .field("violations", chaos_violations)
+      .field("tier_events", chaos_tier_events)
+      .end();
+  return report.finish(json_path);
 }

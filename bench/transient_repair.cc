@@ -12,10 +12,14 @@
 #include "cluster/transient_sim.h"
 #include "common/table.h"
 #include "ec/registry.h"
+#include "report.h"
 
 int main(int argc, char** argv) {
   using namespace dblrep;
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  bool csv = false;
+  bench::Flags flags;
+  flags.add("csv", &csv);
+  if (!flags.parse(argc, argv)) return 2;
 
   cluster::TransientSimConfig config;
   std::cout << "One simulated year, " << config.num_nodes

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -200,19 +199,12 @@ CodeParams make_params() {
   return params;
 }
 
-bool subchunk_enabled() {
-  const char* env = std::getenv("DBLREP_SUBCHUNK");
-  return env == nullptr || std::string_view(env) != "0";
-}
-
 }  // namespace
 
 ClayCode::ClayCode()
-    : CodeScheme(make_params(), make_layout(), clay_generator()),
-      subchunk_repair_(subchunk_enabled()) {}
+    : CodeScheme(make_params(), make_layout(), clay_generator()) {}
 
 Result<RepairPlan> ClayCode::plan_node_repair(NodeIndex failed) const {
-  if (!subchunk_repair_) return CodeScheme::plan_node_repair(failed);
   DBLREP_CHECK_GE(failed, 0);
   DBLREP_CHECK_LT(static_cast<std::size_t>(failed), kN);
   const auto [lost, reads] = repair_slots(failed);

@@ -18,10 +18,6 @@
 // Single-node repair reads beta = 4 of the 8 units from each of the 5
 // helpers -- 20 unit-sized transfers = 2.5 blocks, versus 4 blocks for
 // rs-4-2 at the same 1.5x storage overhead.
-//
-// Set DBLREP_SUBCHUNK=0 to disable the sub-chunk repair planner and fall
-// back to the generic whole-stripe path (the plan stays correct, just at
-// generic cost).
 #pragma once
 
 #include "ec/code.h"
@@ -34,9 +30,6 @@ class ClayCode final : public CodeScheme {
 
   /// MSR repair: beta units from each of the d = 5 helpers.
   Result<RepairPlan> plan_node_repair(NodeIndex failed) const override;
-
- private:
-  bool subchunk_repair_ = true;
 };
 
 }  // namespace dblrep::ec

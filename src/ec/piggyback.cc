@@ -1,7 +1,5 @@
 #include "ec/piggyback.h"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -146,21 +144,15 @@ CodeParams make_params() {
   return params;
 }
 
-bool subchunk_enabled() {
-  const char* env = std::getenv("DBLREP_SUBCHUNK");
-  return env == nullptr || std::string_view(env) != "0";
-}
-
 }  // namespace
 
 PiggybackCode::PiggybackCode()
-    : CodeScheme(make_params(), make_layout(), pgy_generator()),
-      subchunk_repair_(subchunk_enabled()) {}
+    : CodeScheme(make_params(), make_layout(), pgy_generator()) {}
 
 Result<RepairPlan> PiggybackCode::plan_node_repair(NodeIndex failed) const {
   DBLREP_CHECK_GE(failed, 0);
   DBLREP_CHECK_LT(static_cast<std::size_t>(failed), kN);
-  if (!subchunk_repair_ || static_cast<std::size_t>(failed) >= kK) {
+  if (static_cast<std::size_t>(failed) >= kK) {
     return CodeScheme::plan_node_repair(failed);
   }
   const auto [lost, reads] = repair_slots(static_cast<std::size_t>(failed));

@@ -18,9 +18,6 @@
 // blocks for rs-10-4 at the identical 1.4x storage overhead. Parity-node
 // repair falls back to the generic whole-stripe path. The upper-triangular
 // piggyback structure preserves the MDS property (tolerance 4).
-//
-// Set DBLREP_SUBCHUNK=0 to disable the piggyback repair planner and fall
-// back to the generic path.
 #pragma once
 
 #include "ec/code.h"
@@ -33,9 +30,6 @@ class PiggybackCode final : public CodeScheme {
 
   /// Piggyback repair for data nodes; generic for parity nodes.
   Result<RepairPlan> plan_node_repair(NodeIndex failed) const override;
-
- private:
-  bool subchunk_repair_ = true;
 };
 
 }  // namespace dblrep::ec

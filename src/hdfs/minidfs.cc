@@ -284,14 +284,8 @@ Status MiniDfs::commit_write(const std::string& path) {
   return Status::ok();
 }
 
-Status MiniDfs::abort_write(const std::string& path) {
-  // Failed writes must not leak: the NameNode drops the metadata (journaled
-  // kAbort) and hands back each stripe's placement so the blocks that
-  // landed can be dropped here (all still possible -- unsealed stripes are
-  // invisible to repair, and the unpublished path is invisible to readers).
-  auto removed = namenode_.abort_write(path);
-  if (!removed.is_ok()) return removed.status();
-  for (const StripePlacement& placement : removed->stripes) {
+Status MiniDfs::drop_blocks(const RemovedFile& removed) {
+  for (const StripePlacement& placement : removed.stripes) {
     auto code_result = scheme(placement.code_spec);
     if (!code_result.is_ok()) return code_result.status();
     const auto& layout = (*code_result)->layout();
@@ -303,6 +297,16 @@ Status MiniDfs::abort_write(const std::string& path) {
     }
   }
   return Status::ok();
+}
+
+Status MiniDfs::abort_write(const std::string& path) {
+  // Failed writes must not leak: the NameNode drops the metadata (journaled
+  // kAbort) and hands back each stripe's placement so the blocks that
+  // landed can be dropped here (all still possible -- unsealed stripes are
+  // invisible to repair, and the unpublished path is invisible to readers).
+  auto removed = namenode_.abort_write(path);
+  if (!removed.is_ok()) return removed.status();
+  return drop_blocks(*removed);
 }
 
 Status MiniDfs::write_file(const std::string& path, ByteSpan data,
@@ -589,17 +593,7 @@ Status MiniDfs::delete_file(const std::string& path) {
   std::unique_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
   auto removed = namenode_.remove_file(path);
   if (!removed.is_ok()) return removed.status();
-  for (const StripePlacement& placement : removed->stripes) {
-    auto code_result = scheme(placement.code_spec);
-    if (!code_result.is_ok()) return code_result.status();
-    const auto& layout = (*code_result)->layout();
-    for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-      const cluster::NodeId node = placement.group[static_cast<std::size_t>(
-          layout.node_of_slot(slot))];
-      auto& dn = datanodes_[static_cast<std::size_t>(node)];
-      if (dn.has({placement.id, slot})) (void)dn.drop({placement.id, slot});
-    }
-  }
+  DBLREP_RETURN_IF_ERROR(drop_blocks(*removed));
   if (options_.access_observer != nullptr) {
     options_.access_observer->on_delete(path);
   }
@@ -625,17 +619,7 @@ Status MiniDfs::replace_file(const std::string& from, const std::string& to) {
   // (complete since its commit_write) -- never a torn mix.
   auto removed = namenode_.replace(from, to);
   if (!removed.is_ok()) return removed.status();
-  for (const StripePlacement& placement : removed->stripes) {
-    auto code_result = scheme(placement.code_spec);
-    if (!code_result.is_ok()) return code_result.status();
-    const auto& layout = (*code_result)->layout();
-    for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-      const cluster::NodeId node = placement.group[static_cast<std::size_t>(
-          layout.node_of_slot(slot))];
-      auto& dn = datanodes_[static_cast<std::size_t>(node)];
-      if (dn.has({placement.id, slot})) (void)dn.drop({placement.id, slot});
-    }
-  }
+  DBLREP_RETURN_IF_ERROR(drop_blocks(*removed));
   if (options_.access_observer != nullptr) {
     options_.access_observer->on_replace(from, to);
   }

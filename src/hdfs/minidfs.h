@@ -408,6 +408,10 @@ class MiniDfs {
                             std::size_t offset, std::size_t len,
                             net::TransferClass cls);
 
+  /// Drops every landed block of a removed file's placements (abort_write,
+  /// delete_file, replace_file: the catalog entries are already gone).
+  Status drop_blocks(const RemovedFile& removed);
+
   /// Repairs one stripe's holes as part of repair_node(node).
   Status repair_stripe(cluster::StripeId stripe);
 
