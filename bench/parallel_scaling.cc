@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
         sample.repair_mb_s = static_cast<double>(repaired_bytes) *
                              static_cast<double>(iters) / (elapsed * 1e6);
 
-        // Exactness: one more fail+repair from a reset meter, fingerprint
+        // Exactness: one more fail+repair from a reset ledger, fingerprint
         // the full cluster state and compare against the workers=0 run.
         dfs.traffic().reset();
         DBLREP_CHECK(dfs.fail_node(group[0]).is_ok());

@@ -71,7 +71,7 @@ net::QosConfig repair_qos_config() {
 }
 
 /// One captured workload: per-read transfer flows + the repair storm as
-/// one flow per repaired stripe (TransferLog::mark boundaries) -- stripes
+/// one flow per repaired stripe (TrafficLedger::mark boundaries) -- stripes
 /// repair independently, so their flows all hit the fabric at t=0.
 struct Capture {
   std::vector<std::vector<net::TransferRecord>> reads;
@@ -221,12 +221,12 @@ int main(int argc, char** argv) {
 
     for (const bool layered : {false, true}) {
       // ---- capture: run the real data plane, log every transfer --------
-      net::TransferLog log;
       hdfs::MiniDfsOptions options;
       options.placement = cluster::PlacementPolicy::kGroupPerRack;
       options.layered_repair = layered;
-      options.transfer_log = &log;
       hdfs::MiniDfs dfs(topology, kSeed, /*pool=*/nullptr, options);
+      net::TrafficLedger& ledger = dfs.traffic();
+      ledger.set_capture(true);
 
       std::vector<std::string> paths;
       for (std::size_t f = 0; f < files; ++f) {
@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
         DBLREP_CHECK(
             dfs.write_file(paths.back(), data, spec, block_size).is_ok());
       }
-      (void)log.drain();  // preload uploads are not part of the replay
+      (void)ledger.drain();  // preload uploads are not part of the replay
 
       // Client reads of random single blocks, captured one flow per op.
       // Captured pre-failure so every scheme's reads are plain replica /
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
         const auto block = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(blocks_per_file) - 1));
         DBLREP_CHECK(dfs.read_block(path, block).is_ok());
-        auto records = log.drain();
+        auto records = ledger.drain();
         DBLREP_CHECK(!records.empty());
         capture.reads.push_back(std::move(records));
       }
@@ -257,9 +257,9 @@ int main(int argc, char** argv) {
       // and repair everything it held.
       const auto group = dfs.catalog().stripe(0).group;
       DBLREP_CHECK(dfs.fail_node(group[1]).is_ok());
-      (void)log.drain();  // fail_node itself moves no bytes; stay clean
+      (void)ledger.drain();  // fail_node itself moves no bytes; stay clean
       DBLREP_CHECK(dfs.repair_all().is_ok());
-      capture.storm = log.drain_flows();
+      capture.storm = ledger.drain_flows();
       for (const auto& flow : capture.storm) {
         capture.storm_records += flow.size();
         for (const auto& t : flow) capture.storm_bytes += t.bytes;

@@ -2,7 +2,7 @@
 //
 // Writes a pentagon-coded file and a (10,9) RAID+m file, fails both
 // replica holders of one block in each, then reads the block through the
-// client path. The traffic meter shows the paper's numbers on the wire:
+// client path. The traffic ledger shows the paper's numbers on the wire:
 // 3 block transfers for the pentagon (partial parities) vs 9 for RAID+m.
 //
 // Build & run:  ./build/examples/degraded_read

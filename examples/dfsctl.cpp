@@ -3,10 +3,10 @@
 //
 // Usage: dfsctl [nodes] [racks] [--net]   (then commands on stdin)
 //
-// --net attaches the link-level network model: every transfer the DFS
-// makes is captured, and `traffic` additionally replays the capture
-// through net::NetworkModel to show which fabric links the byte pattern
-// actually loads (and asserts network conservation on the replay).
+// --net switches on the traffic ledger's capture: every transfer the DFS
+// makes is kept, and `traffic` additionally replays the capture through
+// net::NetworkModel to show which fabric links the byte pattern actually
+// loads (and asserts network conservation on the replay).
 //
 // Commands:
 //   write <path> <code> <blocks>   write <blocks> random data blocks
@@ -41,11 +41,14 @@
 //   traffic                        show network counters: the intra-rack /
 //                                  cross-rack / client / total split, the
 //                                  top per-node senders and receivers, and
-//                                  (with --net) per-link utilization
+//                                  (with --net) per-link utilization; checks
+//                                  ledger (and, with --net, network)
+//                                  conservation
 //   quit
 //
 // Exit code: 0 when every command succeeded, 1 if any command reported an
-// error (unknown commands count) -- so scripted sessions can gate on it.
+// error (unknown commands and conservation violations count) -- so
+// scripted sessions can gate on it.
 //
 // Example session:
 //   echo "append /a pentagon 3
@@ -96,13 +99,12 @@ int main(int argc, char** argv) {
   if (positional.size() > 1) {
     topology.num_racks = std::strtoul(positional[1], nullptr, 10);
   }
-  net::TransferLog transfer_log;
   std::vector<net::TransferRecord> captured;  // everything since start
   tier::HeatTracker heat;
   hdfs::MiniDfsOptions options;
   options.access_observer = &heat;
-  if (with_net) options.transfer_log = &transfer_log;
   hdfs::MiniDfs dfs(topology, /*seed=*/2014, &exec::default_pool(), options);
+  dfs.traffic().set_capture(with_net);
   hdfs::Client client(dfs);
   hdfs::RaidNode raid(dfs);
   tier::TieringEngine engine(dfs, heat, tier::TieringPolicy{});
@@ -380,11 +382,11 @@ int main(int argc, char** argv) {
         std::cout << report.status().to_string() << "\n";
       }
     } else if (cmd == "traffic") {
-      const auto& meter = dfs.traffic();
-      std::cout << "network total: " << format_bytes(meter.total_bytes())
-                << ", intra-rack: " << format_bytes(meter.intra_rack_bytes())
-                << ", cross-rack: " << format_bytes(meter.cross_rack_bytes())
-                << ", client: " << format_bytes(meter.client_bytes()) << "\n";
+      auto& ledger = dfs.traffic();
+      std::cout << "network total: " << format_bytes(ledger.total_bytes())
+                << ", intra-rack: " << format_bytes(ledger.intra_rack_bytes())
+                << ", cross-rack: " << format_bytes(ledger.cross_rack_bytes())
+                << ", client: " << format_bytes(ledger.client_bytes()) << "\n";
       // Top per-node senders and receivers (non-zero only).
       const auto print_top = [&](const char* label, auto bytes_of) {
         std::vector<std::pair<double, std::size_t>> ranked;
@@ -403,15 +405,18 @@ int main(int argc, char** argv) {
         std::cout << "\n";
       };
       print_top("top senders", [&](cluster::NodeId n) {
-        return meter.node_sent_bytes(n);
+        return ledger.node_sent_bytes(n);
       });
       print_top("top receivers", [&](cluster::NodeId n) {
-        return meter.node_received_bytes(n);
+        return ledger.node_received_bytes(n);
       });
+      // Ledger conservation always; network conservation on the replay.
+      std::vector<std::string> violations;
+      chaos::check_traffic_conservation(dfs, violations);
       if (with_net) {
         // Replay everything captured so far through the link-level model:
         // which fabric links does this byte pattern actually load?
-        const auto drained = transfer_log.drain();
+        const auto drained = ledger.drain();
         captured.insert(captured.end(), drained.begin(), drained.end());
         sim::EventQueue queue;
         net::NetworkModel model(queue, topology, net::NetworkConfig{});
@@ -419,11 +424,8 @@ int main(int argc, char** argv) {
           model.start_transfer(record, 0.0);
         }
         queue.run();
-        std::vector<std::string> violations;
         chaos::check_network_conservation(model, violations,
                                           /*expect_drained=*/true);
-        for (const auto& v : violations) std::cout << "VIOLATION: " << v << "\n";
-        note(violations.empty());
         std::vector<std::pair<double, std::size_t>> busiest;
         for (std::size_t id = 0; id < model.num_links(); ++id) {
           if (model.link(id).busy_s > 0) {
@@ -443,6 +445,8 @@ int main(int argc, char** argv) {
                     << "%, max depth " << link.max_queue_depth << "\n";
         }
       }
+      for (const auto& v : violations) std::cout << "VIOLATION: " << v << "\n";
+      note(violations.empty());
     } else {
       note(false);
       std::cout << "unknown command: " << cmd << "\n";

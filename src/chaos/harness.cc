@@ -642,11 +642,11 @@ ChaosReport ChaosHarness::run_schedule(
     run.run_checkers(0, ChaosEvent{});
   }
 
-  const auto& meter = run.dfs.traffic();
-  run.report.traffic_total_bytes = meter.total_bytes();
-  run.report.traffic_intra_rack_bytes = meter.intra_rack_bytes();
-  run.report.traffic_cross_rack_bytes = meter.cross_rack_bytes();
-  run.report.traffic_client_bytes = meter.client_bytes();
+  const auto& ledger = run.dfs.traffic();
+  run.report.traffic_total_bytes = ledger.total_bytes();
+  run.report.traffic_intra_rack_bytes = ledger.intra_rack_bytes();
+  run.report.traffic_cross_rack_bytes = ledger.cross_rack_bytes();
+  run.report.traffic_client_bytes = ledger.client_bytes();
   run.report.final_storage_fingerprint = storage_fingerprint(run.dfs);
   run.report.final_fingerprint = cluster_fingerprint(run.dfs);
   return std::move(run.report);

@@ -91,11 +91,11 @@ std::uint64_t cluster_fingerprint(const hdfs::MiniDfs& dfs) {
   for (std::size_t n = 0; n < num_nodes; ++n) {
     mix_u64(h, dfs.datanode(static_cast<cluster::NodeId>(n)).is_up() ? 1 : 0);
   }
-  const auto& meter = dfs.traffic();
-  mix_u64(h, std::bit_cast<std::uint64_t>(meter.total_bytes()));
-  mix_u64(h, std::bit_cast<std::uint64_t>(meter.intra_rack_bytes()));
-  mix_u64(h, std::bit_cast<std::uint64_t>(meter.cross_rack_bytes()));
-  mix_u64(h, std::bit_cast<std::uint64_t>(meter.client_bytes()));
+  const auto& ledger = dfs.traffic();
+  mix_u64(h, std::bit_cast<std::uint64_t>(ledger.total_bytes()));
+  mix_u64(h, std::bit_cast<std::uint64_t>(ledger.intra_rack_bytes()));
+  mix_u64(h, std::bit_cast<std::uint64_t>(ledger.cross_rack_bytes()));
+  mix_u64(h, std::bit_cast<std::uint64_t>(ledger.client_bytes()));
   return h;
 }
 
@@ -367,41 +367,47 @@ void check_placement(const hdfs::MiniDfs& dfs, const TruthMap& truth,
 
 void check_traffic_conservation(const hdfs::MiniDfs& dfs,
                                 std::vector<std::string>& violations) {
-  const auto& meter = dfs.traffic();
-  const double total = meter.total_bytes();
-  const double intra = meter.intra_rack_bytes();
-  const double cross = meter.cross_rack_bytes();
-  const double client = meter.client_bytes();
+  const auto& ledger = dfs.traffic();
+  const double total = ledger.total_bytes();
+  const double intra = ledger.route_bytes(net::Route::kIntraRack);
+  const double cross = ledger.route_bytes(net::Route::kCrossRack);
+  const double to_client = ledger.route_bytes(net::Route::kToClient);
+  const double from_client = ledger.route_bytes(net::Route::kFromClient);
 
   const auto report = [&](const std::string& what) {
     std::ostringstream os;
     os << "traffic: " << what << " (total=" << total << " intra=" << intra
-       << " cross=" << cross << " client=" << client << ")";
+       << " cross=" << cross << " to_client=" << to_client
+       << " from_client=" << from_client << ")";
     violations.push_back(os.str());
   };
 
-  if (intra < 0 || cross < 0 || client < 0 || total < 0) {
+  if (intra < 0 || cross < 0 || to_client < 0 || from_client < 0 ||
+      total < 0) {
     report("negative bucket");
     return;
   }
-  // Whole byte counts well below 2^53: sums are exact, equality is exact.
-  if (intra + cross + client != total) {
+  // Each route sum covers its bucket of every class, so the four together
+  // are all the buckets. Whole byte counts well below 2^53: sums are
+  // exact, equality is exact.
+  if (intra + cross + to_client + from_client != total) {
     report("buckets do not sum to total");
   }
   double sent = 0, received = 0;
   for (std::size_t n = 0; n < dfs.topology().num_nodes; ++n) {
-    sent += meter.node_sent_bytes(static_cast<cluster::NodeId>(n));
-    received += meter.node_received_bytes(static_cast<cluster::NodeId>(n));
+    sent += ledger.node_sent_bytes(static_cast<cluster::NodeId>(n));
+    received += ledger.node_received_bytes(static_cast<cluster::NodeId>(n));
   }
-  if (sent != total) {
+  if (sent != intra + cross + to_client) {
     std::ostringstream os;
-    os << "per-node sent sum " << sent << " != total " << total;
+    os << "per-node sent sum " << sent << " != intra + cross + to-client "
+       << intra + cross + to_client;
     report(os.str());
   }
-  if (received != intra + cross) {
+  if (received != intra + cross + from_client) {
     std::ostringstream os;
     os << "per-node received sum " << received
-       << " != node-to-node bytes " << intra + cross;
+       << " != intra + cross + from-client " << intra + cross + from_client;
     report(os.str());
   }
 }

@@ -2,7 +2,7 @@
 //
 // Each checker is side-effect free on the data plane: state is probed
 // through the catalog and DataNode accessors directly (never through the
-// client read path), so checking perturbs neither the TrafficMeter nor any
+// client read path), so checking perturbs neither the traffic ledger nor any
 // datanode. Violations come back as human-readable strings; an empty list
 // means the invariant held.
 //
@@ -32,11 +32,12 @@
 //    temp file a tier transition (or raid pass) streams into is swapped or
 //    deleted before the operation returns, so at every quiescent instant
 //    the namespace contains none.
-//  * Traffic conservation -- every recorded byte lands in exactly one of
-//    the intra-rack / cross-rack / client buckets, the buckets sum to the
-//    independently-accumulated total, and per-node sent/received sums
-//    agree with the bucket totals. Exact double equality is sound: all
-//    values are sums of whole byte counts far below 2^53.
+//  * Traffic conservation -- every recorded byte lands in exactly one
+//    class x route bucket of the traffic ledger, the buckets sum to the
+//    independently-accumulated total, per-node sent sums to intra + cross
+//    + to-client, and per-node received sums to intra + cross +
+//    from-client. Exact double equality is sound: all values are sums of
+//    whole byte counts far below 2^53.
 //
 // Fingerprints: storage_fingerprint covers the raw disk contents of every
 // node (offline disks and corrupted blocks included, via DataNode::peek);

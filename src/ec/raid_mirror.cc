@@ -7,8 +7,11 @@ namespace {
 CodeParams make_params(int k) {
   DBLREP_CHECK_GE(k, 2);
   CodeParams params;
-  params.name = "(" + std::to_string(k + 1) + "," + std::to_string(k) +
-                ") RAID+m";
+  params.name = "(";
+  params.name += std::to_string(k + 1);
+  params.name += ",";
+  params.name += std::to_string(k);
+  params.name += ") RAID+m";
   params.data_blocks = static_cast<std::size_t>(k);
   params.num_symbols = static_cast<std::size_t>(k) + 1;
   params.stored_blocks = 2 * params.num_symbols;

@@ -56,7 +56,7 @@ struct ClientOptions {
   /// Transfer classes this handle's traffic is accounted under. Foreground
   /// clients keep the defaults; the tiering re-encode path constructs its
   /// Client with both set to kRetier, making transition bytes visible to
-  /// the QoS throttler and the TransferLog like repair bytes.
+  /// the QoS throttler and the traffic ledger like repair bytes.
   net::TransferClass read_class = net::TransferClass::kClientRead;
   net::TransferClass write_class = net::TransferClass::kClientWrite;
 };

@@ -212,10 +212,10 @@ Status MiniDfs::store_stripe_bytes(SchemeRuntime& rt, std::size_t block_size,
     // Client -> datanode transfer (the client is off-cluster), charged at
     // the slot payload size: a full block for α == 1, one sub-chunk for
     // sub-packetized schemes.
-    account_upload(node,
-                   static_cast<double>(
-                       symbols[layout.symbol_of_slot(slot)].size()),
-                   cls);
+    traffic_.record(
+        net::kClientEndpoint, node,
+        static_cast<double>(symbols[layout.symbol_of_slot(slot)].size()),
+        cls);
   }
   return Status::ok();
 }
@@ -247,10 +247,10 @@ Status MiniDfs::store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
           DBLREP_RETURN_IF_ERROR(
               datanodes_[static_cast<std::size_t>(node)].put(
                   {stripe, slot}, symbols[layout.symbol_of_slot(slot)]));
-          account_upload(node,
-                         static_cast<double>(
-                             symbols[layout.symbol_of_slot(slot)].size()),
-                         net::TransferClass::kClientWrite);
+          traffic_.record(net::kClientEndpoint, node,
+                          static_cast<double>(
+                              symbols[layout.symbol_of_slot(slot)].size()),
+                          net::TransferClass::kClientWrite);
         }
         return Status::ok();
       });
@@ -426,7 +426,8 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       Buffer out;
       out.reserve(file.block_size);
       for (auto& [node, bytes] : units) {
-        account_delivery(node, static_cast<double>(bytes.size()), cls);
+        traffic_.record(node, net::kClientEndpoint,
+                        static_cast<double>(bytes.size()), cls);
         out.insert(out.end(), bytes.begin(), bytes.end());
       }
       return out;
@@ -472,17 +473,14 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
   const double unit_bytes =
       store.empty() ? 0.0 : static_cast<double>(store.begin()->second.size());
   for (const auto& send : plan.aggregates) {
-    const cluster::NodeId from =
-        group[static_cast<std::size_t>(send.from_node)];
-    if (send.to_node == ec::kClientNode) {
-      account_delivery(from, unit_bytes, cls);
-    } else {
-      account(from, group[static_cast<std::size_t>(send.to_node)],
-              unit_bytes, cls);
-    }
+    traffic_.record(group[static_cast<std::size_t>(send.from_node)],
+                    send.to_node == ec::kClientNode
+                        ? net::kClientEndpoint
+                        : group[static_cast<std::size_t>(send.to_node)],
+                    unit_bytes, cls);
   }
   // One degraded read = one dependency-chained flow in a captured replay.
-  if (options_.transfer_log != nullptr) options_.transfer_log->mark();
+  traffic_.mark();
   // plan_degraded_block delivers the α client units in unit order, so they
   // concatenate straight back into the logical block.
   Buffer out;
@@ -680,30 +678,6 @@ Result<RecoveryReport> MiniDfs::crash_namenode() {
   return report;
 }
 
-void MiniDfs::account(cluster::NodeId from, cluster::NodeId to, double bytes,
-                      net::TransferClass cls) {
-  traffic_.record(from, to, bytes);
-  if (options_.transfer_log != nullptr) {
-    options_.transfer_log->record(from, to, bytes, cls);
-  }
-}
-
-void MiniDfs::account_upload(cluster::NodeId node, double bytes,
-                             net::TransferClass cls) {
-  traffic_.record_to_client(node, bytes);
-  if (options_.transfer_log != nullptr) {
-    options_.transfer_log->record(net::kClientEndpoint, node, bytes, cls);
-  }
-}
-
-void MiniDfs::account_delivery(cluster::NodeId node, double bytes,
-                               net::TransferClass cls) {
-  traffic_.record_to_client(node, bytes);
-  if (options_.transfer_log != nullptr) {
-    options_.transfer_log->record(node, net::kClientEndpoint, bytes, cls);
-  }
-}
-
 std::set<cluster::NodeId> MiniDfs::down_nodes() const {
   std::set<cluster::NodeId> down;
   for (const auto& dn : datanodes_) {
@@ -795,15 +769,15 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
       return internal_error("repair plan send references a node outside the "
                             "stripe's placement group");
     }
-    account(info.group[static_cast<std::size_t>(send.from_node)],
-            info.group[static_cast<std::size_t>(send.to_node)],
-            static_cast<double>(repair_block_size),
-            net::TransferClass::kRepair);
+    traffic_.record(info.group[static_cast<std::size_t>(send.from_node)],
+                    info.group[static_cast<std::size_t>(send.to_node)],
+                    static_cast<double>(repair_block_size),
+                    net::TransferClass::kRepair);
   }
   // One stripe's repair = one dependency-chained flow; stripes of a larger
   // repair run independently (and that parallelism is the storm a captured
   // replay must reproduce).
-  if (options_.transfer_log != nullptr) options_.transfer_log->mark();
+  traffic_.mark();
   // Re-check the seal before persisting. The repair lease already excludes
   // deletion, so this is a backstop against plan or state corruption: if
   // it ever fires, fail loudly rather than resurrect dropped blocks.
@@ -940,8 +914,8 @@ Result<std::size_t> MiniDfs::scrub_repair() {
                     symbols[code.layout().symbol_of_slot(slot)]));
             // The rewrite is sourced from the decoding site; count the
             // slot's payload (one unit) of traffic per healed replica.
-            account_upload(
-                node,
+            traffic_.record(
+                net::kClientEndpoint, node,
                 static_cast<double>(
                     symbols[code.layout().symbol_of_slot(slot)].size()),
                 net::TransferClass::kScrub);

@@ -21,9 +21,12 @@
 //    including multi-failure partial-parity recovery; with layered_repair
 //    enabled, every plan is rewritten through ec::layer_plan so each rack
 //    relays one combined block instead of per-helper sends.
-//  * TrafficMeter: every byte that crosses the (simulated) wire is
-//    accounted -- split into intra-rack, cross-rack, and client-bound --
-//    so tests can assert the paper's repair-bandwidth numbers end to end.
+//  * Traffic ledger (net::TrafficLedger): every byte that crosses the
+//    (simulated) wire is recorded once, with its class and direction --
+//    bucketed intra-rack, cross-rack, to-client, or from-client -- so tests
+//    can assert the paper's repair-bandwidth numbers end to end, and a
+//    harness can switch on capture to replay the transfers through the
+//    link-level network model.
 //
 // Concurrency model (the paper's real deployment regime: many clients
 // reading and writing while repairs run in the background):
@@ -60,7 +63,6 @@
 #include "cluster/catalog.h"
 #include "cluster/placement.h"
 #include "cluster/topology.h"
-#include "cluster/traffic.h"
 #include "common/rng.h"
 #include "ec/code.h"
 #include "exec/runtime_pool.h"
@@ -119,14 +121,6 @@ struct MiniDfsOptions {
   /// combined block crosses the rack boundary. Rebuilt bytes are identical
   /// either way; only the traffic's rack split changes.
   bool layered_repair = false;
-
-  /// Link-level network model shim (off by default): when set, every byte
-  /// the TrafficMeter accounts is also captured as a classed, directed
-  /// net::TransferRecord, so a harness can replay the exact transfer
-  /// pattern into a net::NetworkModel for contention/latency simulation.
-  /// Not owned; must outlive the DFS. Capture only -- no data-plane
-  /// behavior (bytes, placement, traffic totals) changes.
-  net::TransferLog* transfer_log = nullptr;
 
   /// Metadata shard count of the sharded NameNode. 0 defers to the
   /// DBLREP_META_SHARDS environment knob (default 4). Stripe ids come from
@@ -300,8 +294,12 @@ class MiniDfs {
 
   // ------------------------------------------------------------ access
 
-  const cluster::TrafficMeter& traffic() const { return traffic_; }
-  cluster::TrafficMeter& traffic() { return traffic_; }
+  /// The traffic ledger. Switch capture on (traffic().set_capture(true))
+  /// to drain every transfer as a net::TransferRecord for replay into a
+  /// net::NetworkModel; capture changes no data-plane behavior (bytes,
+  /// placement, traffic totals).
+  const net::TrafficLedger& traffic() const { return traffic_; }
+  net::TrafficLedger& traffic() { return traffic_; }
   const MiniDfsOptions& options() const { return options_; }
   /// The metadata plane's catalog view (BlockCatalog-shaped read surface,
   /// routed across the NameNode's shards).
@@ -420,25 +418,12 @@ class MiniDfs {
   /// them so the catalog and the disks agree again.
   void gc_stale_replicas(DataNode& dn);
 
-  // Traffic accounting shims: each feeds the TrafficMeter exactly as
-  // before and, when options_.transfer_log is set, also captures a classed
-  // net::TransferRecord for link-level replay.
-  /// Node-to-node transfer (repair helper sends, relay hops, ...).
-  void account(cluster::NodeId from, cluster::NodeId to, double bytes,
-               net::TransferClass cls);
-  /// Client -> node upload (write fan-out, scrub re-injection).
-  void account_upload(cluster::NodeId node, double bytes,
-                      net::TransferClass cls);
-  /// Node -> client delivery (read / pread / degraded-read results).
-  void account_delivery(cluster::NodeId node, double bytes,
-                        net::TransferClass cls);
-
   cluster::Topology topology_;
   MiniDfsOptions options_;
   /// The sharded metadata plane: namespace, pending writes, block catalog,
   /// per-path locks, write-ahead journals, and snapshots all live here.
   NameNode namenode_;
-  cluster::TrafficMeter traffic_;
+  net::TrafficLedger traffic_;
   exec::ThreadPool* pool_;
   std::deque<DataNode> datanodes_;  // deque: DataNode is pinned (own mutex)
 

@@ -39,7 +39,7 @@ class RaidNode {
   /// through the normal client path (degraded stripes decode on the fly),
   /// and every byte the re-encode moves is accounted under the kRetier
   /// transfer class -- throttleable like repair, distinguishable from
-  /// client traffic in TrafficMeter captures.
+  /// client traffic in the traffic ledger's per-class view.
   ///
   /// Safety: the new layout lands under `path + ".raid-tmp"` and takes
   /// over the path via MiniDfs::replace_file -- publish-then-delete, so

@@ -311,10 +311,11 @@ Result<WorkloadReport> WorkloadDriver::run() {
 
   WorkloadReport report;
   std::vector<ClientStats> per_client(options_.clients);
-  const auto& meter = dfs_->traffic();
-  const double traffic_total0 = meter.total_bytes();
-  const double traffic_cross0 = meter.cross_rack_bytes();
-  const double traffic_client0 = meter.client_bytes();
+  const auto& ledger = dfs_->traffic();
+  const double traffic_total0 = ledger.total_bytes();
+  const double traffic_intra0 = ledger.intra_rack_bytes();
+  const double traffic_cross0 = ledger.cross_rack_bytes();
+  const double traffic_client0 = ledger.client_bytes();
   const auto start = Clock::now();
 
   std::thread repair_thread;
@@ -336,12 +337,10 @@ Result<WorkloadReport> WorkloadDriver::run() {
   if (repair_thread.joinable()) repair_thread.join();
 
   report.wall_s = micros_since(start) / 1e6;
-  report.traffic_total_bytes = meter.total_bytes() - traffic_total0;
-  report.traffic_cross_rack_bytes = meter.cross_rack_bytes() - traffic_cross0;
-  report.traffic_client_bytes = meter.client_bytes() - traffic_client0;
-  report.traffic_intra_rack_bytes = report.traffic_total_bytes -
-                                    report.traffic_cross_rack_bytes -
-                                    report.traffic_client_bytes;
+  report.traffic_total_bytes = ledger.total_bytes() - traffic_total0;
+  report.traffic_intra_rack_bytes = ledger.intra_rack_bytes() - traffic_intra0;
+  report.traffic_cross_rack_bytes = ledger.cross_rack_bytes() - traffic_cross0;
+  report.traffic_client_bytes = ledger.client_bytes() - traffic_client0;
   for (const auto& stats : per_client) {
     report.read.merge(stats.read);
     report.write.merge(stats.write);

@@ -136,7 +136,7 @@ struct WorkloadReport {
   double repair_s = 0;
   Status repair_status;
 
-  /// Wire traffic the run generated (TrafficMeter delta over the run):
+  /// Wire traffic the run generated (traffic-ledger deltas over the run):
   /// node-to-node bytes split intra- vs cross-rack per the topology, plus
   /// client-facing bytes in either direction (write uploads as well as
   /// read deliveries). total = intra + cross + client.

@@ -1,7 +1,7 @@
 // Link-level discrete-event network model, layered on sim::EventQueue.
 //
-// TrafficMeter counts bytes; this model gives those bytes a *cost*. The
-// cluster fabric is the classic two-tier datacenter tree:
+// The traffic ledger counts bytes; this model gives those bytes a *cost*.
+// The cluster fabric is the classic two-tier datacenter tree:
 //
 //       client ──┐
 //                ▼
@@ -25,8 +25,8 @@
 //   a -> client     : nic_up(a) -> tor_up(rack a) -> spine
 //   client -> b     : spine -> tor_down(rack b) -> nic_down(b)
 //
-// Repair-class transfers (TransferClass kRepair/kScrub) are paced by the
-// QosThrottler before they may enter their first link (when
+// Repair-class transfers (TransferClass kRepair/kScrub/kRetier) are paced
+// by the QosThrottler before they may enter their first link (when
 // NetworkConfig::throttle_repair is set); foreground client traffic is
 // never throttled.
 //
@@ -39,7 +39,8 @@
 //
 // Single-threaded by design, like the EventQueue it runs on: harnesses
 // capture transfers from the (possibly parallel) data plane through the
-// TransferLog shim and replay them here deterministically.
+// traffic ledger (TrafficLedger::set_capture) and replay them here
+// deterministically.
 #pragma once
 
 #include <functional>

@@ -1,20 +1,41 @@
-// Transfer records and the capture shim between the data plane and the
-// link-level network model.
+// The traffic ledger: one classed, directed account of every byte the
+// MiniDfs data plane moves -- the network panels of Figs. 4/5 and the
+// Section 3.1 repair counts -- plus the capture feed of the link-level
+// network model (net/model.h).
 //
-// The MiniDfs data plane moves real bytes synchronously; the network model
-// (net/model.h) simulates *time*. The bridge is deliberately thin: every
-// data-moving path in MiniDfs calls TransferLog::record right next to its
-// TrafficMeter accounting, tagging the transfer with a class (client write
-// upload, client read delivery, repair, scrub heal) and a direction -- the
-// off-cluster client endpoint is kClientEndpoint. A driver (bench_repair_qos,
-// dfsctl --net) drains the captured records and replays them into a
-// NetworkModel, where contention, queueing, and QoS pacing happen.
+// Every data-moving path in MiniDfs makes one TrafficLedger::record call,
+// tagging the transfer with a class (client write upload, client read
+// delivery, repair, scrub heal, retier) and a direction; the off-cluster
+// client endpoint is kClientEndpoint. Each record lands in exactly one
+// bucket, indexed by class x route (intra-rack, cross-rack, to-client,
+// from-client), while the grand total and the per-node sent/received
+// counters are accumulated independently. Conservation is therefore a
+// checkable invariant rather than a definition, and the chaos harness
+// asserts it after every event:
 //
-// Capture is thread-safe (store paths run on the pool), but the *order* of
-// records is only deterministic when the DFS runs on the inline pool -- the
-// simulation harnesses that replay captures do exactly that.
+//   sum of buckets  == total
+//   sum of sent     == intra + cross + to-client
+//   sum of received == intra + cross + from-client
+//
+// Concurrency-safe: parallel repairs and client operations record from many
+// threads, so the accumulators are atomic doubles updated with a relaxed
+// CAS loop. Every recorded value is a whole number of bytes well below
+// 2^53, so the sums are exact and independent of accumulation order --
+// parallel and serial executions of the same work report bit-identical
+// totals.
+//
+// Capture (off by default): when switched on, every record is also kept as
+// a TransferRecord, which a harness (bench_repair_qos, dfsctl --net) drains
+// and replays into a NetworkModel, where contention, queueing, and QoS
+// pacing happen. Capture takes a lock; with capture off, record() is the
+// atomic adds alone. Capture is thread-safe, but the *order* of records is
+// only deterministic when the DFS runs on the inline pool -- the simulation
+// harnesses that replay captures do exactly that.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <vector>
 
@@ -46,6 +67,15 @@ inline bool is_repair_class(TransferClass cls) {
          cls == TransferClass::kRetier;
 }
 
+/// Which boundary a recorded transfer crossed.
+enum class Route {
+  kIntraRack = 0,   // node -> node, same rack
+  kCrossRack = 1,   // node -> node, different racks
+  kToClient = 2,    // node -> off-cluster client
+  kFromClient = 3,  // off-cluster client -> node
+};
+inline constexpr std::size_t kNumRoutes = 4;
+
 struct TransferRecord {
   cluster::NodeId from = kClientEndpoint;
   cluster::NodeId to = kClientEndpoint;
@@ -53,10 +83,6 @@ struct TransferRecord {
   TransferClass cls = TransferClass::kClientRead;
 };
 
-/// Thread-safe capture shim. MiniDfs records into it (when attached via
-/// MiniDfsOptions::transfer_log); harnesses drain it between operations to
-/// learn the exact per-op transfer pattern.
-///
 /// Flow boundaries: NetworkModel::start_flow dependency-chains the records
 /// of ONE operation; chaining records of unrelated operations would
 /// manufacture false dependencies (every reused node id becomes an edge)
@@ -64,13 +90,50 @@ struct TransferRecord {
 /// mark() after each multi-send operation (one repaired stripe, one
 /// degraded read), and drain_flows() hands the harness the capture
 /// pre-split at those marks.
-class TransferLog {
+class TrafficLedger {
  public:
+  explicit TrafficLedger(const cluster::Topology& topology);
+
+  TrafficLedger(const TrafficLedger&) = delete;
+  TrafficLedger& operator=(const TrafficLedger&) = delete;
+
+  /// Records `bytes` of class `cls` moving from `from` to `to`; either end
+  /// may be kClientEndpoint (not both). Self-transfers (local reads) are
+  /// captured but not counted -- they never touch the network.
   void record(cluster::NodeId from, cluster::NodeId to, double bytes,
               TransferClass cls);
 
+  /// Bytes of `cls` over every route.
+  double class_bytes(TransferClass cls) const;
+  /// Bytes of every class over `route`.
+  double route_bytes(Route route) const;
+
+  /// The independently accumulated grand total.
+  double total_bytes() const { return total_.load(std::memory_order_relaxed); }
+  /// Node-to-node bytes that stayed inside one rack.
+  double intra_rack_bytes() const { return route_bytes(Route::kIntraRack); }
+  double cross_rack_bytes() const { return route_bytes(Route::kCrossRack); }
+  /// Bytes exchanged with off-cluster clients in either direction (write
+  /// uploads, read/degraded-read deliveries, scrub-heal rewrites). Neither
+  /// intra- nor cross-rack: they leave the cluster regardless of topology.
+  double client_bytes() const {
+    return route_bytes(Route::kToClient) + route_bytes(Route::kFromClient);
+  }
+  double node_sent_bytes(cluster::NodeId node) const;
+  double node_received_bytes(cluster::NodeId node) const;
+
+  /// Zeroes every counter and discards captured records; the capture
+  /// switch keeps its state.
+  void reset();
+
+  /// Switches capture on or off. Records already captured stay until
+  /// drained.
+  void set_capture(bool on) { capture_.store(on, std::memory_order_relaxed); }
+  bool capturing() const { return capture_.load(std::memory_order_relaxed); }
+
   /// Ends the current flow: the records captured since the previous mark
-  /// form one dependency-chained operation. No-op when that span is empty.
+  /// form one dependency-chained operation. No-op when that span is empty
+  /// or capture is off.
   void mark();
 
   /// Returns all records captured since the last drain, in capture order.
@@ -80,12 +143,22 @@ class TransferLog {
   /// last mark form a final flow. Flows are never empty.
   std::vector<std::vector<TransferRecord>> drain_flows();
 
-  std::size_t size() const;
-  void clear();
-
  private:
-  mutable std::mutex mu_;
-  std::vector<TransferRecord> records_;
+  /// Index of the (cls, route) bucket in buckets_: class-major.
+  static std::size_t bucket_index(TransferClass cls, Route route) {
+    return static_cast<std::size_t>(cls) * kNumRoutes +
+           static_cast<std::size_t>(route);
+  }
+
+  const cluster::Topology topology_;
+  std::atomic<double> total_{0.0};
+  std::array<std::atomic<double>, kNumTransferClasses * kNumRoutes> buckets_{};
+  std::vector<std::atomic<double>> sent_;
+  std::vector<std::atomic<double>> received_;
+
+  std::atomic<bool> capture_{false};
+  std::mutex capture_mu_;
+  std::vector<TransferRecord> records_;  // guarded by capture_mu_
   std::vector<std::size_t> marks_;  // indices into records_, increasing
 };
 

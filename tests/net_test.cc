@@ -1,16 +1,22 @@
 // Tests for the link-level network model: token-bucket QoS math, FIFO
 // store-and-forward timing on the two-tier fabric, flow dependency
-// chaining, conservation (mid-flight and drained), and the MiniDfs
-// TransferLog capture shim.
+// chaining, conservation (mid-flight and drained), and the traffic ledger
+// (classed, directed byte accounting plus the capture MiniDfs feeds the
+// model through).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/invariants.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "hdfs/minidfs.h"
+#include "hdfs/raidnode.h"
 #include "net/model.h"
 #include "net/qos.h"
 #include "net/transfer.h"
@@ -278,88 +284,362 @@ TEST(NetworkModel, ConservationHoldsMidFlightAndWhenDrained) {
   EXPECT_EQ(model.transfers_delivered(), 50u);
 }
 
-// ------------------------------------------------- TransferLog + MiniDfs
+// ------------------------------------------------------------ TrafficLedger
 
-TEST(TransferLog, RecordsDrainInCaptureOrder) {
-  TransferLog log;
-  log.record(0, 1, 10.0, TransferClass::kRepair);
-  log.record(kClientEndpoint, 2, 20.0, TransferClass::kClientWrite);
-  EXPECT_EQ(log.size(), 2u);
-  const auto records = log.drain();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].to, 1);
-  EXPECT_EQ(records[1].bytes, 20.0);
-  EXPECT_EQ(log.size(), 0u);
+double sum_sent(const TrafficLedger& ledger, std::size_t nodes) {
+  double sum = 0;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    sum += ledger.node_sent_bytes(static_cast<cluster::NodeId>(n));
+  }
+  return sum;
 }
 
-TEST(MiniDfsShim, CapturesClassedTransfersMatchingTrafficMeter) {
-  cluster::Topology topology;
-  topology.num_nodes = 12;
-  topology.num_racks = 3;
-  TransferLog log;
-  hdfs::MiniDfsOptions options;
-  options.transfer_log = &log;
-  hdfs::MiniDfs dfs(topology, 7, /*pool=*/nullptr, options);
+double sum_received(const TrafficLedger& ledger, std::size_t nodes) {
+  double sum = 0;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    sum += ledger.node_received_bytes(static_cast<cluster::NodeId>(n));
+  }
+  return sum;
+}
+
+TEST(TrafficLedger, CountsOnlyNetworkBytes) {
+  const cluster::Topology t = cluster::setup1_topology();
+  TrafficLedger ledger(t);
+  ledger.record(0, 0, 1e6, TransferClass::kClientRead);  // local read: free
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 0.0);
+  ledger.record(0, 1, 2e6, TransferClass::kRepair);
+  ledger.record(1, 0, 3e6, TransferClass::kRepair);
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 5e6);
+  EXPECT_DOUBLE_EQ(ledger.class_bytes(TransferClass::kRepair), 5e6);
+  EXPECT_DOUBLE_EQ(ledger.class_bytes(TransferClass::kClientRead), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.node_sent_bytes(0), 2e6);
+  EXPECT_DOUBLE_EQ(ledger.node_received_bytes(0), 3e6);
+}
+
+TEST(TrafficLedger, TracksCrossRackSeparately) {
+  const cluster::Topology t = small_topology(4, 2);
+  TrafficLedger ledger(t);
+  ledger.record(0, 2, 1e6, TransferClass::kRepair);  // same rack
+  ledger.record(0, 1, 1e6, TransferClass::kRepair);  // cross rack
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 2e6);
+  EXPECT_DOUBLE_EQ(ledger.intra_rack_bytes(), 1e6);
+  EXPECT_DOUBLE_EQ(ledger.cross_rack_bytes(), 1e6);
+}
+
+TEST(TrafficLedger, ClientTrafficIsDirectedAndResets) {
+  const cluster::Topology t = cluster::setup2_topology();
+  TrafficLedger ledger(t);
+  ledger.set_capture(true);
+  ledger.record(3, kClientEndpoint, 7e6, TransferClass::kClientRead);
+  ledger.record(kClientEndpoint, 4, 2e6, TransferClass::kClientWrite);
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 9e6);
+  EXPECT_DOUBLE_EQ(ledger.client_bytes(), 9e6);
+  EXPECT_DOUBLE_EQ(ledger.route_bytes(Route::kToClient), 7e6);
+  EXPECT_DOUBLE_EQ(ledger.route_bytes(Route::kFromClient), 2e6);
+  // A delivery is sent by the serving node; an upload is received by the
+  // storing node. Neither end of either is charged on the client side.
+  EXPECT_DOUBLE_EQ(ledger.node_sent_bytes(3), 7e6);
+  EXPECT_DOUBLE_EQ(ledger.node_received_bytes(3), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.node_sent_bytes(4), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.node_received_bytes(4), 2e6);
+
+  ledger.reset();
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.client_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.class_bytes(TransferClass::kClientRead), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.node_sent_bytes(3), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.node_received_bytes(4), 0.0);
+  EXPECT_TRUE(ledger.drain().empty());
+  EXPECT_TRUE(ledger.capturing());
+}
+
+TEST(TrafficLedger, ConservationHoldsAcrossRandomWorkloads) {
+  // Every recorded byte must land in exactly one class x route bucket, and
+  // the buckets must reconcile with the independently-accumulated total
+  // and per-node sums -- the identities chaos::check_traffic_conservation
+  // asserts between events. Exact equality is sound: whole byte counts far
+  // below 2^53.
+  Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const cluster::Topology t =
+        small_topology(4 + static_cast<std::size_t>(rng.next_below(20)),
+                       1 + static_cast<std::size_t>(rng.next_below(4)));
+    TrafficLedger ledger(t);
+    double expected_class[kNumTransferClasses] = {};
+    for (int op = 0; op < 200; ++op) {
+      const auto cls =
+          static_cast<TransferClass>(rng.next_below(kNumTransferClasses));
+      const double bytes = static_cast<double>(rng.next_below(1 << 20));
+      cluster::NodeId from =
+          static_cast<cluster::NodeId>(rng.next_below(t.num_nodes));
+      cluster::NodeId to = kClientEndpoint;
+      switch (rng.next_below(3)) {
+        case 0:  // node -> client
+          break;
+        case 1:  // client -> node
+          std::swap(from, to);
+          break;
+        default:  // node -> node, self-transfers included
+          to = static_cast<cluster::NodeId>(rng.next_below(t.num_nodes));
+      }
+      ledger.record(from, to, bytes, cls);
+      if (from != to) expected_class[static_cast<std::size_t>(cls)] += bytes;
+    }
+    const double total = ledger.total_bytes();
+    const double intra = ledger.intra_rack_bytes();
+    const double cross = ledger.cross_rack_bytes();
+    const double to_client = ledger.route_bytes(Route::kToClient);
+    const double from_client = ledger.route_bytes(Route::kFromClient);
+    double by_class = 0;
+    for (std::size_t c = 0; c < kNumTransferClasses; ++c) {
+      const auto cls = static_cast<TransferClass>(c);
+      EXPECT_EQ(ledger.class_bytes(cls), expected_class[c]) << to_string(cls);
+      by_class += ledger.class_bytes(cls);
+    }
+    EXPECT_EQ(by_class, total);
+    EXPECT_EQ(intra + cross + to_client + from_client, total);
+    EXPECT_EQ(ledger.client_bytes(), to_client + from_client);
+    EXPECT_EQ(sum_sent(ledger, t.num_nodes), intra + cross + to_client);
+    EXPECT_EQ(sum_received(ledger, t.num_nodes), intra + cross + from_client);
+  }
+}
+
+TEST(TrafficLedger, ConcurrentRecordsSumExactly) {
+  // Many threads recording at once (capture on, so the capture lock is
+  // exercised too) must land on exactly the serial replay's totals.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kOps = 2000;
+  const cluster::Topology t = small_topology(8, 2);
+  const auto op = [&t](TrafficLedger& ledger, std::size_t thread,
+                       std::size_t i) {
+    const auto cls =
+        static_cast<TransferClass>((thread + i) % kNumTransferClasses);
+    const auto node = static_cast<cluster::NodeId>((thread * 3 + i) % 8);
+    const double bytes = static_cast<double>(1 + (i * 37 + thread) % 4096);
+    switch (i % 3) {
+      case 0:
+        ledger.record(node, kClientEndpoint, bytes, cls);
+        break;
+      case 1:
+        ledger.record(kClientEndpoint, node, bytes, cls);
+        break;
+      default:
+        ledger.record(node, static_cast<cluster::NodeId>((node + 1 + i) % 8),
+                      bytes, cls);
+    }
+  };
+  TrafficLedger parallel(t);
+  parallel.set_capture(true);
+  std::vector<std::thread> threads;
+  for (std::size_t th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      for (std::size_t i = 0; i < kOps; ++i) op(parallel, th, i);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  TrafficLedger serial(t);
+  for (std::size_t th = 0; th < kThreads; ++th) {
+    for (std::size_t i = 0; i < kOps; ++i) op(serial, th, i);
+  }
+
+  EXPECT_EQ(parallel.total_bytes(), serial.total_bytes());
+  for (std::size_t c = 0; c < kNumTransferClasses; ++c) {
+    const auto cls = static_cast<TransferClass>(c);
+    EXPECT_EQ(parallel.class_bytes(cls), serial.class_bytes(cls));
+  }
+  for (std::size_t r = 0; r < kNumRoutes; ++r) {
+    const auto route = static_cast<Route>(r);
+    EXPECT_EQ(parallel.route_bytes(route), serial.route_bytes(route));
+  }
+  for (std::size_t n = 0; n < t.num_nodes; ++n) {
+    const auto node = static_cast<cluster::NodeId>(n);
+    EXPECT_EQ(parallel.node_sent_bytes(node), serial.node_sent_bytes(node));
+    EXPECT_EQ(parallel.node_received_bytes(node),
+              serial.node_received_bytes(node));
+  }
+  const auto captured = parallel.drain();
+  EXPECT_EQ(captured.size(), kThreads * kOps);
+  double captured_bytes = 0;
+  for (const auto& r : captured) {
+    if (r.from != r.to) captured_bytes += r.bytes;
+  }
+  EXPECT_EQ(captured_bytes, serial.total_bytes());
+}
+
+TEST(TrafficLedger, CapturesInOrderAndSplitsFlowsAtMarks) {
+  const cluster::Topology t = small_topology();
+  TrafficLedger ledger(t);
+  ledger.set_capture(true);
+  ledger.record(0, 1, 10.0, TransferClass::kRepair);
+  ledger.record(kClientEndpoint, 2, 20.0, TransferClass::kClientWrite);
+  ledger.record(5, 5, 30.0, TransferClass::kClientRead);  // self: captured
+  const auto records = ledger.drain();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].to, 1);
+  EXPECT_EQ(records[1].bytes, 20.0);
+  EXPECT_EQ(records[2].from, 5);
+  EXPECT_TRUE(ledger.drain().empty());
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 30.0);  // ... but not counted
+
+  ledger.record(0, 1, 1.0, TransferClass::kRepair);
+  ledger.mark();
+  ledger.mark();  // empty span: no empty flow
+  ledger.record(1, 2, 1.0, TransferClass::kRepair);
+  ledger.record(2, 3, 1.0, TransferClass::kRepair);
+  ledger.mark();
+  ledger.record(3, 4, 1.0, TransferClass::kRepair);
+  const auto flows = ledger.drain_flows();
+  ASSERT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows[0].size(), 1u);
+  EXPECT_EQ(flows[1].size(), 2u);
+  EXPECT_EQ(flows[2].size(), 1u);
+  EXPECT_TRUE(ledger.drain_flows().empty());
+}
+
+TEST(TrafficLedger, CaptureOffRecordsNothingAndMarkIsNoOp) {
+  const cluster::Topology t = small_topology();
+  TrafficLedger ledger(t);
+  EXPECT_FALSE(ledger.capturing());
+  ledger.record(0, 1, 10.0, TransferClass::kRepair);
+  ledger.mark();
+  ledger.record(kClientEndpoint, 2, 20.0, TransferClass::kClientWrite);
+  EXPECT_DOUBLE_EQ(ledger.total_bytes(), 30.0);  // counting is always on
+  EXPECT_TRUE(ledger.drain().empty());
+  EXPECT_TRUE(ledger.drain_flows().empty());
+
+  // A mark placed while capture is off must not split a capture span.
+  ledger.set_capture(true);
+  ledger.record(0, 1, 1.0, TransferClass::kRepair);
+  ledger.set_capture(false);
+  ledger.mark();
+  ledger.record(0, 1, 1.0, TransferClass::kRepair);  // not captured
+  ledger.set_capture(true);
+  ledger.record(1, 2, 1.0, TransferClass::kRepair);
+  const auto flows = ledger.drain_flows();
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].size(), 2u);
+}
+
+// ---------------------------------------------------- TrafficLedger + MiniDfs
+
+TEST(MiniDfsLedger, UploadsChargeReceiversAndDeliveriesChargeSenders) {
+  const cluster::Topology topology = small_topology(12, 3);
+  hdfs::MiniDfs dfs(topology, 7, /*pool=*/nullptr, {});
+  const TrafficLedger& ledger = dfs.traffic();
 
   const Buffer data = random_buffer(64 * 10, 3);
   ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", 64).is_ok());
-  double upload_bytes = 0;
-  for (const auto& r : log.drain()) {
-    EXPECT_EQ(r.from, kClientEndpoint);
-    EXPECT_EQ(r.cls, TransferClass::kClientWrite);
-    upload_bytes += r.bytes;
+  ASSERT_GT(ledger.client_bytes(), 0.0);
+  for (std::size_t n = 0; n < topology.num_nodes; ++n) {
+    EXPECT_EQ(ledger.node_sent_bytes(static_cast<cluster::NodeId>(n)), 0.0)
+        << "node " << n;
   }
-  EXPECT_DOUBLE_EQ(upload_bytes, dfs.traffic().client_bytes());
+  EXPECT_EQ(sum_received(ledger, topology.num_nodes), ledger.client_bytes());
 
+  const double delivered_before = ledger.route_bytes(Route::kToClient);
   const auto read = dfs.read_file("/f");
   ASSERT_TRUE(read.is_ok());
-  double read_bytes = 0;
-  for (const auto& r : log.drain()) {
-    EXPECT_EQ(r.to, kClientEndpoint);
-    EXPECT_EQ(r.cls, TransferClass::kClientRead);
-    read_bytes += r.bytes;
-  }
-  EXPECT_DOUBLE_EQ(read_bytes + upload_bytes, dfs.traffic().client_bytes());
-
-  // Repair traffic captures as node-to-node kRepair records whose byte sum
-  // matches the meter's node-to-node delta.
-  const double node_bytes_before =
-      dfs.traffic().intra_rack_bytes() + dfs.traffic().cross_rack_bytes();
-  ASSERT_TRUE(dfs.fail_node(dfs.catalog().node_of({0, 0})).is_ok());
-  ASSERT_TRUE(dfs.repair_all().is_ok());
-  double repair_bytes = 0;
-  for (const auto& r : log.drain()) {
-    if (!is_repair_class(r.cls)) continue;
-    EXPECT_NE(r.from, kClientEndpoint);
-    EXPECT_NE(r.to, kClientEndpoint);
-    repair_bytes += r.bytes;
-  }
-  const double node_bytes_after =
-      dfs.traffic().intra_rack_bytes() + dfs.traffic().cross_rack_bytes();
-  EXPECT_DOUBLE_EQ(repair_bytes, node_bytes_after - node_bytes_before);
+  const double delivered =
+      ledger.route_bytes(Route::kToClient) - delivered_before;
+  EXPECT_EQ(delivered, static_cast<double>(read->size()));
+  EXPECT_EQ(sum_sent(ledger, topology.num_nodes), delivered);
 }
 
-TEST(MiniDfsShim, CaptureDoesNotPerturbTheDataPlane) {
-  // Identical seeds with and without the shim: stored bytes and traffic
-  // totals must agree exactly (capture is observation, not behavior).
-  cluster::Topology topology;
-  topology.num_nodes = 12;
-  topology.num_racks = 3;
+/// Runs `step` on a capturing DFS and checks that each class's class_bytes
+/// delta equals the bytes of that class's records captured during it.
+/// Returns the per-class deltas.
+std::vector<double> checked_class_deltas(hdfs::MiniDfs& dfs,
+                                         const std::function<void()>& step) {
+  TrafficLedger& ledger = dfs.traffic();
+  std::vector<double> before(kNumTransferClasses);
+  std::vector<double> captured(kNumTransferClasses, 0.0);
+  for (std::size_t c = 0; c < kNumTransferClasses; ++c) {
+    before[c] = ledger.class_bytes(static_cast<TransferClass>(c));
+  }
+  (void)ledger.drain();
+  step();
+  for (const auto& r : ledger.drain()) {
+    captured[static_cast<std::size_t>(r.cls)] += r.bytes;
+  }
+  std::vector<double> deltas(kNumTransferClasses);
+  for (std::size_t c = 0; c < kNumTransferClasses; ++c) {
+    const auto cls = static_cast<TransferClass>(c);
+    deltas[c] = ledger.class_bytes(cls) - before[c];
+    EXPECT_EQ(deltas[c], captured[c]) << to_string(cls);
+  }
+  return deltas;
+}
+
+TEST(MiniDfsLedger, ClassBytesEqualCapturedRecordsOnEveryPath) {
+  const cluster::Topology topology = small_topology(12, 3);
+  hdfs::MiniDfs dfs(topology, 7, /*pool=*/nullptr, {});
+  dfs.traffic().set_capture(true);
+  const auto cls = [](TransferClass c) { return static_cast<std::size_t>(c); };
+
+  const Buffer data = random_buffer(64 * 10, 3);
+  auto d = checked_class_deltas(dfs, [&] {
+    ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", 64).is_ok());
+  });
+  EXPECT_GT(d[cls(TransferClass::kClientWrite)], 0.0);
+
+  d = checked_class_deltas(dfs,
+                           [&] { ASSERT_TRUE(dfs.read_file("/f").is_ok()); });
+  EXPECT_GT(d[cls(TransferClass::kClientRead)], 0.0);
+
+  // Lose both replicas of block 0: its read decodes on the fly.
+  for (const cluster::NodeId node : dfs.catalog().replica_nodes(0, 0)) {
+    ASSERT_TRUE(dfs.fail_node(node).is_ok());
+  }
+  d = checked_class_deltas(dfs, [&] {
+    const auto block = dfs.read_block("/f", 0);
+    ASSERT_TRUE(block.is_ok());
+    EXPECT_EQ(*block, Buffer(data.begin(), data.begin() + 64));
+  });
+  EXPECT_GT(d[cls(TransferClass::kClientRead)], 64.0);  // > one replica read
+
+  d = checked_class_deltas(dfs,
+                           [&] { ASSERT_TRUE(dfs.repair_all().is_ok()); });
+  EXPECT_GT(d[cls(TransferClass::kRepair)], 0.0);
+
+  const cluster::NodeId corrupt_node = dfs.catalog().node_of({0, 1});
+  ASSERT_TRUE(dfs.datanode(corrupt_node).corrupt({0, 1}, 0).is_ok());
+  d = checked_class_deltas(dfs, [&] {
+    const auto healed = dfs.scrub_repair();
+    ASSERT_TRUE(healed.is_ok());
+    EXPECT_GE(*healed, 1u);
+  });
+  EXPECT_GT(d[cls(TransferClass::kScrub)], 0.0);
+
+  hdfs::RaidNode raid(dfs);
+  d = checked_class_deltas(dfs, [&] {
+    ASSERT_TRUE(raid.raid_file("/f", "heptagon").is_ok());
+  });
+  EXPECT_GT(d[cls(TransferClass::kRetier)], 0.0);
+
+  std::vector<std::string> violations;
+  chaos::check_traffic_conservation(dfs, violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+}
+
+TEST(MiniDfsLedger, CaptureDoesNotPerturbTheDataPlane) {
+  // Identical seeds with capture off and on: stored bytes and traffic
+  // totals must agree exactly (capture is observation, not behavior), and
+  // the capture-off ledger holds no records.
+  const cluster::Topology topology = small_topology(12, 3);
   const Buffer data = random_buffer(64 * 10, 3);
 
   hdfs::MiniDfs plain(topology, 7, nullptr, {});
-  TransferLog log;
-  hdfs::MiniDfsOptions options;
-  options.transfer_log = &log;
-  hdfs::MiniDfs shimmed(topology, 7, nullptr, options);
+  hdfs::MiniDfs captured(topology, 7, nullptr, {});
+  captured.traffic().set_capture(true);
 
-  for (hdfs::MiniDfs* dfs : {&plain, &shimmed}) {
+  for (hdfs::MiniDfs* dfs : {&plain, &captured}) {
     ASSERT_TRUE(dfs->write_file("/f", data, "heptagon", 64).is_ok());
     ASSERT_TRUE(dfs->read_file("/f").is_ok());
   }
-  EXPECT_EQ(plain.stored_bytes(), shimmed.stored_bytes());
-  EXPECT_DOUBLE_EQ(plain.traffic().total_bytes(),
-                   shimmed.traffic().total_bytes());
+  EXPECT_EQ(plain.stored_bytes(), captured.stored_bytes());
+  EXPECT_EQ(plain.traffic().total_bytes(), captured.traffic().total_bytes());
+  EXPECT_TRUE(plain.traffic().drain().empty());
+  EXPECT_FALSE(captured.traffic().drain().empty());
 }
 
 }  // namespace

@@ -190,6 +190,12 @@ TEST(WorkloadDriver, MixedWorkloadUnderConcurrentRepairIsErrorFree) {
   options.repair_concurrently = true;
   options.seed = 17;
   WorkloadDriver driver(dfs, options);
+  ASSERT_TRUE(driver.preload().is_ok());
+  const auto& ledger = dfs.traffic();
+  const double total0 = ledger.total_bytes();
+  const double intra0 = ledger.intra_rack_bytes();
+  const double cross0 = ledger.cross_rack_bytes();
+  const double client0 = ledger.client_bytes();
   const auto report = driver.run();
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   EXPECT_TRUE(report->repair_status.is_ok())
@@ -197,6 +203,19 @@ TEST(WorkloadDriver, MixedWorkloadUnderConcurrentRepairIsErrorFree) {
   EXPECT_EQ(report->total_errors(), 0u);
   EXPECT_GT(report->total_ops(), 0u);
   EXPECT_GT(report->repair_s, 0.0);
+  // The traffic split is read straight off the ledger's buckets, and the
+  // concurrent repair's node-to-node sends show up in the intra bucket.
+  EXPECT_EQ(report->traffic_total_bytes, ledger.total_bytes() - total0);
+  EXPECT_EQ(report->traffic_intra_rack_bytes,
+            ledger.intra_rack_bytes() - intra0);
+  EXPECT_EQ(report->traffic_cross_rack_bytes,
+            ledger.cross_rack_bytes() - cross0);
+  EXPECT_EQ(report->traffic_client_bytes, ledger.client_bytes() - client0);
+  EXPECT_EQ(report->traffic_intra_rack_bytes +
+                report->traffic_cross_rack_bytes +
+                report->traffic_client_bytes,
+            report->traffic_total_bytes);
+  EXPECT_GT(report->traffic_intra_rack_bytes, 0.0);
   // The cluster must come out consistent: every file readable, codewords
   // intact, nothing left degraded.
   EXPECT_TRUE(dfs.repair_all().is_ok());
@@ -285,9 +304,9 @@ TEST(ConcurrentClients, WritersReadersAndRepairDoNotCorrupt) {
 //
 // Sub-packetized schemes claim their repair savings at sub-chunk (beta)
 // granularity; the claim only counts if the *wire* honors it. For each
-// scheme, the bytes TrafficMeter observes during a node repair must equal
-// the sum of the per-stripe plan network_bytes() to the byte -- for clay
-// that is beta * helpers sub-chunks per stripe, and for the alpha = 1
+// scheme, the bytes the traffic ledger records during a node repair must
+// equal the sum of the per-stripe plan network_bytes() to the byte -- for
+// clay that is beta * helpers sub-chunks per stripe, and for the alpha = 1
 // schemes it is the unchanged whole-block accounting.
 
 TEST(SubChunkRepairTraffic, WireBytesEqualPlanBytesExactly) {

@@ -357,23 +357,25 @@ TEST(TieringEngineTest, ConcurrentReadersSeeConsistentBytesThroughout) {
 // ------------------------------------------------- retier transfer class
 
 TEST(TieringEngineTest, TransitionTrafficIsRetierClassed) {
-  net::TransferLog log;
+  // Capture off: the ledger's always-live per-class view alone shows that
+  // every byte a transition moves is classed kRetier.
   HeatTracker heat({.half_life_s = 60.0});
   hdfs::MiniDfsOptions options;
-  options.transfer_log = &log;
   options.access_observer = &heat;
   hdfs::MiniDfs dfs = make_dfs(options);
   TieringEngine engine(dfs, heat, TieringPolicy{});
   const Buffer data = random_buffer(kBlockSize * 20, 10);
   ASSERT_TRUE(dfs.write_file("/f", data, "rs-10-4", kBlockSize).is_ok());
-  (void)log.drain();  // discard the foreground write's records
+  const net::TrafficLedger& ledger = dfs.traffic();
+  ASSERT_FALSE(ledger.capturing());
+  const double total0 = ledger.total_bytes();
+  const double retier0 = ledger.class_bytes(net::TransferClass::kRetier);
 
   ASSERT_TRUE(engine.force_transition("/f", "heptagon-local").is_ok());
-  const auto records = log.drain();
-  ASSERT_FALSE(records.empty());
-  for (const auto& record : records) {
-    EXPECT_EQ(record.cls, net::TransferClass::kRetier);
-  }
+  const double retier =
+      ledger.class_bytes(net::TransferClass::kRetier) - retier0;
+  EXPECT_GT(retier, 0.0);
+  EXPECT_EQ(retier, ledger.total_bytes() - total0);
   EXPECT_TRUE(net::is_repair_class(net::TransferClass::kRetier));
   EXPECT_STREQ(net::to_string(net::TransferClass::kRetier), "retier");
 }
