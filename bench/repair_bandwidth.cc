@@ -7,8 +7,12 @@
 //  * the same numbers measured end-to-end on the mini-HDFS wire;
 //  * heptagon-local: local repair stays inside the rack.
 //
+// The Section 2.1/3.1 counts of the plan table and the wire rows are gated
+// exactly in BENCH_repair_bandwidth.json; a failed gate exits 1.
+//
 // Usage: repair_bandwidth [--csv]
 #include <iostream>
+#include <map>
 #include <string>
 
 #include "common/table.h"
@@ -63,6 +67,10 @@ int main(int argc, char** argv) {
   flags.add("csv", &csv);
   if (!flags.parse(argc, argv)) return 2;
 
+  bench::Report report("repair_bandwidth");
+  auto& json = report.json();
+  json.begin_array("plans");
+  std::map<std::string, PlanNumbers> plans;
   TextTable table({"Code", "1-node repair", "2-node repair",
                    "degraded read (2 lost)", "paper says"});
   const struct {
@@ -80,17 +88,53 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     const auto code = ec::make_code(row.spec).value();
     const auto n = plan_numbers(*code);
+    plans[row.spec] = n;
+    json.begin_object()
+        .field("code", row.spec)
+        .field("single_repair_blocks", n.single_repair)
+        .field("double_repair_blocks", n.double_repair)
+        .field("degraded_read_blocks", n.degraded_read)
+        .end();
     table.add_row({code->params().name, std::to_string(n.single_repair),
                    n.double_repair ? std::to_string(n.double_repair) : "-",
                    n.degraded_read ? std::to_string(n.degraded_read) : "-",
                    row.note});
   }
+  json.end();
   std::cout << "Repair bandwidth in blocks (Sections 2.1 and 3.1):\n\n"
             << (csv ? table.to_csv() : table.to_string());
+  const auto gate_plan = [&](const std::string& spec, const char* what,
+                             std::size_t PlanNumbers::*field,
+                             std::size_t expected) {
+    const std::size_t measured = plans.at(spec).*field;
+    report.gate(spec + " plan " + what + " blocks",
+                static_cast<double>(expected), static_cast<double>(measured),
+                measured == expected);
+  };
+  gate_plan("pentagon", "1-node repair", &PlanNumbers::single_repair, 4);
+  gate_plan("pentagon", "2-node repair", &PlanNumbers::double_repair, 10);
+  gate_plan("pentagon", "degraded read", &PlanNumbers::degraded_read, 3);
+  gate_plan("heptagon", "1-node repair", &PlanNumbers::single_repair, 6);
+  gate_plan("heptagon", "2-node repair", &PlanNumbers::double_repair, 16);
+  gate_plan("heptagon", "degraded read", &PlanNumbers::degraded_read, 5);
+  gate_plan("raidm-9", "degraded read", &PlanNumbers::degraded_read, 9);
 
   // End-to-end on the mini-HDFS wire.
   std::cout << "\nEnd-to-end on the mini-DFS wire (64-byte blocks):\n\n";
   TextTable wire({"Scenario", "blocks moved", "expectation"});
+  json.begin_array("wire");
+  // One measured row: printed, written to the JSON, and gated exactly.
+  const auto add_wire = [&](const std::string& scenario, double blocks,
+                            double expected, const std::string& note) {
+    wire.add_row({scenario, fmt_double(blocks, 0), note});
+    json.begin_object()
+        .field("scenario", scenario)
+        .field("blocks", blocks)
+        .field("expected", expected)
+        .end();
+    report.gate(scenario + " wire blocks", expected, blocks,
+                blocks == expected);
+  };
   {
     hdfs::MiniDfs dfs(cluster::Topology{}, 1);
     const Buffer data = random_buffer(64 * 9, 1);
@@ -100,9 +144,8 @@ int main(int argc, char** argv) {
     (void)dfs.fail_node(group[0]);
     dfs.traffic().reset();
     (void)dfs.repair_node(group[0]);
-    wire.add_row({"pentagon 1-node repair",
-                  fmt_double(dfs.traffic().total_bytes() / 64, 0),
-                  "4 (repair-by-transfer)"});
+    add_wire("pentagon 1-node repair", dfs.traffic().total_bytes() / 64, 4,
+             "4 (repair-by-transfer)");
   }
   {
     hdfs::MiniDfs dfs(cluster::Topology{}, 2);
@@ -114,9 +157,8 @@ int main(int argc, char** argv) {
     (void)dfs.fail_node(group[1]);
     dfs.traffic().reset();
     (void)dfs.repair_all();
-    wire.add_row({"pentagon 2-node repair",
-                  fmt_double(dfs.traffic().total_bytes() / 64, 0),
-                  "10 (6 copies + 3 partial parities + 1)"});
+    add_wire("pentagon 2-node repair", dfs.traffic().total_bytes() / 64, 10,
+             "10 (6 copies + 3 partial parities + 1)");
   }
   {
     hdfs::MiniDfs dfs(cluster::Topology{}, 3);
@@ -129,9 +171,8 @@ int main(int argc, char** argv) {
     }
     dfs.traffic().reset();
     (void)dfs.read_block("/f", 0);
-    wire.add_row({"pentagon degraded read",
-                  fmt_double(dfs.traffic().total_bytes() / 64, 0),
-                  "3 partial parities"});
+    add_wire("pentagon degraded read", dfs.traffic().total_bytes() / 64, 3,
+             "3 partial parities");
   }
   {
     hdfs::MiniDfs dfs(cluster::Topology{}, 4);
@@ -144,10 +185,10 @@ int main(int argc, char** argv) {
     }
     dfs.traffic().reset();
     (void)dfs.read_block("/f", 0);
-    wire.add_row({"(10,9) RAID+m degraded read",
-                  fmt_double(dfs.traffic().total_bytes() / 64, 0),
-                  "9 (whole-stripe decode)"});
+    add_wire("(10,9) RAID+m degraded read", dfs.traffic().total_bytes() / 64, 9,
+             "9 (whole-stripe decode)");
   }
+  json.end();
   std::cout << (csv ? wire.to_csv() : wire.to_string());
 
   // Heptagon-local rack locality of repairs.
@@ -162,5 +203,5 @@ int main(int argc, char** argv) {
               << plan->network_units() << " blocks, " << rack_local
               << " of them sourced rack-locally (expected: all).\n";
   }
-  return 0;
+  return report.finish("BENCH_repair_bandwidth.json");
 }

@@ -1,6 +1,7 @@
 #include "ec/repair.h"
 
 #include <functional>
+#include <set>
 #include <sstream>
 
 namespace dblrep::ec {
@@ -19,6 +20,18 @@ std::size_t RepairPlan::relay_sends() const {
     if (send.is_relay()) ++count;
   }
   return count;
+}
+
+std::vector<std::size_t> RepairPlan::source_slots() const {
+  std::set<std::size_t> slots;
+  for (const auto& send : aggregates) {
+    for (const auto& term : send.terms) slots.insert(term.slot);
+  }
+  for (const auto& rec : reconstructions) {
+    for (const auto& term : rec.local_terms) slots.insert(term.slot);
+  }
+  for (const auto& rec : reconstructions) slots.erase(rec.dest_slot);
+  return {slots.begin(), slots.end()};
 }
 
 std::string RepairPlan::to_string() const {

@@ -110,6 +110,11 @@ struct RepairPlan {
   /// Number of two-stage relay sends (layered plans only).
   std::size_t relay_sends() const;
 
+  /// The stored slots the plan reads, sorted: every term slot of its
+  /// aggregates and reconstructions, minus the slots the plan rebuilds.
+  /// Executing over a store of just these gives the full store's bytes.
+  std::vector<std::size_t> source_slots() const;
+
   std::string to_string() const;
 };
 

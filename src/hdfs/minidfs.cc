@@ -380,24 +380,65 @@ Result<FileInfo> MiniDfs::lookup_copy(const std::string& path) const {
   return namenode_.lookup(path);
 }
 
-ec::SlotStore MiniDfs::gather_stripe(cluster::StripeId stripe) const {
+std::set<ec::NodeIndex> MiniDfs::gather_stripe(
+    cluster::StripeId stripe, std::span<const std::size_t> slots,
+    ec::SlotStore& store) const {
   const auto& info = namenode_.stripe(stripe);
-  ec::SlotStore store;
-  for (std::size_t slot = 0; slot < info.code->layout().num_slots(); ++slot) {
-    const cluster::NodeId node = namenode_.node_of({stripe, slot});
-    const auto& dn = datanodes_[static_cast<std::size_t>(node)];
-    auto bytes = dn.get({stripe, slot});
-    if (bytes.is_ok()) store[slot] = std::move(*bytes);
+  std::set<ec::NodeIndex> failed;
+  for (std::size_t slot : slots) {
+    if (store.contains(slot)) continue;
+    const ec::NodeIndex local = info.code->layout().node_of_slot(slot);
+    auto bytes = datanode(info.group[static_cast<std::size_t>(local)])
+                     .get({stripe, slot});
+    if (bytes.is_ok()) {
+      store[slot] = std::move(*bytes);
+    } else {
+      failed.insert(local);
+    }
   }
-  return store;
+  return failed;
+}
+
+std::vector<std::size_t> MiniDfs::gather_all_slots(
+    cluster::StripeId stripe, ec::SlotStore& store) const {
+  std::vector<std::size_t> slots(
+      namenode_.stripe(stripe).code->layout().num_slots());
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) slots[slot] = slot;
+  gather_stripe(stripe, slots, store);
+  std::erase_if(slots, [&](std::size_t slot) {
+    return store.contains(slot) ||
+           !datanode(namenode_.node_of({stripe, slot})).is_up();
+  });
+  return slots;
+}
+
+Status MiniDfs::record_plan_sends(const ec::RepairPlan& plan,
+                                  const std::vector<cluster::NodeId>& group,
+                                  double unit_bytes, net::TransferClass cls) {
+  for (const auto& send : plan.aggregates) {
+    const auto from = static_cast<std::size_t>(send.from_node);
+    const auto to = static_cast<std::size_t>(send.to_node);
+    const bool to_client = send.to_node == ec::kClientNode;
+    if (from >= group.size() || (!to_client && to >= group.size())) {
+      return internal_error("plan send references a node outside the "
+                            "stripe's placement group");
+    }
+    traffic_.record(group[from], to_client ? net::kClientEndpoint : group[to],
+                    unit_bytes, cls);
+  }
+  // One executed plan = one dependency-chained flow in a captured replay.
+  traffic_.mark();
+  return Status::ok();
 }
 
 Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
                                         cluster::StripeId stripe,
                                         std::size_t block,
                                         net::TransferClass cls) {
-  const ec::CodeScheme& code = *namenode_.stripe(stripe).code;
+  const auto& info = namenode_.stripe(stripe);
+  const ec::CodeScheme& code = *info.code;
   const std::size_t alpha = code.sub_chunks();
+  std::set<ec::NodeIndex> failed;  // holders whose replica read fails
   // Fast path: every sub-chunk of the block served from a replica. Gather
   // all α units first and account the deliveries only once the whole block
   // is in hand -- a miss on any unit means the block is served degraded
@@ -419,6 +460,7 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
           got = true;
           break;
         }
+        failed.insert(code.layout().node_of_slot(slot));
       }
       if (!got) break;
     }
@@ -433,54 +475,33 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       return out;
     }
   }
-  // On-the-fly repair (Section 3.1): gather the verifiably-good bytes of
-  // the stripe, then treat every code-local node with an unreadable slot
-  // as failed for planning. Probing actual availability (rather than the
-  // cluster's down set) covers down nodes, nodes restarted-but-still-empty
-  // while a repair is in flight, and CRC-broken replicas on live nodes --
-  // and executing over the gathered copies keeps the read stable even if
-  // the stripe changes under it.
-  ec::SlotStore store = gather_stripe(stripe);
-  std::set<ec::NodeIndex> failed;
-  const std::size_t group_size = namenode_.stripe(stripe).group.size();
-  for (std::size_t i = 0; i < group_size; ++i) {
-    for (std::size_t slot :
-         code.layout().slots_on_node(static_cast<ec::NodeIndex>(i))) {
-      if (!store.contains(slot)) {
-        failed.insert(static_cast<ec::NodeIndex>(i));
-        break;
-      }
+  // On-the-fly repair (Section 3.1): plan against the down nodes and the
+  // failed holders, and read only the slots the plan names. A slot that
+  // fails its read fails its node, and the read plans again with the slots
+  // it holds. The failed set only grows, so the loop ends. Executing over
+  // the gathered copies keeps the read stable if the stripe changes.
+  failed.merge(namenode_.failed_in_stripe(stripe, down_nodes()));
+  ec::SlotStore store;
+  ec::RepairPlan plan;
+  std::size_t known = 0;
+  do {
+    known = failed.size();
+    DBLREP_ASSIGN_OR_RETURN(plan, code.plan_degraded_block(block, failed));
+    // Layered mode: each rack combines its partials locally and sends the
+    // client one payload per rack instead of one per helper.
+    if (options_.layered_repair) {
+      plan = ec::layer_plan(plan, group_racks(info.group));
     }
-  }
-  auto plan_result = code.plan_degraded_block(block, failed);
-  if (!plan_result.is_ok()) return plan_result.status();
-  ec::RepairPlan plan = std::move(*plan_result);
-  const auto& group = namenode_.stripe(stripe).group;
-  // Layered mode: each rack combines its partials locally and sends the
-  // client one payload per rack instead of one per helper.
-  if (options_.layered_repair) {
-    plan = ec::layer_plan(plan, group_racks(group));
-  }
+    failed.merge(gather_stripe(stripe, plan.source_slots(), store));
+  } while (failed.size() > known);
   auto lease = runtime_pool_for(code).acquire();
   auto delivered = lease->executor.execute(plan, store);
   if (!delivered.is_ok()) return delivered.status();
   if (delivered->size() != alpha) {
     return internal_error("degraded read returned unexpected unit count");
   }
-  // Account every aggregate that crossed the wire, at the unit payload
-  // size the stripe actually stores (block_size / α; the full block for
-  // α == 1 schemes).
-  const double unit_bytes =
-      store.empty() ? 0.0 : static_cast<double>(store.begin()->second.size());
-  for (const auto& send : plan.aggregates) {
-    traffic_.record(group[static_cast<std::size_t>(send.from_node)],
-                    send.to_node == ec::kClientNode
-                        ? net::kClientEndpoint
-                        : group[static_cast<std::size_t>(send.to_node)],
-                    unit_bytes, cls);
-  }
-  // One degraded read = one dependency-chained flow in a captured replay.
-  traffic_.mark();
+  DBLREP_RETURN_IF_ERROR(record_plan_sends(
+      plan, info.group, static_cast<double>(file.block_size / alpha), cls));
   // plan_degraded_block delivers the α client units in unit order, so they
   // concatenate straight back into the logical block.
   Buffer out;
@@ -709,30 +730,15 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   const auto& info = namenode_.stripe(stripe);
   const ec::CodeScheme& code = *info.code;
 
-  // Which code-local nodes have missing/unreadable slots for this stripe?
-  // The probe is CRC-aware (get(), not has()): a corrupted replica on a
-  // live node is as unusable to a plan as a missing one, and treating it
-  // as failed both keeps the executor from tripping over it and lets the
-  // repair rewrite it -- the chaos sweeps drive exactly this mix of
-  // crashes and bit rot. Different stripes touch disjoint (stripe, slot)
-  // addresses, so this probe never races with a concurrent repair of
-  // another stripe.
-  std::set<ec::NodeIndex> failed;
-  for (std::size_t i = 0; i < info.group.size(); ++i) {
-    const auto& holder = datanodes_[static_cast<std::size_t>(info.group[i])];
-    if (!holder.is_up()) {
-      failed.insert(static_cast<ec::NodeIndex>(i));
-      continue;
-    }
-    for (std::size_t slot :
-         code.layout().slots_on_node(static_cast<ec::NodeIndex>(i))) {
-      if (!holder.get({stripe, slot}).is_ok()) {
-        failed.insert(static_cast<ec::NodeIndex>(i));
-        break;
-      }
-    }
-  }
-  if (failed.empty()) return Status::ok();
+  // Read every slot once: repair also heals CRC-corrupt replicas on live
+  // nodes, and only a read finds those. Holes only on down nodes wait for
+  // their node's repair, as rebuilding them now would store nothing. The
+  // failed set is every node with a missing slot: down, or holding a hole.
+  ec::SlotStore store;
+  const auto holes = gather_all_slots(stripe, store);
+  if (holes.empty()) return Status::ok();
+  auto failed = namenode_.failed_in_stripe(stripe, down_nodes());
+  for (auto slot : holes) failed.insert(code.layout().node_of_slot(slot));
 
   // The (code, failure-pattern) pair almost always repeats across stripes,
   // so the basis solve behind plan_multi_node_repair runs once per distinct
@@ -748,7 +754,6 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
     plan = &layered;
   }
   auto lease = runtime_pool_for(code).acquire();
-  ec::SlotStore store = gather_stripe(stripe);
   auto run = lease->executor.execute(*plan, store);
   if (!run.is_ok()) return run.status();
 
@@ -760,24 +765,9 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   }
   const std::size_t repair_block_size =
       store.empty() ? 0 : store.begin()->second.size();
-
-  // Persist only what landed on *live* nodes; still-down nodes get theirs
-  // when they are repaired. Account traffic per aggregate send.
-  for (const auto& send : plan->aggregates) {
-    if (static_cast<std::size_t>(send.from_node) >= info.group.size() ||
-        static_cast<std::size_t>(send.to_node) >= info.group.size()) {
-      return internal_error("repair plan send references a node outside the "
-                            "stripe's placement group");
-    }
-    traffic_.record(info.group[static_cast<std::size_t>(send.from_node)],
-                    info.group[static_cast<std::size_t>(send.to_node)],
-                    static_cast<double>(repair_block_size),
-                    net::TransferClass::kRepair);
-  }
-  // One stripe's repair = one dependency-chained flow; stripes of a larger
-  // repair run independently (and that parallelism is the storm a captured
-  // replay must reproduce).
-  traffic_.mark();
+  DBLREP_RETURN_IF_ERROR(record_plan_sends(
+      *plan, info.group, static_cast<double>(repair_block_size),
+      net::TransferClass::kRepair));
   // Re-check the seal before persisting. The repair lease already excludes
   // deletion, so this is a backstop against plan or state corruption: if
   // it ever fires, fail loudly rather than resurrect dropped blocks.
@@ -786,6 +776,8 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
         "stripe " + std::to_string(stripe) +
         " was unsealed or deleted while its repair was executing");
   }
+  // Persist only what landed on live nodes; still-down nodes get theirs
+  // when they are repaired.
   for (const auto& rec : plan->reconstructions) {
     const auto rebuilt = store.find(rec.dest_slot);
     if (rebuilt == store.end()) {
@@ -809,16 +801,8 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
 }
 
 Status MiniDfs::repair_node(cluster::NodeId node) {
-  if (node < 0 || static_cast<std::size_t>(node) >= datanodes_.size()) {
-    return invalid_argument_error("no such node");
-  }
-  auto& dn = datanodes_[static_cast<std::size_t>(node)];
-  if (!dn.is_up()) dn.restart();
-  gc_stale_replicas(dn);
-
-  // One pass over the node's stripes, fanned out across the pool: each
-  // stripe independently probes its holes, fetches the shared cached plan
-  // for its failure pattern, and executes with a checked-out executor.
+  DBLREP_RETURN_IF_ERROR(restart_node(node));
+  // One pass over the node's stripes, fanned out across the pool.
   // parallel_for_all: an unrecoverable stripe must not stop the others
   // from healing, and the set of healed stripes (plus the reported error)
   // must be identical whether the pass runs serial or parallel.
@@ -829,23 +813,21 @@ Status MiniDfs::repair_node(cluster::NodeId node) {
 }
 
 Status MiniDfs::repair_all() {
-  // Restart everyone first so repairs can land replicas on all nodes, then
-  // rebuild node by node (plans see the remaining holes shrink); each
-  // node's stripes are repaired in parallel. A node whose repair fails
-  // (e.g. an unrecoverable stripe) does not stop the sweep: every
-  // recoverable stripe still heals, and the first error -- by node order,
-  // not completion order -- is reported.
-  for (auto& dn : datanodes_) {
-    if (!dn.is_up()) dn.restart();
+  // Restart the down nodes, then visit each stripe once across the pool,
+  // planned against all of its holes at once. parallel_for_all: one bad
+  // stripe does not stop the others, and the error reported (the lowest
+  // stripe id's) does not depend on pool scheduling.
+  std::vector<cluster::StripeId> stripes;
+  for (const auto& dn : datanodes_) {
+    if (!dn.is_up()) DBLREP_RETURN_IF_ERROR(restart_node(dn.id()));
+    const auto on_node = namenode_.stripes_on_node(dn.id());
+    stripes.insert(stripes.end(), on_node.begin(), on_node.end());
   }
-  Status first_error;
-  for (auto& dn : datanodes_) {
-    Status status = repair_node(dn.id());
-    if (!status.is_ok() && first_error.is_ok()) {
-      first_error = std::move(status);
-    }
-  }
-  return first_error;
+  std::sort(stripes.begin(), stripes.end());
+  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  return exec::parallel_for_all(*pool_, stripes.size(), [&](std::size_t i) {
+    return repair_stripe(stripes[i]);
+  });
 }
 
 Status MiniDfs::scrub() {
@@ -855,18 +837,11 @@ Status MiniDfs::scrub() {
     const ec::CodeScheme& code = **code_result;
     for (cluster::StripeId stripe : info.stripes) {
       ec::SlotStore store;
-      for (std::size_t slot = 0; slot < code.layout().num_slots(); ++slot) {
-        const cluster::NodeId node = namenode_.node_of({stripe, slot});
-        const auto& dn = datanodes_[static_cast<std::size_t>(node)];
-        if (!dn.is_up()) continue;
-        auto bytes = dn.get({stripe, slot});
-        if (bytes.status().code() == StatusCode::kNotFound) {
-          return corruption_error(path + ": stripe " + std::to_string(stripe) +
-                                  " slot " + std::to_string(slot) +
-                                  " missing on live node");
-        }
-        if (!bytes.is_ok()) return bytes.status();
-        store[slot] = std::move(*bytes);
+      const auto holes = gather_all_slots(stripe, store);
+      if (!holes.empty()) {
+        return corruption_error(path + ": stripe " + std::to_string(stripe) +
+                                " slot " + std::to_string(holes.front()) +
+                                " missing or corrupt on a live node");
       }
       DBLREP_RETURN_IF_ERROR(code.verify_codeword(store, info.block_size));
     }
@@ -890,18 +865,11 @@ Result<std::size_t> MiniDfs::scrub_repair() {
           const cluster::StripeId stripe = info.stripes[si];
           // Gather the verifiably-good slots, then decode once and rewrite
           // every bad or missing slot on a live node from the re-encoded
-          // stripe. (Replica-copy would be cheaper per block; decoding
-          // keeps this path simple and also heals parity-vs-data
-          // inconsistency.)
-          ec::SlotStore good = gather_stripe(stripe);
-          const std::size_t slot_count = code.layout().num_slots();
-          std::vector<std::size_t> bad_slots;
-          for (std::size_t slot = 0; slot < slot_count; ++slot) {
-            const cluster::NodeId node = namenode_.node_of({stripe, slot});
-            const auto& dn = datanodes_[static_cast<std::size_t>(node)];
-            if (!dn.is_up()) continue;  // node repair handles down nodes
-            if (!good.contains(slot)) bad_slots.push_back(slot);
-          }
+          // stripe; node repair handles down nodes. (Replica-copy would be
+          // cheaper per block; decoding keeps this path simple and also
+          // heals parity-vs-data inconsistency.)
+          ec::SlotStore good;
+          const auto bad_slots = gather_all_slots(stripe, good);
           if (bad_slots.empty()) return Status::ok();
           auto data = code.decode(good, info.block_size);
           if (!data.is_ok()) return data.status();

@@ -17,10 +17,10 @@
 //    read_file / read_block (replica read, with corruption fallback and
 //    on-the-fly degraded reads through ec::RepairPlan when every replica
 //    is lost).
-//  * Repair engine: node repair driven by the same RepairPlan objects,
-//    including multi-failure partial-parity recovery; with layered_repair
-//    enabled, every plan is rewritten through ec::layer_plan so each rack
-//    relays one combined block instead of per-helper sends.
+//  * Repair engine: degraded reads and node repair share one RepairPlan
+//    path (failed nodes, plan, read its slots, execute, record), partial
+//    parities and all; with layered_repair enabled, every plan is rewritten
+//    through ec::layer_plan so each rack relays one combined block.
 //  * Traffic ledger (net::TrafficLedger): every byte that crosses the
 //    (simulated) wire is recorded once, with its class and direction --
 //    bucketed intra-rack, cross-rack, to-client, or from-client -- so tests
@@ -275,8 +275,8 @@ class MiniDfs {
   /// node's stripes are repaired in parallel across the pool.
   Status repair_node(cluster::NodeId node);
 
-  /// Restarts and repairs every down node (multi-failure aware: plans are
-  /// computed against the full failed set, partial parities and all).
+  /// Restarts every down node, then repairs each stripe once against all
+  /// of its holes (partial parities and all), corrupt replicas included.
   Status repair_all();
 
   std::set<cluster::NodeId> down_nodes() const;
@@ -384,9 +384,22 @@ class MiniDfs {
   Result<const ec::RepairPlan*> cached_repair_plan(
       const ec::CodeScheme& code, const std::set<ec::NodeIndex>& failed);
 
-  /// Gathers the live slots of a stripe into a SlotStore (skipping
-  /// corrupted blocks), for decode/repair.
-  ec::SlotStore gather_stripe(cluster::StripeId stripe) const;
+  /// The one CRC-checked slot reader: reads each of `slots` not in `store`
+  /// into it; returns the code-local nodes whose slot failed to read.
+  std::set<ec::NodeIndex> gather_stripe(cluster::StripeId stripe,
+                                        std::span<const std::size_t> slots,
+                                        ec::SlotStore& store) const;
+
+  /// gather_stripe over every slot; returns the slots that are missing or
+  /// corrupt on live nodes: what repair and scrub rewrite.
+  std::vector<std::size_t> gather_all_slots(cluster::StripeId stripe,
+                                            ec::SlotStore& store) const;
+
+  /// Records an executed plan's sends, `unit_bytes` each, under `cls`,
+  /// then marks the end of its flow.
+  Status record_plan_sends(const ec::RepairPlan& plan,
+                           const std::vector<cluster::NodeId>& group,
+                           double unit_bytes, net::TransferClass cls);
 
   /// Rack of each code-local node of a placement group, per the topology.
   std::vector<int> group_racks(
@@ -410,7 +423,7 @@ class MiniDfs {
   /// delete_file, replace_file: the catalog entries are already gone).
   Status drop_blocks(const RemovedFile& removed);
 
-  /// Repairs one stripe's holes as part of repair_node(node).
+  /// Repairs one stripe's holes on live nodes (repair_node, repair_all).
   Status repair_stripe(cluster::StripeId stripe);
 
   /// Block-report semantics on rejoin: a node returning from a transient

@@ -259,8 +259,8 @@ TEST(MiniDfsFaultModel, RepairHealsCrcCorruptReplicas) {
   const cluster::StripeId stripe = dfs.stat("/f")->stripes[0];
   const auto group = dfs.catalog().stripe(stripe).group;
 
-  // Corrupt one replica (CRC catches it), then repair its node: the probe
-  // must treat the CRC-broken slot as failed and rewrite it.
+  // Corrupt one replica (CRC catches it), then repair its node: the
+  // repair's read must treat the CRC-broken slot as failed and rewrite it.
   auto& dn = dfs.datanode(group[1]);
   const auto addresses = dn.stored_addresses();
   ASSERT_FALSE(addresses.empty());
@@ -268,6 +268,40 @@ TEST(MiniDfsFaultModel, RepairHealsCrcCorruptReplicas) {
   EXPECT_FALSE(dn.get(addresses[0]).is_ok());
   ASSERT_TRUE(dfs.repair_node(group[1]).is_ok());
   EXPECT_TRUE(dn.get(addresses[0]).is_ok());
+  EXPECT_TRUE(dfs.scrub().is_ok());
+}
+
+TEST(MiniDfsFaultModel, RepairAllHealsCrcCorruptReplicaOnALiveNode) {
+  cluster::Topology topology;
+  topology.num_nodes = 21;
+  topology.num_racks = 3;
+  hdfs::MiniDfs dfs(topology, 5);
+  ASSERT_TRUE(
+      dfs.write_file("/f", random_buffer(64 * 9, 5), "pentagon", 64).is_ok());
+  ASSERT_TRUE(
+      dfs.write_file("/g", random_buffer(64 * 9, 6), "pentagon", 64).is_ok());
+  const cluster::StripeId f_stripe = dfs.stat("/f")->stripes[0];
+  const auto f_group = dfs.catalog().stripe(f_stripe).group;
+  const auto g_group = dfs.catalog().stripe(dfs.stat("/g")->stripes[0]).group;
+
+  // Corrupt one replica of /f on a live node, and crash a node that holds
+  // /g but nothing of /f: only a sweep that visits every live stripe, not
+  // just the stripes of the nodes that went down, finds the bad replica.
+  cluster::NodeId elsewhere = -1;
+  for (cluster::NodeId node : g_group) {
+    if (std::find(f_group.begin(), f_group.end(), node) == f_group.end()) {
+      elsewhere = node;
+      break;
+    }
+  }
+  ASSERT_NE(elsewhere, -1);
+  const cluster::SlotAddress bad{
+      f_stripe, dfs.code_for("/f").value()->layout().slots_on_node(1)[0]};
+  auto& dn = dfs.datanode(f_group[1]);
+  ASSERT_TRUE(dn.corrupt(bad, 3).is_ok());
+  ASSERT_TRUE(dfs.fail_node(elsewhere).is_ok());
+  ASSERT_TRUE(dfs.repair_all().is_ok());
+  EXPECT_TRUE(dn.get(bad).is_ok());
   EXPECT_TRUE(dfs.scrub().is_ok());
 }
 

@@ -4,6 +4,9 @@
 // scrub, and the RaidNode re-encoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "hdfs/minidfs.h"
@@ -172,10 +175,10 @@ TEST(MiniDfs, BothReplicasCorruptTriggersDegradedRead) {
     const cluster::NodeId holder = dfs.catalog().node_of({stripe, slot});
     ASSERT_TRUE(dfs.datanode(holder).corrupt({stripe, slot}, 0).is_ok());
   }
-  // The degraded-read planner probes actual block availability (not just
-  // down nodes), so a block whose replicas are all CRC-broken on *live*
-  // nodes is still served by on-the-fly decode from the rest of the
-  // stripe -- and never returns bad bytes.
+  // A holder whose replica read fails counts as failed for the degraded
+  // read (not just down nodes), so a block whose replicas are all
+  // CRC-broken on *live* nodes is still served by on-the-fly decode from
+  // the rest of the stripe -- and never returns bad bytes.
   const auto block = dfs.read_block("/f", 0);
   ASSERT_TRUE(block.is_ok()) << block.status().to_string();
   EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
@@ -206,8 +209,9 @@ TEST(MiniDfs, ScrubRepairHealsCorruptReplicas) {
 TEST(MiniDfs, ScrubRepairHealsEvenWithBothReplicasOfABlockCorrupt) {
   // scrub_repair decodes from whatever verifies, so it durably rewrites a
   // block whose two replicas are both CRC-broken on live nodes (reads of
-  // the block already succeed beforehand via availability-probed degraded
-  // reads, but only the scrub restores the replicas on disk).
+  // the block already succeed beforehand via degraded reads that count the
+  // failed holders as failed, but only the scrub restores the replicas on
+  // disk).
   MiniDfs dfs = make_dfs();
   const Buffer data = payload(kBlockSize * 9, 31);
   ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
@@ -275,6 +279,73 @@ TEST(MiniDfs, RaidMirrorDegradedReadMovesNineBlocks) {
   EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 9.0 * kBlockSize);
 }
 
+TEST(MiniDfs, DegradedReadIgnoresCorruptionOutsideItsPlan) {
+  // Both replicas of block 0 are lost and one more slot is CRC-broken on a
+  // live node the plan never reads: the read needs only the plan's 9
+  // slots, so the bad slot cannot push the failed set past pentagon's
+  // tolerance of 2.
+  MiniDfs dfs = make_dfs();
+  const Buffer data = payload(kBlockSize * 9, 14);
+  ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
+  const cluster::StripeId stripe = dfs.stat("/f")->stripes[0];
+  const auto& code = *dfs.code_for("/f").value();
+  std::set<ec::NodeIndex> failed;
+  for (std::size_t slot : code.layout().slots_of_symbol(0)) {
+    failed.insert(code.layout().node_of_slot(slot));
+    ASSERT_TRUE(dfs.fail_node(dfs.catalog().node_of({stripe, slot})).is_ok());
+  }
+  const auto plan = code.plan_degraded_block(0, failed);
+  ASSERT_TRUE(plan.is_ok());
+  const auto sources = plan->source_slots();
+  std::size_t outside = code.layout().num_slots();
+  for (std::size_t slot = 0; slot < code.layout().num_slots(); ++slot) {
+    if (!failed.contains(code.layout().node_of_slot(slot)) &&
+        !std::binary_search(sources.begin(), sources.end(), slot)) {
+      outside = slot;
+      break;
+    }
+  }
+  ASSERT_LT(outside, code.layout().num_slots());
+  ASSERT_TRUE(dfs.datanode(dfs.catalog().node_of({stripe, outside}))
+                  .corrupt({stripe, outside}, 0)
+                  .is_ok());
+  dfs.traffic().reset();
+  const auto block = dfs.read_block("/f", 0);
+  ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+  EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
+  EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 3.0 * kBlockSize);
+}
+
+TEST(MiniDfs, DegradedReadReplansAroundACorruptSource) {
+  // rs-10-4: block 0's only holder is down and one slot the first plan
+  // reads is CRC-broken. The read re-plans without that node and charges
+  // exactly the plan it executed.
+  MiniDfs dfs = make_dfs();
+  const Buffer data = payload(kBlockSize * 10, 15);
+  ASSERT_TRUE(dfs.write_file("/f", data, "rs-10-4", kBlockSize).is_ok());
+  const cluster::StripeId stripe = dfs.stat("/f")->stripes[0];
+  const auto& code = *dfs.code_for("/f").value();
+  const std::size_t lost = code.layout().slots_of_symbol(0)[0];
+  const ec::NodeIndex down = code.layout().node_of_slot(lost);
+  ASSERT_TRUE(dfs.fail_node(dfs.catalog().node_of({stripe, lost})).is_ok());
+  const auto first = code.plan_degraded_block(0, {down});
+  ASSERT_TRUE(first.is_ok());
+  const std::size_t bad = first->source_slots().front();
+  const ec::NodeIndex corrupt = code.layout().node_of_slot(bad);
+  ASSERT_TRUE(dfs.datanode(dfs.catalog().node_of({stripe, bad}))
+                  .corrupt({stripe, bad}, 0)
+                  .is_ok());
+  const auto executed = code.plan_degraded_block(0, {down, corrupt});
+  ASSERT_TRUE(executed.is_ok());
+  dfs.traffic().reset();
+  const auto block = dfs.read_block("/f", 0);
+  ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+  EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
+  EXPECT_DOUBLE_EQ(
+      dfs.traffic().total_bytes(),
+      static_cast<double>(executed->network_bytes(kBlockSize, 1)));
+}
+
 TEST(MiniDfs, HealthyReadTouchesNoInterNodeLinks) {
   MiniDfs dfs = make_dfs();
   const Buffer data = payload(kBlockSize * 9, 9);
@@ -338,6 +409,25 @@ TEST(MiniDfs, RepairIsNoopOnHealthyCluster) {
   dfs.traffic().reset();
   ASSERT_TRUE(dfs.repair_all().is_ok());
   EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 0.0);
+}
+
+TEST(MiniDfs, RepairOfAnIntactNodeMovesNothing) {
+  // Regression: repair_node on an intact node used to plan, execute and
+  // charge repair traffic for stripes whose only holes sit on a node that
+  // is still down -- rebuilt bytes it then stored nowhere.
+  cluster::Topology topology;
+  topology.num_nodes = 12;
+  topology.num_racks = 3;
+  MiniDfs dfs(topology, 7);
+  ASSERT_TRUE(dfs.write_file("/f", payload(kBlockSize * 9, 22), "pentagon",
+                             kBlockSize).is_ok());
+  const auto group = dfs.catalog().stripe(dfs.stat("/f")->stripes[0]).group;
+  ASSERT_TRUE(dfs.fail_node(group[1]).is_ok());
+  const std::size_t stored = dfs.stored_bytes();
+  dfs.traffic().reset();
+  ASSERT_TRUE(dfs.repair_node(group[0]).is_ok());
+  EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 0.0);
+  EXPECT_EQ(dfs.stored_bytes(), stored);
 }
 
 TEST(MiniDfs, RepairIgnoresDeletedFiles) {

@@ -50,8 +50,38 @@ std::vector<int> round_robin_racks(const CodeScheme& code,
   return racks;
 }
 
+/// Executes `plan` over only its source slots, taken from `full`, and
+/// checks that none of them sits on a failed node and that it delivers and
+/// rebuilds the same bytes as executing over the whole of `full`.
+void check_reads_only_sources(const CodeScheme& code, const RepairPlan& plan,
+                              const SlotStore& full,
+                              const std::set<NodeIndex>& failed) {
+  SlotStore sparse;
+  for (std::size_t slot : plan.source_slots()) {
+    EXPECT_FALSE(failed.contains(code.layout().node_of_slot(slot)))
+        << "source slot " << slot << " is on a failed node";
+    const auto it = full.find(slot);
+    ASSERT_NE(it, full.end()) << "source slot " << slot << " is not stored";
+    sparse.insert(*it);
+  }
+  SlotStore whole = full;
+  PlanExecutor executor(code.layout());
+  const auto from_whole = executor.execute(plan, whole);
+  const auto from_sparse = executor.execute(plan, sparse);
+  ASSERT_TRUE(from_whole.is_ok());
+  ASSERT_TRUE(from_sparse.is_ok()) << from_sparse.status().to_string();
+  EXPECT_EQ(*from_sparse, *from_whole);
+  for (const auto& rec : plan.reconstructions) {
+    if (rec.dest_slot == Reconstruction::kClientSlot) continue;
+    EXPECT_EQ(sparse.at(rec.dest_slot), whole.at(rec.dest_slot))
+        << "slot " << rec.dest_slot;
+  }
+}
+
 /// Executes both forms of a node-repair plan and checks the layered one is
-/// byte-identical, no more cross-rack, and no larger.
+/// byte-identical, no more cross-rack, and no larger; both forms, and the
+/// degraded read of every data block under the same failures, read only
+/// their source slots.
 void check_repair_equivalence(const CodeScheme& code,
                               const std::set<NodeIndex>& failed,
                               const std::vector<int>& racks,
@@ -74,6 +104,16 @@ void check_repair_equivalence(const CodeScheme& code,
     ASSERT_TRUE(layered_store.contains(s)) << "slot " << s << " missing";
     EXPECT_EQ(layered_store.at(s), pristine[s]) << "slot " << s;
     EXPECT_EQ(layered_store.at(s), plain_store.at(s)) << "slot " << s;
+  }
+
+  const auto full = store_without_nodes(code, data, failed);
+  check_reads_only_sources(code, *plan, full, failed);
+  check_reads_only_sources(code, layered, full, failed);
+  for (std::size_t block = 0; block < code.data_blocks(); ++block) {
+    const auto read = code.plan_degraded_block(block, failed);
+    ASSERT_TRUE(read.is_ok()) << "block " << block;
+    check_reads_only_sources(code, *read, full, failed);
+    check_reads_only_sources(code, layer_plan(*read, racks), full, failed);
   }
 }
 
@@ -130,6 +170,10 @@ TEST(LayerPlan, DegradedReadDeliversIdenticalBytesPerRackRelayed) {
       ASSERT_EQ(relayed->size(), 1u);
       EXPECT_EQ((*relayed)[0], symbols[sym]);
       EXPECT_EQ((*relayed)[0], (*plain)[0]);
+
+      const auto full = store_without_nodes(pentagon, data, {a, b});
+      check_reads_only_sources(pentagon, *plan, full, {a, b});
+      check_reads_only_sources(pentagon, layered, full, {a, b});
     }
   }
 }
