@@ -18,6 +18,12 @@
 // source; fold4: all four; apply: the 10 data blocks), so kernels and ops
 // are comparable at equal input.
 //
+// The same lengths also run the checksum every DataNode read and write
+// pays: one crc32c row per CRC implementation this CPU supports (table,
+// sse42) and a memcpy row as its roof. The hardware CRC is gated at
+// >= 0.2x memcpy on the 64 KiB slice (the DataNode block size the repo
+// benchmark uses); the table path is reported but not gated.
+//
 // --list-kernels prints the supported kernel names (one per line) and
 // exits; CI's kernel matrix uses it to skip unsupported backends on the
 // runner instead of silently falling back.
@@ -91,6 +97,17 @@ int main(int argc, char** argv) {
   constexpr gf::Elem kCoeff = 0x1d;
 
   std::vector<Sample> samples;
+  // Times fn over `bytes` of input per call, prints the rate and keeps it
+  // as a result row.
+  const auto record = [&](const char* kernel, const char* op,
+                          std::size_t length, std::size_t bytes,
+                          auto&& fn) {
+    const Sample sample{kernel, op, length, measure_mb_s(min_time, bytes, fn)};
+    std::fprintf(stderr, "  %-6s %-10s %8zu B %10.1f MB/s\n", kernel, op,
+                 length, sample.mb_s);
+    samples.push_back(sample);
+    return sample.mb_s;
+  };
   for (const gf::GfKernel* kernel : gf::supported_kernels()) {
     DBLREP_CHECK(gf::set_active_kernel(kernel->name));
     std::fprintf(stderr, "== kernel %s ==\n", kernel->name);
@@ -103,38 +120,28 @@ int main(int argc, char** argv) {
       std::vector<ByteSpan> fold_views;
       for (const auto& src : srcs) fold_views.emplace_back(src);
 
-      const auto record = [&](const char* op, std::size_t bytes, auto&& fn) {
-        Sample sample;
-        sample.kernel = kernel->name;
-        sample.op = op;
-        sample.length = length;
-        sample.mb_s = measure_mb_s(min_time, bytes, fn);
-        std::fprintf(stderr, "  %-10s %8zu B %10.1f MB/s\n", op, length,
-                     sample.mb_s);
-        samples.push_back(std::move(sample));
-      };
       const auto touch = [&] {
         volatile std::uint8_t sink = dst.back();
         (void)sink;
       };
 
-      record("mul", length, [&] {
+      record(kernel->name, "mul", length, length, [&] {
         kernel->mul_slice(dst, fold_views[0], kCoeff);
         touch();
       });
-      record("addmul", length, [&] {
+      record(kernel->name, "addmul", length, length, [&] {
         kernel->addmul_slice(dst, fold_views[0], kCoeff);
         touch();
       });
-      record("xor", length, [&] {
+      record(kernel->name, "xor", length, length, [&] {
         kernel->xor_slice(dst, fold_views[0]);
         touch();
       });
-      record("fold4", kFoldSources * length, [&] {
+      record(kernel->name, "fold4", length, kFoldSources * length, [&] {
         kernel->xor_fold_slice(dst, fold_views, /*non_temporal=*/false);
         touch();
       });
-      record("fold4_nt", kFoldSources * length, [&] {
+      record(kernel->name, "fold4_nt", length, kFoldSources * length, [&] {
         kernel->xor_fold_slice(dst, fold_views, /*non_temporal=*/true);
         touch();
       });
@@ -165,14 +172,14 @@ int main(int argc, char** argv) {
       for (auto& b : data_blocks) sources.emplace_back(b);
       for (auto& b : parity_blocks) outputs.emplace_back(b);
 
-      record("apply", kCols * length, [&] {
+      record(kernel->name, "apply", length, kCols * length, [&] {
         kernel->matrix_apply(
             coeffs, std::span<const ByteSpan>(sources.data(), kCols),
             std::span<const MutableByteSpan>(outputs.data(), kRows));
         volatile std::uint8_t sink = parity_blocks[0].back();
         (void)sink;
       });
-      record("apply_b8", kGroups * kCols * length, [&] {
+      record(kernel->name, "apply_b8", length, kGroups * kCols * length, [&] {
         kernel->matrix_apply_batch(coeffs, sources, outputs, kGroups);
         volatile std::uint8_t sink = parity_blocks.back().back();
         (void)sink;
@@ -180,7 +187,44 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The DataNode checksum against a memcpy of the same slice.
+  constexpr std::size_t kGatedLength = 64 << 10;
+  double memcpy_gated = 0;
+  double hw_crc_gated = 0;
+  const auto crc_impls = supported_crc32c_impls();
+  std::fprintf(stderr, "== crc32c ==\n");
+  for (const std::size_t length : lengths) {
+    const Buffer src = random_buffer(length, 1);
+    Buffer dst(length);
+    const double copy_mb_s = record("libc", "memcpy", length, length, [&] {
+      std::memcpy(dst.data(), src.data(), length);
+      volatile std::uint8_t sink = dst.back();
+      (void)sink;
+    });
+    for (const Crc32cImpl* impl : crc_impls) {
+      volatile std::uint32_t sink = 0;
+      const double crc_mb_s = record(impl->name, "crc32c", length, length, [&] {
+        sink = impl->run(src, 0);
+      });
+      (void)sink;
+      if (length == kGatedLength && impl == crc_impls.back()) {
+        memcpy_gated = copy_mb_s;
+        hw_crc_gated = crc_mb_s;
+      }
+    }
+  }
+
   bench::Report report("gf_ops");
+  if (crc_impls.size() > 1) {
+    const double ratio = hw_crc_gated / memcpy_gated;
+    report.gate(std::string(crc_impls.back()->name) +
+                    " crc32c / memcpy at 64 KiB",
+                0.2, ratio, ratio >= 0.2);
+  } else {
+    std::fprintf(stderr,
+                 "crc32c gate skipped: this CPU has no hardware CRC32C, "
+                 "only the table path\n");
+  }
   auto& json = report.json();
   json.field("min_time_s", min_time);
   json.begin_array("results");

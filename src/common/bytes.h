@@ -26,9 +26,26 @@ Buffer xor_buffers(ByteSpan a, ByteSpan b);
 /// Deterministic pseudo-random buffer (seeded), for tests and workloads.
 Buffer random_buffer(std::size_t size, std::uint64_t seed);
 
-/// CRC-32C (Castagnoli), the checksum HDFS uses per chunk. Software
-/// slice-by-1 table implementation; speed is not critical here.
+/// CRC-32C (Castagnoli), the checksum HDFS uses per chunk. Every DataNode
+/// read and write runs it over the whole block, so it must keep up with
+/// memcpy: the implementation is chosen once by CPUID, like the GF kernels
+/// (best supported wins). Chaining holds for every implementation:
+/// crc32c(a‖b) == crc32c(b, crc32c(a)).
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
+
+/// One compiled CRC-32C implementation. All return identical values:
+///
+///  * "table" -- portable byte-at-a-time table loop. Always available.
+///  * "sse42" -- three interleaved SSE4.2 `crc32` streams (x86-64), merged
+///    by a precomputed shift; one stream below a few hundred bytes.
+struct Crc32cImpl {
+  const char* name;
+  std::uint32_t (*run)(ByteSpan data, std::uint32_t seed);
+};
+
+/// Implementations compiled in and supported by this CPU, slowest first;
+/// crc32c() runs the last one.
+std::vector<const Crc32cImpl*> supported_crc32c_impls();
 
 /// Lowercase hex of the first `max_bytes` bytes (debugging aid).
 std::string hex_preview(ByteSpan data, std::size_t max_bytes = 16);

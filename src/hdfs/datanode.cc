@@ -6,25 +6,34 @@ Status DataNode::put(cluster::SlotAddress address, Buffer bytes) {
   if (!is_up()) return unavailable_error("datanode down");
   StoredBlock block;
   block.crc = crc32c(bytes);
-  block.bytes = std::move(bytes);
+  block.bytes = std::make_shared<const Buffer>(std::move(bytes));
   std::lock_guard<std::mutex> lock(mu_);
+  // Again under the lock: fail() clears the map after marking the node
+  // down, so a put that saw it up must not land after the clear.
+  if (!is_up()) return unavailable_error("datanode down");
   blocks_[address] = std::move(block);
   return Status::ok();
 }
 
-Result<Buffer> DataNode::get(cluster::SlotAddress address) const {
-  if (!is_up()) return unavailable_error("datanode down");
+Result<DataNode::StoredBlock> DataNode::find(
+    cluster::SlotAddress address) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = blocks_.find(address);
   if (it == blocks_.end()) {
     return not_found_error("block not on this datanode");
   }
-  if (crc32c(it->second.bytes) != it->second.crc) {
+  return it->second;
+}
+
+Result<Buffer> DataNode::get(cluster::SlotAddress address) const {
+  if (!is_up()) return unavailable_error("datanode down");
+  DBLREP_ASSIGN_OR_RETURN(const StoredBlock block, find(address));
+  if (crc32c(*block.bytes) != block.crc) {
     return corruption_error("checksum mismatch on stripe " +
                             std::to_string(address.stripe) + " slot " +
                             std::to_string(address.slot));
   }
-  return it->second.bytes;
+  return *block.bytes;
 }
 
 bool DataNode::has(cluster::SlotAddress address) const {
@@ -52,7 +61,7 @@ std::size_t DataNode::bytes_stored() const {
   std::size_t total = 0;
   for (const auto& [address, block] : blocks_) {
     (void)address;
-    total += block.bytes.size();
+    total += block.bytes->size();
   }
   return total;
 }
@@ -73,20 +82,19 @@ Status DataNode::corrupt(cluster::SlotAddress address, std::size_t byte_index) {
   if (it == blocks_.end()) {
     return not_found_error("block not on this datanode");
   }
-  if (byte_index >= it->second.bytes.size()) {
+  if (byte_index >= it->second.bytes->size()) {
     return invalid_argument_error("corrupt index out of range");
   }
-  it->second.bytes[byte_index] ^= 0xff;  // CRC left stale on purpose
+  // Copy-on-write: a read already holding the old bytes keeps them intact.
+  auto flipped = std::make_shared<Buffer>(*it->second.bytes);
+  (*flipped)[byte_index] ^= 0xff;
+  it->second.bytes = std::move(flipped);  // CRC left stale on purpose
   return Status::ok();
 }
 
 Result<Buffer> DataNode::peek(cluster::SlotAddress address) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = blocks_.find(address);
-  if (it == blocks_.end()) {
-    return not_found_error("block not on this datanode");
-  }
-  return it->second.bytes;
+  DBLREP_ASSIGN_OR_RETURN(const StoredBlock block, find(address));
+  return *block.bytes;
 }
 
 std::vector<cluster::SlotAddress> DataNode::stored_addresses() const {

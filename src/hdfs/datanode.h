@@ -5,14 +5,18 @@
 // corruption, lose everything on node failure.
 //
 // Thread-safe: each DataNode guards its block map with its own mutex, so
-// the node is one shard of the DFS-wide store -- operations on different
-// nodes never contend, operations on the same node serialize exactly as a
-// real datanode's disk queue would. Liveness is a separate atomic so
-// is_up() probes never touch the block-map lock.
+// the node is one shard of the DFS-wide store and operations on different
+// nodes never contend. A stored block is immutable -- shared bytes plus the
+// CRC computed when it was written -- so the mutex covers only the map
+// lookup or insert: get() verifies and copies outside it, concurrent reads
+// of one node run in parallel, and corrupt() replaces the block instead of
+// editing it. Liveness is a separate atomic so is_up() probes never touch
+// the block-map lock.
 #pragma once
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "cluster/catalog.h"
@@ -58,8 +62,9 @@ class DataNode {
   /// The node returns: empty after fail(), blocks intact after offline().
   void restart();
 
-  /// Test hook: flips one byte of a stored block so CRC verification and
-  /// the read fallback paths can be exercised.
+  /// Test hook: replaces a stored block with a copy that has one byte
+  /// flipped and the old CRC, so CRC verification and the read fallback
+  /// paths can be exercised. Reads already holding the block are unaffected.
   Status corrupt(cluster::SlotAddress address, std::size_t byte_index);
 
   /// Diagnostic hook: raw stored bytes, ignoring liveness and skipping CRC
@@ -72,9 +77,12 @@ class DataNode {
 
  private:
   struct StoredBlock {
-    Buffer bytes;
+    std::shared_ptr<const Buffer> bytes;
     std::uint32_t crc = 0;
   };
+
+  /// The block at `address`, looked up under mu_; NOT_FOUND if absent.
+  Result<StoredBlock> find(cluster::SlotAddress address) const;
 
   cluster::NodeId id_;
   std::atomic<bool> up_{true};

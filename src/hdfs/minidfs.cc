@@ -465,12 +465,14 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       if (!got) break;
     }
     if (units.size() == alpha) {
-      Buffer out;
-      out.reserve(file.block_size);
-      for (auto& [node, bytes] : units) {
+      for (const auto& [node, bytes] : units) {
         traffic_.record(node, net::kClientEndpoint,
                         static_cast<double>(bytes.size()), cls);
-        out.insert(out.end(), bytes.begin(), bytes.end());
+      }
+      Buffer out = std::move(units.front().second);
+      out.reserve(alpha * out.size());
+      for (std::size_t i = 1; i < units.size(); ++i) {
+        out.insert(out.end(), units[i].second.begin(), units[i].second.end());
       }
       return out;
     }

@@ -122,11 +122,55 @@ TEST(Bytes, RandomBufferIsDeterministicPerSeed) {
 }
 
 TEST(Bytes, Crc32cKnownVector) {
-  // "123456789" -> 0xE3069283 is the canonical CRC-32C check value.
+  // "123456789" -> 0xE3069283 is the canonical CRC-32C check value, for
+  // crc32c() and for every implementation this CPU runs, the table first.
   const std::string s = "123456789";
   const ByteSpan span(reinterpret_cast<const std::uint8_t*>(s.data()),
                       s.size());
   EXPECT_EQ(crc32c(span), 0xE3069283u);
+  const auto impls = supported_crc32c_impls();
+  EXPECT_STREQ(impls.front()->name, "table");
+  for (const Crc32cImpl* impl : impls) {
+    EXPECT_EQ(impl->run(span, 0), 0xE3069283u) << impl->name;
+  }
+}
+
+TEST(Bytes, EveryCrc32cImplMatchesTheTableAtEveryLengthAndOffset) {
+  // Lengths 0-4096 and 65536 +- 0..15 at start offsets 0-15 reach the
+  // one-stream path, both three-stream block sizes and every tail length
+  // at every alignment. Each length is also checked split in half and
+  // chained: crc(a‖b) == crc(b, crc(a)). The table reference for each
+  // length chains the previous one over the new bytes, which keeps the
+  // sweep linear in the table's (slow) time; the last one is checked
+  // against the table's direct value.
+  const auto impls = supported_crc32c_impls();
+  const Crc32cImpl& table = *impls.front();
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 4096; ++len) lengths.push_back(len);
+  for (std::size_t len = 65536 - 15; len <= 65536 + 15; ++len) {
+    lengths.push_back(len);
+  }
+  constexpr std::size_t kOffsets = 16;
+  const Buffer data = random_buffer(lengths.back() + kOffsets, 11);
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+    const ByteSpan base = ByteSpan(data).subspan(offset);
+    std::uint32_t want = 0;  // the CRC of zero bytes
+    std::size_t want_len = 0;
+    for (const std::size_t len : lengths) {
+      want = table.run(base.subspan(want_len, len - want_len), want);
+      want_len = len;
+      const ByteSpan a = base.first(len / 2);
+      const ByteSpan b = base.subspan(len / 2, len - len / 2);
+      for (const Crc32cImpl* impl : impls) {
+        if (impl == &table) continue;
+        ASSERT_EQ(impl->run(base.first(len), 0), want)
+            << impl->name << " len " << len << " offset " << offset;
+        ASSERT_EQ(impl->run(b, impl->run(a, 0)), want)
+            << impl->name << " chained, len " << len << " offset " << offset;
+      }
+    }
+    ASSERT_EQ(table.run(base.first(want_len), 0), want) << offset;
+  }
 }
 
 TEST(Bytes, Crc32cDetectsSingleBitFlip) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 
 #include "hdfs/journal.h"
 
@@ -244,6 +245,95 @@ TEST(SnapshotCodec, AnyDamageIsCorruption) {
               StatusCode::kCorruption)
         << "flip at " << at;
   }
+}
+
+// ------------------------------------------------------ pinned encodings
+//
+// A frame and a snapshot as the byte-at-a-time table CRC wrote them,
+// before crc32c gained a hardware path. Journals and snapshots outlive the
+// code that wrote them, so both must still decode field-exact, and the
+// codec must still write the same bytes.
+
+JournalRecord pinned_record() {
+  JournalRecord r;
+  r.kind = JournalRecordKind::kAllocate;
+  r.seq = 4242;
+  r.path = "/logs/part-00017";
+  r.code_spec = "pentagon";
+  r.block_size = 65536;
+  r.stripes = {17, 18};
+  r.groups = {{0, 3, 6, 9, 12}, {1, 4, 7, 10, 13}};
+  return r;
+}
+
+constexpr std::uint8_t kPinnedFrame[] = {
+    0xa6, 0x00, 0x00, 0x00, 0x20, 0x23, 0xad, 0x88, 0x02, 0x00, 0x92, 0x10,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x2f, 0x6c,
+    0x6f, 0x67, 0x73, 0x2f, 0x70, 0x61, 0x72, 0x74, 0x2d, 0x30, 0x30, 0x30,
+    0x31, 0x37, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x70, 0x65,
+    0x6e, 0x74, 0x61, 0x67, 0x6f, 0x6e, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x11, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x09, 0x00,
+    0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x0a, 0x00,
+    0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+
+ShardImage pinned_image() {
+  ShardImage image;
+  image.last_seq = 777;
+  image.next_stripe_id = 1234;
+  FileState published;
+  published.code_spec = "raidm-9";
+  published.block_size = 512;
+  published.length = 9999;
+  published.stripes = {5, 6};
+  image.files = {{"/a", published}};
+  ShardImage::Stripe stripe;
+  stripe.id = 5;
+  stripe.code_spec = "raidm-9";
+  stripe.sealed = true;
+  stripe.group = {0, 3, 7, 9, 12, 14, 15, 18, 20};
+  image.stripes = {stripe};
+  return image;
+}
+
+constexpr std::uint8_t kPinnedSnapshot[] = {
+    0x44, 0x52, 0x53, 0x4e, 0x01, 0x00, 0x00, 0x00, 0x99, 0x00, 0x00, 0x00,
+    0x0f, 0x14, 0xa3, 0xab, 0x09, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x2f, 0x61, 0x07, 0x00,
+    0x00, 0x00, 0x72, 0x61, 0x69, 0x64, 0x6d, 0x2d, 0x39, 0x00, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x0f, 0x27, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x72, 0x61, 0x69, 0x64, 0x6d, 0x2d, 0x39, 0x01, 0x09, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x09, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00,
+    0x00, 0x0f, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00,
+    0x00};
+
+TEST(JournalCodec, PinnedTableCrcFrameDecodesFieldExact) {
+  const ParsedJournal parsed = parse_journal(kPinnedFrame);
+  ASSERT_TRUE(parsed.clean()) << parsed.tail_error;
+  ASSERT_EQ(parsed.records.size(), 1u);
+  EXPECT_EQ(parsed.records[0], pinned_record());
+  EXPECT_EQ(encode_record(pinned_record()),
+            Buffer(std::begin(kPinnedFrame), std::end(kPinnedFrame)));
+}
+
+TEST(SnapshotCodec, PinnedTableCrcSnapshotDecodesFieldExact) {
+  const auto decoded = decode_snapshot(kPinnedSnapshot);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_EQ(*decoded, pinned_image());
+  EXPECT_EQ(encode_snapshot(pinned_image()),
+            Buffer(std::begin(kPinnedSnapshot), std::end(kPinnedSnapshot)));
 }
 
 }  // namespace
