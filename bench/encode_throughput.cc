@@ -192,12 +192,16 @@ int main(int argc, char** argv) {
         });
       } else {
         sample.encode_mb_s = measure_mb_s(min_time, data_bytes, [&] {
-          auto symbols = codec.encode_stripe(data, block_size);
-          // Touch the last parity byte so the encode cannot be elided.
-          volatile std::uint8_t sink = symbols.back().empty()
-                                           ? std::uint8_t{0}
-                                           : symbols.back().back();
-          (void)sink;
+          (void)codec.encode_batch(
+              data, block_size,
+              [](std::size_t, std::span<const ByteSpan> symbols) {
+                // Touch the last parity byte so the encode cannot be elided.
+                volatile std::uint8_t sink = symbols.back().empty()
+                                                 ? std::uint8_t{0}
+                                                 : symbols.back().back();
+                (void)sink;
+                return Status::ok();
+              });
         });
       }
 
@@ -220,7 +224,10 @@ int main(int argc, char** argv) {
         const auto bytes_moved_once = [&](bool nt) {
           gf::set_non_temporal(nt);
           gf::reset_slice_op_stats();
-          (void)codec.encode_stripe(data, block_size);
+          (void)codec.encode_batch(
+              data, block_size, [](std::size_t, std::span<const ByteSpan>) {
+                return Status::ok();
+              });
           return gf::slice_op_stats().total_bytes_moved();
         };
         sample.bytes_moved_regular = bytes_moved_once(false);

@@ -173,14 +173,15 @@ int main(int argc, char** argv) {
       for (auto& b : parity_blocks) outputs.emplace_back(b);
 
       record(kernel->name, "apply", length, kCols * length, [&] {
-        kernel->matrix_apply(
-            coeffs, std::span<const ByteSpan>(sources.data(), kCols),
-            std::span<const MutableByteSpan>(outputs.data(), kRows));
+        gf::matrix_apply_batch_with(
+            *kernel, coeffs, std::span<const ByteSpan>(sources.data(), kCols),
+            std::span<const MutableByteSpan>(outputs.data(), kRows), 1);
         volatile std::uint8_t sink = parity_blocks[0].back();
         (void)sink;
       });
       record(kernel->name, "apply_b8", length, kGroups * kCols * length, [&] {
-        kernel->matrix_apply_batch(coeffs, sources, outputs, kGroups);
+        gf::matrix_apply_batch_with(*kernel, coeffs, sources, outputs,
+                                    kGroups);
         volatile std::uint8_t sink = parity_blocks.back().back();
         (void)sink;
       });

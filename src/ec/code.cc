@@ -36,22 +36,6 @@ CodeScheme::CodeScheme(CodeParams params, StripeLayout layout,
   }
 }
 
-void CodeScheme::encode_into(std::span<const ByteSpan> data,
-                             std::span<const MutableByteSpan> symbols) const {
-  const std::size_t units = params_.data_units();
-  DBLREP_CHECK_EQ(data.size(), units);
-  DBLREP_CHECK_EQ(symbols.size(), params_.num_symbols);
-  const std::size_t unit_size = data.empty() ? 0 : data[0].size();
-  for (std::size_t i = 0; i < units; ++i) {
-    DBLREP_CHECK_EQ(data[i].size(), unit_size);
-    DBLREP_CHECK_EQ(symbols[i].size(), unit_size);
-    if (symbols[i].data() != data[i].data() && unit_size != 0) {
-      std::copy(data[i].begin(), data[i].end(), symbols[i].begin());
-    }
-  }
-  gf::matrix_apply(parity_coeffs_, data, symbols.subspan(units));
-}
-
 std::vector<Buffer> CodeScheme::encode_symbols(
     std::span<const Buffer> data) const {
   DBLREP_CHECK_EQ(data.size(), params_.data_blocks);
@@ -61,22 +45,22 @@ std::vector<Buffer> CodeScheme::encode_symbols(
   DBLREP_CHECK_EQ(block_size % alpha, 0u);
   const std::size_t unit_size = block_size / alpha;
 
-  std::vector<Buffer> symbols(params_.num_symbols);
+  std::vector<Buffer> symbols;
+  symbols.reserve(params_.num_symbols);
   std::vector<ByteSpan> data_views;
   data_views.reserve(params_.data_units());
   for (const auto& block : data) {
     for (std::size_t a = 0; a < alpha; ++a) {
-      data_views.emplace_back(
-          ByteSpan(block).subspan(a * unit_size, unit_size));
+      const ByteSpan unit = ByteSpan(block).subspan(a * unit_size, unit_size);
+      data_views.push_back(unit);
+      symbols.emplace_back(unit.begin(), unit.end());
     }
   }
-  std::vector<MutableByteSpan> symbol_views;
-  symbol_views.reserve(params_.num_symbols);
-  for (std::size_t j = 0; j < params_.num_symbols; ++j) {
-    symbols[j].resize(unit_size);
-    symbol_views.emplace_back(symbols[j]);
+  std::vector<MutableByteSpan> parity_views;
+  while (symbols.size() < params_.num_symbols) {
+    parity_views.emplace_back(symbols.emplace_back(unit_size));
   }
-  encode_into(data_views, symbol_views);
+  gf::matrix_apply(parity_coeffs_, data_views, parity_views);
   return symbols;
 }
 

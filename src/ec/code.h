@@ -89,23 +89,11 @@ class CodeScheme {
   /// buffer is block_size / α bytes. block_size must be divisible by α.
   std::vector<Buffer> encode(std::span<const Buffer> data) const;
 
-  /// Computes the distinct symbols (units) only, no replica duplication.
+  /// Computes the distinct symbols (units) only, no replica duplication:
+  /// copies of the data units in unit order (unit b·α + a is sub-chunk a
+  /// of block b), then the parity units from one fused matrix_apply pass
+  /// over the cached parity coefficient block.
   std::vector<Buffer> encode_symbols(std::span<const Buffer> data) const;
-
-  /// Zero-allocation core encoder: writes all num_symbols symbol buffers
-  /// (systematic copies included) into caller-provided, equal-sized
-  /// `symbols` spans. Operates at UNIT granularity: `data` is the stripe's
-  /// data_units() sub-chunk views in unit order (block-major: unit
-  /// b·α + a is sub-chunk a of block b), each block_size/α bytes -- for
-  /// α == 1 that is exactly the k block views. Parity rows are computed
-  /// with one fused matrix_apply pass over the cached parity coefficient
-  /// block. Aliasing: a systematic symbol span may exactly alias its own
-  /// data span (the copy is skipped -- the zero-copy path); parity spans
-  /// must not alias any data span, and partial overlap anywhere is a
-  /// contract violation. This is the entry point StripeCodec batches
-  /// through; encode()/encode_symbols() are allocation-owning wrappers.
-  void encode_into(std::span<const ByteSpan> data,
-                   std::span<const MutableByteSpan> symbols) const;
 
   /// True iff the data survives failure of exactly this node set.
   bool is_recoverable(const std::set<NodeIndex>& failed_nodes) const;

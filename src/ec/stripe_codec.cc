@@ -21,52 +21,6 @@ std::size_t StripeCodec::batch_stripes(std::size_t block_size) const {
                                  std::size_t{1}, kMaxBatchStripes);
 }
 
-std::span<const ByteSpan> StripeCodec::encode_stripe(ByteSpan stripe_data,
-                                                     std::size_t block_size) {
-  DBLREP_CHECK_GT(block_size, 0u);
-  DBLREP_CHECK_EQ(block_size % code_->sub_chunks(), 0u);
-  // Unit granularity: data unit u = sub-chunk u % alpha of block u / alpha
-  // starts at byte u * unit_size of the stripe, so unit views tile the
-  // caller's contiguous data exactly like block views do when alpha == 1.
-  const std::size_t unit_size = block_size / code_->sub_chunks();
-  const std::size_t units = code_->data_units();
-  const std::size_t num_symbols = code_->num_symbols();
-  DBLREP_CHECK_LE(stripe_data.size(), stripe_bytes(block_size));
-
-  arena_.reset();
-  data_views_.clear();
-
-  // Full units are zero-copy views into the caller's data; the ragged tail
-  // (if any) is staged through the arena, which zero-fills on alloc.
-  for (std::size_t i = 0; i < units; ++i) {
-    const std::size_t begin = i * unit_size;
-    if (begin + unit_size <= stripe_data.size()) {
-      data_views_.push_back(stripe_data.subspan(begin, unit_size));
-      continue;
-    }
-    MutableByteSpan staged = arena_.alloc(unit_size);
-    if (begin < stripe_data.size()) {
-      const std::size_t len = stripe_data.size() - begin;
-      std::memcpy(staged.data(), stripe_data.data() + begin, len);
-    }
-    data_views_.push_back(staged);
-  }
-
-  parity_views_.clear();
-  // Uninitialized on purpose: matrix_apply fully overwrites every row.
-  MutableByteSpan parity_block =
-      arena_.alloc_uninit((num_symbols - units) * unit_size);
-  for (std::size_t j = 0; j < num_symbols - units; ++j) {
-    parity_views_.push_back(parity_block.subspan(j * unit_size, unit_size));
-  }
-  gf::matrix_apply(code_->parity_coeffs(), data_views_, parity_views_);
-
-  symbol_views_.assign(data_views_.begin(), data_views_.end());
-  symbol_views_.insert(symbol_views_.end(), parity_views_.begin(),
-                       parity_views_.end());
-  return symbol_views_;
-}
-
 Status StripeCodec::encode_batch(
     ByteSpan data, std::size_t block_size,
     const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
@@ -130,13 +84,6 @@ Status StripeCodec::encode_batch(
     }
   }
   return Status::ok();
-}
-
-Status StripeCodec::encode_file(
-    ByteSpan data, std::size_t block_size,
-    const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
-        sink) {
-  return encode_batch(data, block_size, sink);
 }
 
 }  // namespace dblrep::ec

@@ -1,22 +1,23 @@
 // StripeCodec: streaming, arena-backed encoder over a CodeScheme.
 //
 // CodeScheme::encode() allocates one vector<Buffer> per call and copies
-// systematic blocks; fine for tests, wrong for the data plane. The codec
-// instead:
+// systematic blocks; fine for tests, wrong for the data plane. The codec's
+// one entry point, encode_batch(), instead:
 //
 //  * serves systematic symbols as zero-copy views straight into the
 //    caller's contiguous file data (only the final, zero-padded partial
 //    stripe is staged through the arena),
-//  * computes all parity symbols with one fused gf::matrix_apply pass over
-//    the scheme's cached parity coefficient block,
-//  * fuses encode across stripes: encode_batch() runs one
-//    gf::matrix_apply_batch over many stripes' sources at once, so the
+//  * fuses encode across stripes: one gf::matrix_apply_batch pass computes
+//    the parity symbols of up to batch_stripes() stripes at once, so the
 //    generator-matrix coefficient block and its per-coefficient tables
 //    stay hot in L1/L2 across the batch instead of being re-streamed per
 //    stripe, and per-call setup (views, arena bookkeeping, dispatch) is
 //    paid once per batch,
 //  * recycles a single StripeArena across batches, so encoding an N-stripe
 //    file performs O(1) heap allocations instead of O(N * num_symbols).
+//
+// MiniDfs::store_stripes is its data-plane caller: every stripe written,
+// bulk or streamed, goes through encode_batch.
 //
 // One codec instance is not thread-safe; give each writer thread its own
 // (they share the CodeScheme, which is immutable after construction).
@@ -55,39 +56,22 @@ class StripeCodec {
   /// Stripes needed to hold `length` logical bytes.
   std::size_t stripe_count(std::size_t length, std::size_t block_size) const;
 
-  /// Stripes encode_batch / encode_file fuse per kernel call for this
-  /// block size (>= 1).
+  /// Stripes encode_batch fuses per kernel call for this block size (>= 1).
   std::size_t batch_stripes(std::size_t block_size) const;
-
-  /// Encodes one stripe. `stripe_data` holds up to stripe_bytes() logical
-  /// bytes (shorter inputs are zero-padded). Returns num_symbols views in
-  /// symbol order, each block_size / sub_chunks() bytes (a full block for
-  /// alpha == 1 schemes); systematic views alias `stripe_data` where
-  /// possible, parity views point into the arena. All views are
-  /// invalidated by the next encode_stripe()/encode_batch()/encode_file()
-  /// call. block_size must be divisible by sub_chunks().
-  std::span<const ByteSpan> encode_stripe(ByteSpan stripe_data,
-                                          std::size_t block_size);
 
   /// Encodes all stripes covering `data` (up to batch_stripes() of them
   /// fused into one gf::matrix_apply_batch pass), then hands each stripe's
-  /// symbol views to `sink(stripe_index, symbols)` in stripe order.
-  /// stripe_index counts from 0 within `data`; views passed to the sink
-  /// are invalidated when the next batch starts (i.e. a sink must consume
-  /// its stripe before returning). Stops and propagates the first sink
-  /// error. `data` may cover any number of stripes; the final one may be
-  /// ragged (zero-padded).
+  /// num_symbols symbol views, in symbol order, to
+  /// `sink(stripe_index, symbols)` in stripe order. Each view is
+  /// block_size / sub_chunks() bytes (a full block for alpha == 1
+  /// schemes); systematic views alias `data` where possible, parity views
+  /// point into the arena. stripe_index counts from 0 within `data`; views
+  /// passed to the sink are invalidated when the next batch starts (i.e. a
+  /// sink must consume its stripe before returning). Stops and propagates
+  /// the first sink error. `data` may cover any number of stripes; the
+  /// final one may be ragged (zero-padded). block_size must be divisible
+  /// by sub_chunks().
   Status encode_batch(
-      ByteSpan data, std::size_t block_size,
-      const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
-          sink);
-
-  /// Streams a whole file through the codec: splits `data` into stripes,
-  /// encodes each (batched across stripes), and hands the symbol views to
-  /// `sink(stripe_index, symbols)` before the arena is recycled. Stops and
-  /// propagates the first sink error. (Alias of encode_batch; kept for the
-  /// streaming-file reading of call sites.)
-  Status encode_file(
       ByteSpan data, std::size_t block_size,
       const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
           sink);

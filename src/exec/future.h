@@ -1,14 +1,13 @@
 // exec::Future / exec::Promise: one-shot value channels composed on the
 // ThreadPool, the async layer of the client data plane.
 //
-// ThreadPool::async() hands back a std::future, which is enough for
-// fire-and-wait but awkward for the client API: std::future has no cheap
-// ready() probe (wait_for with a zero timeout allocates a clock read and
-// throws on no-state), and a handle-based writer wants to park hundreds of
-// in-flight stripe stores in a deque and poll/drain them in dispatch
-// order. Future<T> is the minimal alternative: a shared state written
-// exactly once by a Promise (or by spawn()'s task) and consumed exactly
-// once by get().
+// std::future would be enough for fire-and-wait but is awkward for the
+// client API: it has no cheap ready() probe (wait_for with a zero timeout
+// allocates a clock read and throws on no-state), and a handle-based
+// writer wants to park hundreds of in-flight stripe stores in a deque and
+// poll/drain them in dispatch order. Future<T> is the minimal alternative:
+// a shared state written exactly once by a Promise (or by spawn()'s task)
+// and consumed exactly once by get().
 //
 // Deadlock rule: get() may block. Never call it from inside a pool task on
 // the same pool the awaited task is queued on -- a saturated pool would

@@ -142,48 +142,38 @@ namespace {
 struct ParallelForState {
   std::size_t n = 0;
   std::function<Status(std::size_t)> fn;
-  /// run_all: never skip iterations after a failure, and report the error
-  /// of the lowest-index failed iteration (parallel_for_all semantics).
-  bool run_all = false;
   std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
   std::mutex mu;
   std::condition_variable done_cv;
   std::size_t completed = 0;  // guarded by mu
-  Status first_error;         // guarded by mu
+  Status first_error;         // guarded by mu: the lowest-index failure's
   std::size_t first_error_index = static_cast<std::size_t>(-1);  // mu
 };
 
 void drain(const std::shared_ptr<ParallelForState>& state) {
   for (std::size_t i = state->next.fetch_add(1); i < state->n;
        i = state->next.fetch_add(1)) {
-    Status status;  // without run_all, iterations after a failure are skipped
-    if (state->run_all || !state->failed.load()) status = state->fn(i);
+    Status status = state->fn(i);
     std::lock_guard<std::mutex> lock(state->mu);
-    if (!status.is_ok()) {
-      const bool record = state->run_all ? i < state->first_error_index
-                                         : state->first_error.is_ok();
-      if (record) {
-        state->first_error = status;
-        state->first_error_index = i;
-      }
-      state->failed.store(true);
+    if (!status.is_ok() && i < state->first_error_index) {
+      state->first_error = std::move(status);
+      state->first_error_index = i;
     }
     if (++state->completed == state->n) state->done_cv.notify_all();
   }
 }
 
-Status run_parallel(ThreadPool& pool, std::size_t n,
-                    const std::function<Status(std::size_t)>& fn,
-                    bool run_all) {
+}  // namespace
+
+Status parallel_for_all(ThreadPool& pool, std::size_t n,
+                        const std::function<Status(std::size_t)>& fn) {
   if (n == 0) return Status::ok();
   if (n == 1 || pool.num_workers() == 0) {
     Status first_error;
     for (std::size_t i = 0; i < n; ++i) {
       Status status = fn(i);
-      if (!status.is_ok()) {
-        if (!run_all) return status;
-        if (first_error.is_ok()) first_error = std::move(status);
+      if (!status.is_ok() && first_error.is_ok()) {
+        first_error = std::move(status);
       }
     }
     return first_error;
@@ -191,7 +181,6 @@ Status run_parallel(ThreadPool& pool, std::size_t n,
   auto state = std::make_shared<ParallelForState>();
   state->n = n;
   state->fn = fn;
-  state->run_all = run_all;
   // One helper per worker (never more than iterations); the caller is the
   // +1th participant and the only one anyone waits on.
   const std::size_t helpers = std::min(pool.num_workers(), n - 1);
@@ -202,18 +191,6 @@ Status run_parallel(ThreadPool& pool, std::size_t n,
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] { return state->completed == state->n; });
   return state->first_error;
-}
-
-}  // namespace
-
-Status parallel_for(ThreadPool& pool, std::size_t n,
-                    const std::function<Status(std::size_t)>& fn) {
-  return run_parallel(pool, n, fn, /*run_all=*/false);
-}
-
-Status parallel_for_all(ThreadPool& pool, std::size_t n,
-                        const std::function<Status(std::size_t)>& fn) {
-  return run_parallel(pool, n, fn, /*run_all=*/true);
 }
 
 }  // namespace dblrep::exec

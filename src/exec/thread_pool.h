@@ -7,12 +7,13 @@
 //    submitted from a worker thread go to that worker's own deque (popped
 //    LIFO for cache locality); idle workers steal FIFO from their peers, so
 //    an uneven fan-out (one giant stripe, many small ones) still keeps all
-//    cores busy. submit() fire-and-forgets; async() returns a std::future.
-//  * parallel_for -- the fork-join primitive the hdfs layer fans stripes
-//    out with. The *calling* thread participates in the loop, which makes
-//    the construct deadlock-free under nesting and means a pool with zero
-//    workers degenerates to the plain serial loop (that is the "serial
-//    path" the determinism tests compare against).
+//    cores busy. submit() fire-and-forgets; exec::spawn (future.h) wraps it
+//    with a Future for the task's result.
+//  * parallel_for_all -- the fork-join primitive the hdfs layer fans
+//    stripes out with. The *calling* thread participates in the loop,
+//    which makes the construct deadlock-free under nesting and means a
+//    pool with zero workers degenerates to the plain serial loop (that is
+//    the "serial path" the determinism tests compare against).
 //  * default_pool()/inline_pool() -- process-wide pools. The default pool
 //    sizes itself from DBLREP_THREADS when set, hardware_concurrency
 //    otherwise; the inline pool has no workers and runs everything on the
@@ -24,12 +25,10 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -52,17 +51,6 @@ class ThreadPool {
   /// Enqueues a task. From a worker thread the task lands on that worker's
   /// own deque; from outside, queues are fed round-robin.
   void submit(std::function<void()> task);
-
-  /// submit() with a future for the task's result.
-  template <typename F>
-  auto async(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto future = task->get_future();
-    submit([task] { (*task)(); });
-    return future;
-  }
 
   /// Parses a thread-count override ("8" -> 8). Returns nullopt for null,
   /// empty, or non-numeric input. Exposed for tests; the env-reading
@@ -98,22 +86,16 @@ ThreadPool& default_pool();
 /// loop order. The serial reference for the parallel paths.
 ThreadPool& inline_pool();
 
-/// Runs fn(0..n-1) across the pool and the calling thread, returning the
-/// first non-OK Status (remaining iterations are skipped once one fails,
-/// though in-flight ones complete). Blocks until every iteration has
-/// finished executing. Safe to nest and safe to call concurrently from many
-/// threads: the caller always drains iterations itself, so progress never
-/// depends on a pool worker being free.
-Status parallel_for(ThreadPool& pool, std::size_t n,
-                    const std::function<Status(std::size_t)>& fn);
-
-/// parallel_for without the early exit: every iteration runs even after a
-/// failure, and the returned Status is the error of the *lowest-index*
-/// failed iteration. Use when the post-failure state must be a
+/// Runs fn(0..n-1) across the pool and the calling thread and returns the
+/// error of the *lowest-index* failed iteration (OK if none). Every
+/// iteration runs, even after a failure, so the post-failure state is a
 /// deterministic function of the inputs rather than of pool scheduling --
-/// e.g. a repair pass that must heal every recoverable stripe even when an
+/// e.g. a repair pass heals every recoverable stripe even when an
 /// unrecoverable one errors partway through (the fault-injection harness
-/// replays such passes byte-for-byte across worker counts).
+/// replays such passes byte-for-byte across worker counts). Blocks until
+/// every iteration has finished. Safe to nest and safe to call
+/// concurrently from many threads: the caller always drains iterations
+/// itself, so progress never depends on a pool worker being free.
 Status parallel_for_all(ThreadPool& pool, std::size_t n,
                         const std::function<Status(std::size_t)>& fn);
 

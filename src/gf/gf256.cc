@@ -101,14 +101,14 @@ void scale_slice(MutableByteSpan dst, Elem coeff) {
 void matrix_apply(std::span<const Elem> coeffs,
                   std::span<const ByteSpan> sources,
                   std::span<const MutableByteSpan> outputs) {
-  active_kernel().matrix_apply(coeffs, sources, outputs);
+  matrix_apply_batch_with(active_kernel(), coeffs, sources, outputs, 1);
 }
 
 void matrix_apply_batch(std::span<const Elem> coeffs,
                         std::span<const ByteSpan> sources,
                         std::span<const MutableByteSpan> outputs,
                         std::size_t groups) {
-  active_kernel().matrix_apply_batch(coeffs, sources, outputs, groups);
+  matrix_apply_batch_with(active_kernel(), coeffs, sources, outputs, groups);
 }
 
 void xor_fold_slice(MutableByteSpan dst, std::span<const ByteSpan> sources,

@@ -134,6 +134,8 @@ void check_fold_contract(MutableByteSpan dst,
   for (const ByteSpan& src : sources) check_slice_contract(dst, src);
 }
 
+}  // namespace detail
+
 namespace {
 
 /// Rows whose non-zero coefficients are all 1 fold with pure XOR (and take
@@ -255,14 +257,6 @@ void matrix_apply_batch_with(const GfKernel& kernel,
   }
 }
 
-void matrix_apply_with(const GfKernel& kernel, std::span<const Elem> coeffs,
-                       std::span<const ByteSpan> sources,
-                       std::span<const MutableByteSpan> outputs) {
-  matrix_apply_batch_with(kernel, coeffs, sources, outputs, 1);
-}
-
-}  // namespace detail
-
 namespace {
 
 // ------------------------------------------------------------------ scalar
@@ -312,16 +306,7 @@ void scalar_xor_fold_slice(MutableByteSpan dst,
 
 constexpr GfKernel kScalarKernel = {
     "scalar", scalar_mul_slice, scalar_addmul_slice,
-    scalar_scale_slice, scalar_xor_slice, scalar_xor_fold_slice,
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs) {
-      detail::matrix_apply_with(kScalarKernel, coeffs, sources, outputs);
-    },
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs, std::size_t groups) {
-      detail::matrix_apply_batch_with(kScalarKernel, coeffs, sources, outputs,
-                                      groups);
-    }};
+    scalar_scale_slice, scalar_xor_slice, scalar_xor_fold_slice};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -73,34 +73,29 @@ struct GfKernel {
   /// are identical either way.
   void (*xor_fold_slice)(MutableByteSpan dst, std::span<const ByteSpan> sources,
                          bool non_temporal);
-
-  /// outputs[r] = sum_c coeffs[r * sources.size() + c] * sources[c].
-  /// The whole-matrix fused kernel: applies a row-major coefficient block
-  /// (outputs.size() x sources.size()) to equal-length source slices in one
-  /// cache-friendly pass. Output slices must not alias source slices.
-  /// Coefficient-1-only rows route through xor_fold_slice (and so pick up
-  /// the non-temporal path for large slices automatically).
-  void (*matrix_apply)(std::span<const Elem> coeffs,
-                       std::span<const ByteSpan> sources,
-                       std::span<const MutableByteSpan> outputs);
-
-  /// Cross-stripe batched form: applies the same (rows x cols) coefficient
-  /// block to `groups` independent source/output groups laid out
-  /// back-to-back (group g reads sources[g*cols, (g+1)*cols) and writes
-  /// outputs[g*rows, (g+1)*rows)). rows/cols are inferred from
-  /// outputs.size()/groups and sources.size()/groups. One call encodes a
-  /// whole batch of stripes, so the per-coefficient tables and the
-  /// coefficient block itself stay hot in L1/L2 across stripes instead of
-  /// being re-streamed per stripe, and per-call setup is paid once.
-  void (*matrix_apply_batch)(std::span<const Elem> coeffs,
-                             std::span<const ByteSpan> sources,
-                             std::span<const MutableByteSpan> outputs,
-                             std::size_t groups);
 };
 
 /// The kernel all gf256.h free functions route through. First call performs
 /// CPUID dispatch (honoring DBLREP_GF_KERNEL).
 const GfKernel& active_kernel();
+
+/// The one fused matrix loop, built on `kernel`'s slice ops; gf::matrix_apply
+/// and gf::matrix_apply_batch run it over active_kernel(). Applies the same
+/// row-major (rows x cols) coefficient block to `groups` independent
+/// source/output groups laid out back-to-back: group g reads
+/// sources[g*cols, (g+1)*cols) and writes outputs[g*rows, (g+1)*rows), with
+/// rows/cols inferred from outputs.size()/groups and sources.size()/groups.
+/// The slice dimension is cache-blocked and rows run before groups, so one
+/// coefficient row's tables stay hot across every group (stripe) of a
+/// batch. Output slices must not alias source slices. Coefficient-1-only
+/// rows route through kernel.xor_fold_slice with the non-temporal flag
+/// resolved from the process-wide policy; modeled traffic is recorded into
+/// this thread's SliceOpStats.
+void matrix_apply_batch_with(const GfKernel& kernel,
+                             std::span<const Elem> coeffs,
+                             std::span<const ByteSpan> sources,
+                             std::span<const MutableByteSpan> outputs,
+                             std::size_t groups);
 
 /// Kernels compiled in and supported by this CPU, slowest first.
 std::vector<const GfKernel*> supported_kernels();

@@ -58,23 +58,6 @@ void check_slice_contract(MutableByteSpan dst, ByteSpan src);
 /// overlap contract).
 void check_fold_contract(MutableByteSpan dst, std::span<const ByteSpan> sources);
 
-/// Generic chunked matrix_apply built on `kernel`'s own slice ops
-/// (implemented as matrix_apply_batch_with over one group).
-void matrix_apply_with(const GfKernel& kernel, std::span<const Elem> coeffs,
-                       std::span<const ByteSpan> sources,
-                       std::span<const MutableByteSpan> outputs);
-
-/// Generic chunked batched apply built on `kernel`'s slice ops: same
-/// coefficient block, `groups` independent source/output groups. Routes
-/// coefficient-1-only rows through kernel->xor_fold_slice with the
-/// non-temporal flag resolved from the process-wide policy, and records
-/// modeled traffic into this thread's SliceOpStats.
-void matrix_apply_batch_with(const GfKernel& kernel,
-                             std::span<const Elem> coeffs,
-                             std::span<const ByteSpan> sources,
-                             std::span<const MutableByteSpan> outputs,
-                             std::size_t groups);
-
 /// x86 kernels, defined in kernel_x86.cc. Return nullptr when the CPU (or
 /// the build target) does not support the instruction set.
 const GfKernel* ssse3_kernel();

@@ -117,15 +117,7 @@ void ssse3_xor_fold_slice(MutableByteSpan dst,
 
 constexpr GfKernel kSsse3Kernel = {
     "ssse3", ssse3_mul_slice, ssse3_addmul_slice,
-    ssse3_scale_slice, ssse3_xor_slice, ssse3_xor_fold_slice,
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs) {
-      matrix_apply_with(kSsse3Kernel, coeffs, sources, outputs);
-    },
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs, std::size_t groups) {
-      matrix_apply_batch_with(kSsse3Kernel, coeffs, sources, outputs, groups);
-    }};
+    ssse3_scale_slice, ssse3_xor_slice, ssse3_xor_fold_slice};
 
 // -------------------------------------------------------------------- avx2
 
@@ -263,15 +255,7 @@ void avx2_xor_fold_slice(MutableByteSpan dst, std::span<const ByteSpan> sources,
 
 constexpr GfKernel kAvx2Kernel = {
     "avx2", avx2_mul_slice, avx2_addmul_slice,
-    avx2_scale_slice, avx2_xor_slice, avx2_xor_fold_slice,
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs) {
-      matrix_apply_with(kAvx2Kernel, coeffs, sources, outputs);
-    },
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs, std::size_t groups) {
-      matrix_apply_batch_with(kAvx2Kernel, coeffs, sources, outputs, groups);
-    }};
+    avx2_scale_slice, avx2_xor_slice, avx2_xor_fold_slice};
 
 // ------------------------------------------------------------------ avx512
 //
@@ -432,16 +416,7 @@ void avx512_xor_fold_slice(MutableByteSpan dst,
 
 constexpr GfKernel kAvx512Kernel = {
     "avx512", avx512_mul_slice, avx512_addmul_slice,
-    avx512_scale_slice, avx512_xor_slice, avx512_xor_fold_slice,
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs) {
-      matrix_apply_with(kAvx512Kernel, coeffs, sources, outputs);
-    },
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs, std::size_t groups) {
-      matrix_apply_batch_with(kAvx512Kernel, coeffs, sources, outputs,
-                              groups);
-    }};
+    avx512_scale_slice, avx512_xor_slice, avx512_xor_fold_slice};
 
 // -------------------------------------------------------------------- gfni
 //
@@ -511,15 +486,7 @@ void gfni_scale_slice(MutableByteSpan dst, Elem coeff) {
 
 constexpr GfKernel kGfniKernel = {
     "gfni", gfni_mul_slice, gfni_addmul_slice,
-    gfni_scale_slice, avx512_xor_slice, avx512_xor_fold_slice,
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs) {
-      matrix_apply_with(kGfniKernel, coeffs, sources, outputs);
-    },
-    [](std::span<const Elem> coeffs, std::span<const ByteSpan> sources,
-       std::span<const MutableByteSpan> outputs, std::size_t groups) {
-      matrix_apply_batch_with(kGfniKernel, coeffs, sources, outputs, groups);
-    }};
+    gfni_scale_slice, avx512_xor_slice, avx512_xor_fold_slice};
 
 #pragma GCC diagnostic pop
 

@@ -1,25 +1,8 @@
 #include "hdfs/client.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace dblrep::hdfs {
-
-namespace {
-
-/// ClientOptions override > DBLREP_CLIENT_INFLIGHT > 2 * (workers + 1).
-/// The "+ 1" counts the appending thread itself; doubling keeps every
-/// worker fed while the client encodes ahead.
-std::size_t resolve_max_inflight(const MiniDfs& dfs,
-                                 const ClientOptions& options) {
-  if (options.max_inflight_stripes > 0) return options.max_inflight_stripes;
-  const auto parsed =
-      exec::ThreadPool::parse_worker_count(std::getenv("DBLREP_CLIENT_INFLIGHT"));
-  if (parsed.has_value() && *parsed > 0) return *parsed;
-  return 2 * (dfs.pool().num_workers() + 1);
-}
-
-}  // namespace
 
 // ----------------------------------------------------------- FileWriter
 
@@ -45,9 +28,6 @@ FileWriter::FileWriter(FileWriter&& other) noexcept
       appended_(other.appended_),
       stats_(other.stats_),
       open_(other.open_) {
-  // views_inflight_ is always false between calls (append drains its
-  // zero-copy stores before returning), so there is no borrowed span to
-  // hand over.
   other.open_ = false;
   other.inflight_.clear();
 }
@@ -66,47 +46,36 @@ void FileWriter::drain(std::size_t allow) {
   }
 }
 
-Result<cluster::StripeId> FileWriter::prepare_dispatch() {
+Status FileWriter::dispatch(Buffer stripe_data) {
   // Bound the pipeline (and with it ingest memory): wait for the oldest
   // store before adding another.
   drain(max_inflight_ - 1);
   if (!deferred_.is_ok()) return deferred_;
-
-  auto stripe_id = dfs_->allocate_stripe(path_);
-  if (!stripe_id.is_ok()) deferred_ = stripe_id.status();
-  return stripe_id;
-}
-
-Status FileWriter::dispatch(Buffer stripe_data) {
-  auto stripe_id = prepare_dispatch();
-  if (!stripe_id.is_ok()) return deferred_;
-  MiniDfs* dfs = dfs_;
-  const std::string path = path_;
-  const cluster::StripeId stripe = *stripe_id;
-  const net::TransferClass cls = write_class_;
+  auto stripes = dfs_->allocate_stripes(path_, 1);
+  if (!stripes.is_ok()) {
+    deferred_ = stripes.status();
+    return deferred_;
+  }
   inflight_.push_back(exec::spawn(
-      dfs_->pool(), [dfs, path, stripe, cls, data = std::move(stripe_data)] {
-        return dfs->store_stripe(path, stripe, data, cls);
+      dfs_->pool(), [dfs = dfs_, path = path_, stripe = stripes->front(),
+                     cls = write_class_, data = std::move(stripe_data)] {
+        return dfs->store_stripes(path, std::span(&stripe, 1), data, cls);
       }));
   return Status::ok();
 }
 
-Status FileWriter::dispatch_view(ByteSpan stripe_data) {
-  auto stripe_id = prepare_dispatch();
-  if (!stripe_id.is_ok()) return deferred_;
-  // Zero-copy: the store task encodes straight out of the caller's span
-  // (the codec's systematic symbols are views into it), so append() must
-  // drain this store before returning control to the caller.
-  MiniDfs* dfs = dfs_;
-  const std::string path = path_;
-  const cluster::StripeId stripe = *stripe_id;
-  const net::TransferClass cls = write_class_;
-  inflight_.push_back(
-      exec::spawn(dfs_->pool(), [dfs, path, stripe, cls, stripe_data] {
-        return dfs->store_stripe(path, stripe, stripe_data, cls);
-      }));
-  views_inflight_ = true;
-  return Status::ok();
+Status FileWriter::store_span(ByteSpan span) {
+  auto stripes = dfs_->allocate_stripes(path_, span.size() / stripe_bytes_);
+  Status stored = stripes.is_ok()
+                      ? dfs_->store_stripes(path_, *stripes, span, write_class_)
+                      : stripes.status();
+  if (!stored.is_ok()) {
+    // Stripe order: a failing store of a lower stripe still in flight
+    // reports first.
+    drain(0);
+    if (deferred_.is_ok()) deferred_ = std::move(stored);
+  }
+  return deferred_;
 }
 
 Status FileWriter::append(ByteSpan data) {
@@ -114,25 +83,13 @@ Status FileWriter::append(ByteSpan data) {
     return failed_precondition_error("append on closed writer for " + path_);
   }
   if (!deferred_.is_ok()) return deferred_;
-  append_impl(data);
-  if (views_inflight_) {
-    // Zero-copy stores borrow `data`; finish them before the caller
-    // reclaims the span. (Owned-buffer stores keep pipelining across
-    // appends; only span-borrowing ones force this barrier.)
-    drain(0);
-    views_inflight_ = false;
-  }
-  return deferred_;
-}
-
-void FileWriter::append_impl(ByteSpan data) {
   // Ragged bytes are copied exactly once, into the pre-reserved sub-stripe
-  // buffer; stripe-aligned runs of the span skip even that and are encoded
-  // zero-copy by dispatch_view. buffer_ holds strictly less than one
-  // stripe between calls: top it up first, then dispatch full stripes
-  // straight from the span, then stash the sub-stripe tail. appended_
-  // counts only accepted bytes -- a failed dispatch returns early and its
-  // stripe (and the span's unconsumed tail) never count.
+  // buffer; the stripe-aligned middle of the span skips even that and is
+  // stored zero-copy before append returns. buffer_ holds strictly less
+  // than one stripe between calls: top it up first, then store the full
+  // stripes straight from the span, then stash the sub-stripe tail.
+  // appended_ counts only accepted bytes -- a failure returns before its
+  // stripes (and the span's unconsumed tail) count.
   std::size_t pos = 0;
   if (!buffer_.empty()) {
     const std::size_t take =
@@ -143,16 +100,15 @@ void FileWriter::append_impl(ByteSpan data) {
     appended_ += take;
     stats_.buffered_bytes += take;
     if (buffer_.size() == stripe_bytes_) {
-      Buffer stripe = std::move(buffer_);
-      buffer_ = Buffer();
-      if (!dispatch(std::move(stripe)).is_ok()) return;
+      DBLREP_RETURN_IF_ERROR(dispatch(std::exchange(buffer_, Buffer())));
     }
   }
-  while (data.size() - pos >= stripe_bytes_) {
-    if (!dispatch_view(data.subspan(pos, stripe_bytes_)).is_ok()) return;
-    pos += stripe_bytes_;
-    appended_ += stripe_bytes_;
-    stats_.zero_copy_bytes += stripe_bytes_;
+  const std::size_t full = (data.size() - pos) / stripe_bytes_ * stripe_bytes_;
+  if (full > 0) {
+    DBLREP_RETURN_IF_ERROR(store_span(data.subspan(pos, full)));
+    pos += full;
+    appended_ += full;
+    stats_.zero_copy_bytes += full;
   }
   const std::size_t tail = data.size() - pos;
   if (tail > 0) {
@@ -167,6 +123,7 @@ void FileWriter::append_impl(ByteSpan data) {
     appended_ += tail;
     stats_.buffered_bytes += tail;
   }
+  return deferred_;
 }
 
 Status FileWriter::finish(bool commit) {
@@ -187,9 +144,8 @@ Status FileWriter::close() {
     return failed_precondition_error("close on closed writer for " + path_);
   }
   if (deferred_.is_ok() && !buffer_.empty()) {
-    Buffer tail = std::move(buffer_);
-    buffer_ = Buffer();
-    (void)dispatch(std::move(tail));  // failure lands in deferred_
+    // Failure lands in deferred_.
+    (void)dispatch(std::exchange(buffer_, Buffer()));
   }
   return finish(/*commit=*/true);
 }
@@ -205,7 +161,11 @@ Status FileWriter::abort() {
 
 Client::Client(MiniDfs& dfs, ClientOptions options)
     : dfs_(&dfs),
-      max_inflight_(resolve_max_inflight(dfs, options)),
+      // The "+ 1" counts the appending thread itself; doubling keeps every
+      // worker fed while the client fills the next stripe.
+      max_inflight_(options.max_inflight_stripes > 0
+                        ? options.max_inflight_stripes
+                        : 2 * (dfs.pool().num_workers() + 1)),
       read_class_(options.read_class),
       write_class_(options.write_class) {}
 

@@ -6,20 +6,20 @@
 // driven by clients that append blocks incrementally and read byte ranges
 // at task granularity, not whole files:
 //
-//  * FileWriter -- open -> append(ByteSpan)* -> close(). Appends buffer
-//    sub-stripe data; every full stripe is placed on the caller's thread
-//    (placement draws stay deterministic in append order) and then encoded
-//    + stored asynchronously on the DFS pool, with a bounded number of
-//    stripes in flight -- so multi-call ingest pipelines and a file larger
-//    than memory streams through a fixed-size window. Stripe-aligned spans
-//    take a zero-copy fast path: full stripes are encoded straight from
-//    the caller's memory (the codec's systematic symbols are views into
-//    it) instead of being staged through the writer's buffer; append then
-//    waits for those stores before returning, since the caller reclaims
-//    the span. Only ragged heads/tails are copied into the (pre-reserved)
-//    sub-stripe buffer. close() flushes the zero-padded tail, waits for
-//    the pipeline, and publishes the path (readers see nothing earlier);
-//    any failure rolls the whole file back.
+//  * FileWriter -- open -> append(ByteSpan)* -> close(). Every stripe is
+//    placed on the caller's thread (placement draws stay deterministic in
+//    append order) and stored by MiniDfs::store_stripes, along one of two
+//    routes. The stripe-aligned middle of a span is placed with one
+//    allocate_stripes call and stored zero-copy by one synchronous
+//    store_stripes call (the codec's systematic symbols are views into the
+//    caller's memory), which finishes before append returns since the
+//    caller reclaims the span. Only ragged heads/tails are copied, into
+//    the (pre-reserved) sub-stripe buffer; a stripe completed there is
+//    stored asynchronously on the DFS pool, with a bounded number of
+//    stripes in flight -- so a drip-fed file larger than memory streams
+//    through a fixed-size window. close() flushes the zero-padded tail,
+//    waits for the pipeline, and publishes the path (readers see nothing
+//    earlier); any failure rolls the whole file back.
 //  * pread(path, offset, len) -- byte-range reads resolving only the
 //    stripes covering the range, with per-block degraded-read fallback.
 //  * *_async variants -- the same operations returning exec::Future,
@@ -47,10 +47,9 @@ namespace dblrep::hdfs {
 
 /// Client-side knobs (per handle; construction-time).
 struct ClientOptions {
-  /// Stripe stores a FileWriter keeps in flight before append blocks on
-  /// the oldest one. Bounds ingest memory to max_inflight_stripes stripe
-  /// buffers. 0 = auto: DBLREP_CLIENT_INFLIGHT when set, else
-  /// 2 * (pool workers + 1).
+  /// Buffered-stripe stores a FileWriter keeps in flight before append
+  /// blocks on the oldest one. Bounds ingest memory to
+  /// max_inflight_stripes stripe buffers. 0 = auto: 2 * (pool workers + 1).
   std::size_t max_inflight_stripes = 0;
 
   /// Transfer classes this handle's traffic is accounted under. Foreground
@@ -81,13 +80,13 @@ class FileWriter {
   FileWriter& operator=(const FileWriter&) = delete;
   ~FileWriter();
 
-  /// Appends logical bytes. Completed stripes are dispatched to the pool;
-  /// the call blocks only when max_inflight_stripes stores are already in
-  /// flight -- except that full stripes taken zero-copy from `data` must
-  /// finish before append returns (the caller may reuse the span
-  /// immediately after). After any failure the writer is poisoned: the
-  /// first error (in stripe order -- independent of pool scheduling) is
-  /// returned from every subsequent append/close.
+  /// Appends logical bytes. A stripe completed in the writer's buffer is
+  /// stored on the pool; the call blocks on it only when
+  /// max_inflight_stripes stores are already in flight. Full stripes taken
+  /// zero-copy from `data` are stored before append returns (the caller
+  /// may reuse the span immediately after). After any failure the writer
+  /// is poisoned: the first error (in stripe order -- independent of pool
+  /// scheduling) is returned from every subsequent append/close.
   Status append(ByteSpan data);
 
   /// Flushes the partial tail stripe, waits for every in-flight store,
@@ -113,22 +112,16 @@ class FileWriter {
   FileWriter(MiniDfs* dfs, std::string path, std::size_t stripe_bytes,
              std::size_t max_inflight, net::TransferClass write_class);
 
-  /// append() body; leaves zero-copy stores in flight (views_inflight_)
-  /// for append() to drain before the caller reclaims its span.
-  void append_impl(ByteSpan data);
-
-  /// Allocates a stripe (serially, on this thread) and spawns its encode +
-  /// store on the pool, first draining to keep the pipeline bounded. The
-  /// owning overload moves the stripe bytes into the store task; the view
-  /// overload encodes straight from `stripe_data`, which must stay valid
-  /// until the store is drained.
+  /// Allocates the next stripe (serially, on this thread) and spawns the
+  /// store of its owned bytes on the pool, first draining to keep the
+  /// window bounded. Failures land in deferred_, which is returned.
   Status dispatch(Buffer stripe_data);
-  Status dispatch_view(ByteSpan stripe_data);
 
-  /// Shared dispatch prologue: drains the window down to one free slot and
-  /// allocates the next stripe id (serially, in append order). Failures
-  /// land in deferred_ and are returned as an error status.
-  Result<cluster::StripeId> prepare_dispatch();
+  /// Stores whole stripes zero-copy from `span` (a multiple of the stripe
+  /// size): one allocate_stripes, one synchronous store_stripes. On
+  /// failure, drains the window first so a lower in-flight stripe's error
+  /// wins. Failures land in deferred_, which is returned.
+  Status store_span(ByteSpan span);
 
   /// Waits for in-flight stores (front first, i.e. stripe order) until at
   /// most `allow` remain; records the first failure in deferred_.
@@ -147,7 +140,6 @@ class FileWriter {
   Status deferred_;  // first failure; poisons the writer
   std::size_t appended_ = 0;
   WriterStats stats_;
-  bool views_inflight_ = false;  // zero-copy stores borrow a caller span
   bool open_ = false;
 };
 

@@ -180,96 +180,61 @@ Result<std::vector<cluster::StripeId>> MiniDfs::allocate_stripes(
   return namenode_.attach_stripes(path, code, groups);
 }
 
-Result<cluster::StripeId> MiniDfs::allocate_stripe(const std::string& path) {
-  auto stripes = allocate_stripes(path, 1);
-  if (!stripes.is_ok()) return stripes.status();
-  return stripes->front();
-}
-
-Status MiniDfs::store_stripe_bytes(SchemeRuntime& rt, std::size_t block_size,
-                                   cluster::StripeId stripe,
-                                   ByteSpan stripe_data,
-                                   net::TransferClass cls) {
-  const ec::CodeScheme& code = *rt.code;
-  if (stripe_data.empty() ||
-      stripe_data.size() > code.data_blocks() * block_size) {
-    return invalid_argument_error("stripe data must cover (0, stripe] bytes");
-  }
-  // Encode + store: the caller's worker checks out its own codec;
-  // systematic symbols are zero-copy views into `stripe_data`, parities
-  // come out of the leased codec's arena. The stripe stays *unsealed*
-  // until commit_write: sealing per stripe here would expose it to
-  // concurrent repair/scrub passes while the transaction can still abort,
-  // and abort_write unregistering a stripe a repair is persisting is
-  // exactly the dangling-reference race the seal flag exists to prevent.
-  auto lease = rt.runtimes->acquire();
-  const auto symbols = lease->codec.encode_stripe(stripe_data, block_size);
-  const auto& layout = code.layout();
-  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-    const cluster::NodeId node = namenode_.node_of({stripe, slot});
-    DBLREP_RETURN_IF_ERROR(datanodes_[static_cast<std::size_t>(node)].put(
-        {stripe, slot}, symbols[layout.symbol_of_slot(slot)]));
-    // Client -> datanode transfer (the client is off-cluster), charged at
-    // the slot payload size: a full block for α == 1, one sub-chunk for
-    // sub-packetized schemes.
-    traffic_.record(
-        net::kClientEndpoint, node,
-        static_cast<double>(symbols[layout.symbol_of_slot(slot)].size()),
-        cls);
-  }
-  return Status::ok();
-}
-
-Status MiniDfs::store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
-                                   std::span<const cluster::StripeId> stripes,
-                                   ByteSpan data) {
-  const ec::CodeScheme& code = *rt.code;
-  if (data.empty()) {
-    return invalid_argument_error("stripe batch data must be non-empty");
-  }
-  // One codec lease for the whole range: encode_batch fuses the parity
-  // passes of up to StripeCodec::kMaxBatchStripes stripes into single
-  // coefficient-block walks, and the sink below persists each stripe's
-  // symbol views before the next batch recycles the arena. Store semantics
-  // (unsealed until commit, per-slot traffic accounting) match
-  // store_stripe_bytes exactly; the sink's stripe index is relative to
-  // `data`, so stripes[s] maps it back to the allocated id.
-  auto lease = rt.runtimes->acquire();
-  DBLREP_CHECK_EQ(stripes.size(),
-                  lease->codec.stripe_count(data.size(), block_size));
-  const auto& layout = code.layout();
-  return lease->codec.encode_batch(
-      data, block_size,
-      [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
-        const cluster::StripeId stripe = stripes[s];
-        for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-          const cluster::NodeId node = namenode_.node_of({stripe, slot});
-          DBLREP_RETURN_IF_ERROR(
-              datanodes_[static_cast<std::size_t>(node)].put(
-                  {stripe, slot}, symbols[layout.symbol_of_slot(slot)]));
-          traffic_.record(net::kClientEndpoint, node,
-                          static_cast<double>(
-                              symbols[layout.symbol_of_slot(slot)].size()),
-                          net::TransferClass::kClientWrite);
-        }
-        return Status::ok();
-      });
-}
-
-Status MiniDfs::store_stripe(const std::string& path,
-                             cluster::StripeId stripe, ByteSpan stripe_data,
-                             net::TransferClass cls) {
+Status MiniDfs::store_stripes(const std::string& path,
+                              std::span<const cluster::StripeId> stripes,
+                              ByteSpan data, net::TransferClass cls) {
   const auto open = namenode_.stat(path);
   if (!open.is_ok() || open->sealed) {
     return failed_precondition_error("no write transaction open for " + path);
   }
-  auto rt_result = runtime(open->code_spec);
-  if (!rt_result.is_ok()) return rt_result.status();
-  DBLREP_RETURN_IF_ERROR(store_stripe_bytes(**rt_result, open->block_size,
-                                            stripe, stripe_data, cls));
+  DBLREP_ASSIGN_OR_RETURN(SchemeRuntime* rt, runtime(open->code_spec));
+  const std::size_t block_size = open->block_size;
+  const ec::StripeCodec sizing(*rt->code);
+  if (stripes.size() != sizing.stripe_count(data.size(), block_size)) {
+    return invalid_argument_error(
+        std::to_string(data.size()) + " bytes do not fill exactly " +
+        std::to_string(stripes.size()) + " stripes of " + path);
+  }
+  if (stripes.empty()) return Status::ok();
 
+  // Each run of batch_stripes() stripes is one leased codec's fused
+  // encode_batch pass; the sink stores a stripe's symbol views before the
+  // next batch recycles the arena. parallel_for_all reports the lowest
+  // failing run and encode_batch stops at a run's first failing stripe, so
+  // the error is the lowest failing stripe's whatever the pool's schedule.
+  const std::size_t per_stripe = sizing.stripe_bytes(block_size);
+  const std::size_t batch = sizing.batch_stripes(block_size);
+  const auto& layout = rt->code->layout();
+  const Status stored = exec::parallel_for_all(
+      *pool_, (stripes.size() + batch - 1) / batch,
+      [&](std::size_t run) -> Status {
+        const std::size_t first = run * batch;
+        const std::size_t begin = first * per_stripe;
+        auto lease = rt->runtimes->acquire();
+        return lease->codec.encode_batch(
+            data.subspan(begin, std::min(batch * per_stripe,
+                                         data.size() - begin)),
+            block_size,
+            [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
+              const cluster::StripeId stripe = stripes[first + s];
+              for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+                const ByteSpan symbol = symbols[layout.symbol_of_slot(slot)];
+                const cluster::NodeId node = namenode_.node_of({stripe, slot});
+                DBLREP_RETURN_IF_ERROR(
+                    datanodes_[static_cast<std::size_t>(node)].put(
+                        {stripe, slot}, symbol));
+                // Client -> datanode transfer (the client is off-cluster)
+                // of one slot payload: a full block for α == 1, one
+                // sub-chunk for sub-packetized schemes.
+                traffic_.record(net::kClientEndpoint, node,
+                                static_cast<double>(symbol.size()), cls);
+              }
+              return Status::ok();
+            });
+      });
+  if (!stored.is_ok()) return stored;
   // Progress accounting (journaled) for stat() of the open write.
-  return namenode_.record_store(path, stripe, stripe_data.size());
+  return namenode_.record_store(path, stripes.front(), data.size());
 }
 
 Status MiniDfs::commit_write(const std::string& path) {
@@ -312,11 +277,11 @@ Status MiniDfs::abort_write(const std::string& path) {
 Status MiniDfs::write_file(const std::string& path, ByteSpan data,
                            const std::string& code_spec,
                            std::size_t block_size) {
-  // Thin wrapper over the write transaction: allocate every stripe up
-  // front (serial draws), then encode + store them fanned out across the
-  // pool, zero-copy from `data`. parallel_for_all: on failure every stripe
-  // still runs (then abort_write drops them all), so the returned status
-  // -- lowest failing stripe -- does not depend on pool scheduling.
+  // The write transaction in one go: place every stripe up front (serial
+  // draws), store them all with one store_stripes call, zero-copy from
+  // `data`, then publish. store_stripes runs every stripe even after a
+  // failure (then abort_write drops them all), and its error -- the lowest
+  // failing stripe's -- does not depend on pool scheduling.
   DBLREP_RETURN_IF_ERROR(begin_write(path, code_spec, block_size));
   // RAII rollback: every exit below -- error returns and stack unwinding
   // alike -- releases the path reservation and drops landed stripes,
@@ -331,46 +296,12 @@ Status MiniDfs::write_file(const std::string& path, ByteSpan data,
     }
   } guard{this, path};
 
-  auto rt_result = runtime(code_spec);
-  if (!rt_result.is_ok()) return rt_result.status();
-  SchemeRuntime& rt = **rt_result;
-  const std::size_t stripe_bytes = rt.code->data_blocks() * block_size;
-  const std::size_t num_stripes =
-      data.empty() ? 0 : (data.size() + stripe_bytes - 1) / stripe_bytes;
-
-  auto stripes = allocate_stripes(path, num_stripes);
-  if (!stripes.is_ok()) return stripes.status();
-
-  // The runtime and block size are resolved once for the whole file, and
-  // the length is published once below -- the workers touch no namespace
-  // state, unlike a FileWriter's store_stripe calls (which pay per-stripe
-  // lookups to keep stat() progress live). Each pool task owns a
-  // contiguous run of batch_stripes() stripes so its leased codec can fuse
-  // their parity passes; parallel_for_all still surfaces the
-  // lowest-indexed failure, and store_stripe_batch stops at the first
-  // failing stripe within a run, so the reported stripe stays the lowest
-  // failing one regardless of pool scheduling.
-  const std::size_t batch = ec::StripeCodec(*rt.code).batch_stripes(block_size);
-  const std::size_t num_batches = (num_stripes + batch - 1) / batch;
-  const Status write_status = exec::parallel_for_all(
-      *pool_, num_batches, [&](std::size_t b) -> Status {
-        const std::size_t first = b * batch;
-        const std::size_t count = std::min(batch, num_stripes - first);
-        const std::size_t begin = first * stripe_bytes;
-        const std::size_t len =
-            std::min(count * stripe_bytes, data.size() - begin);
-        return store_stripe_batch(
-            rt, block_size,
-            std::span<const cluster::StripeId>(stripes->data() + first, count),
-            data.subspan(begin, len));
-      });
-  if (!write_status.is_ok()) return write_status;
-  // One journaled length record for the whole file (the batch store path
-  // bypasses the per-stripe record_store that FileWriter handles pay).
-  if (!data.empty()) {
-    DBLREP_RETURN_IF_ERROR(
-        namenode_.record_store(path, stripes->front(), data.size()));
-  }
+  DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code, scheme(code_spec));
+  DBLREP_ASSIGN_OR_RETURN(
+      const auto stripes,
+      allocate_stripes(path, ec::StripeCodec(*code).stripe_count(
+                                 data.size(), block_size)));
+  DBLREP_RETURN_IF_ERROR(store_stripes(path, stripes, data));
   const Status committed = commit_write(path);
   if (committed.is_ok()) guard.armed = false;
   return committed;
@@ -866,10 +797,11 @@ Result<std::size_t> MiniDfs::scrub_repair() {
         *pool_, info.stripes.size(), [&](std::size_t si) -> Status {
           const cluster::StripeId stripe = info.stripes[si];
           // Gather the verifiably-good slots, then decode once and rewrite
-          // every bad or missing slot on a live node from the re-encoded
-          // stripe; node repair handles down nodes. (Replica-copy would be
-          // cheaper per block; decoding keeps this path simple and also
-          // heals parity-vs-data inconsistency.)
+          // every missing or CRC-failed slot on a live node from the
+          // re-encoded stripe; node repair handles down nodes. Slots that
+          // pass their CRC are never rewritten, so a parity that disagrees
+          // with its data stays for scrub() to report. (Replica-copy would
+          // be cheaper per block; decoding keeps this path simple.)
           ec::SlotStore good;
           const auto bad_slots = gather_all_slots(stripe, good);
           if (bad_slots.empty()) return Status::ok();

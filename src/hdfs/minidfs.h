@@ -9,10 +9,11 @@
 //    rack_aware replica spreading, or group_per_rack, which pins each
 //    heptagon-local group to its own rack (Section 2.2).
 //  * DataNodes: per-node CRC-checked block stores, each its own lock shard.
-//  * Client operations: a streaming write transaction (begin_write /
-//    allocate_stripe / store_stripe / commit_write / abort_write) that the
-//    handle-based hdfs::Client::FileWriter drives incrementally --
-//    write_file is the bulk wrapper over the same primitives -- plus
+//  * Client operations: a write transaction (begin_write /
+//    allocate_stripes / store_stripes / commit_write / abort_write) that
+//    write_file runs in one go and the handle-based
+//    hdfs::Client::FileWriter drives span by span -- store_stripes is the
+//    one routine that encodes and stores stripes -- plus
 //    pread (byte-range reads resolving only the covering stripes),
 //    read_file / read_block (replica read, with corruption fallback and
 //    on-the-fly degraded reads through ec::RepairPlan when every replica
@@ -30,12 +31,13 @@
 //
 // Concurrency model (the paper's real deployment regime: many clients
 // reading and writing while repairs run in the background):
-//  * Byte-heavy operations -- write_file, read_file, pread, repair_node,
-//    repair_all, scrub_repair -- fan their stripes out across an
-//    exec::ThreadPool, and FileWriter handles dispatch store_stripe calls
-//    onto the same pool; placement stays serial (allocate_stripe draws in
-//    allocation order) so the stripe layout (and therefore every byte and
-//    traffic total) is identical to the zero-worker serial execution.
+//  * Byte-heavy operations -- store_stripes, read_file, pread,
+//    repair_node, repair_all, scrub_repair -- fan their stripes out across
+//    an exec::ThreadPool, and FileWriter handles spawn the stores of their
+//    buffered stripes onto the same pool; placement stays serial
+//    (allocate_stripes draws in allocation order) so the stripe layout (and
+//    therefore every byte and traffic total) is identical to the
+//    zero-worker serial execution.
 //  * DataNode stores are per-node lock shards; the namespace is guarded by
 //    a striped per-path shared mutex (concurrent readers, exclusive
 //    delete/rename) plus a map-structure mutex.
@@ -160,13 +162,13 @@ class MiniDfs {
   // The storage-core half of the handle-based client API (hdfs::Client /
   // FileWriter compose these; write_file is the bulk wrapper):
   //
-  //   begin_write -> { allocate_stripe -> store_stripe }* -> commit_write
+  //   begin_write -> { allocate_stripes -> store_stripes }* -> commit_write
   //
   // with abort_write rolling every landed block and registered stripe back
-  // on any failure. The transaction is single-owner: allocate_stripe must
+  // on any failure. The transaction is single-owner: allocate_stripes must
   // be called from one thread per transaction, in stripe order --
   // placement draws stay a deterministic function of allocation order --
-  // while store_stripe is safe to run from many threads concurrently for
+  // while store_stripes is safe to run from many threads concurrently for
   // distinct stripes of the same transaction. commit_write / abort_write
   // must not overlap in-flight allocate/store calls of the same
   // transaction: the owner drains its stores first (FileWriter does) --
@@ -179,24 +181,27 @@ class MiniDfs {
   Status begin_write(const std::string& path, const std::string& code_spec,
                      std::size_t block_size);
 
-  /// Places and registers (unsealed) the transaction's next stripe.
-  Result<cluster::StripeId> allocate_stripe(const std::string& path);
-
-  /// Batch form: `count` stripes placed under one lock hold and one
-  /// live-node scan -- what the bulk write_file wrapper uses. Draw order
-  /// is identical to `count` single allocations.
+  /// Places and registers (unsealed) the transaction's next `count`
+  /// stripes under one lock hold and one live-node scan. Draw order is
+  /// identical to `count` calls of one stripe each.
   Result<std::vector<cluster::StripeId>> allocate_stripes(
       const std::string& path, std::size_t count);
 
-  /// Encodes up to one stripe of logical bytes (shorter spans are
-  /// zero-padded), stores every slot on its placed node, and charges the
-  /// upload traffic under `cls` (client write by default; the tiering
-  /// re-encode path passes kRetier so its bytes are throttleable like
-  /// repair). The stripe stays unsealed -- invisible to repair and scrub --
-  /// until commit_write.
-  Status store_stripe(const std::string& path, cluster::StripeId stripe,
-                      ByteSpan stripe_data,
-                      net::TransferClass cls = net::TransferClass::kClientWrite);
+  /// Encodes `data` -- the logical bytes of `stripes` in stripe order, the
+  /// last stripe possibly short (zero-padded) -- and stores every slot on
+  /// its placed node. Runs of StripeCodec::batch_stripes() stripes share
+  /// one leased codec's fused encode_batch pass and fan out across the
+  /// pool, the caller taking part (a single run executes inline).
+  /// Systematic symbols are zero-copy views into `data`. Every upload is
+  /// charged under `cls` (client write by default; the tiering re-encode
+  /// passes kRetier so its bytes are throttleable like repair), and the
+  /// call journals one record_store for all of its bytes. Returns the
+  /// lowest failing stripe's error. The stripes stay unsealed -- invisible
+  /// to repair and scrub -- until commit_write.
+  Status store_stripes(
+      const std::string& path, std::span<const cluster::StripeId> stripes,
+      ByteSpan data,
+      net::TransferClass cls = net::TransferClass::kClientWrite);
 
   /// Seals every stored stripe and publishes the path: repair, scrub, and
   /// readers all see the file from here on. Sealing and publishing happen
@@ -211,8 +216,8 @@ class MiniDfs {
 
   /// Writes `data` as a new file encoded with `code_spec`, striping into
   /// blocks of `block_size` bytes. Thin wrapper over the write transaction
-  /// above: stripes are placed serially (so layout is deterministic per
-  /// seed) and encoded/stored in parallel, zero-copy from `data`.
+  /// above: every stripe is placed up front (serial draws, so the layout is
+  /// deterministic per seed), then one store_stripes call stores them all.
   Status write_file(const std::string& path, ByteSpan data,
                     const std::string& code_spec, std::size_t block_size);
 
@@ -362,21 +367,6 @@ class MiniDfs {
   Result<SchemeRuntime*> runtime(const std::string& code_spec);
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
   exec::RuntimePool& runtime_pool_for(const ec::CodeScheme& code) const;
-
-  /// Encode + store core of store_stripe, with the runtime and block size
-  /// already resolved: the bulk write_file path calls this straight from
-  /// its workers so they touch no namespace state.
-  Status store_stripe_bytes(SchemeRuntime& rt, std::size_t block_size,
-                            cluster::StripeId stripe, ByteSpan stripe_data,
-                            net::TransferClass cls);
-
-  /// Batched form: encodes every stripe covering `data` through one leased
-  /// codec (cross-stripe fused parity passes, see StripeCodec::encode_batch)
-  /// and stores stripes[i] from the i-th stripe of `data`. `stripes` must
-  /// have exactly as many entries as stripes of `data`.
-  Status store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
-                            std::span<const cluster::StripeId> stripes,
-                            ByteSpan data);
 
   /// Plan for `failed` under `code`, computed once per distinct pattern and
   /// served under a shared-read lock afterwards. The returned pointer stays

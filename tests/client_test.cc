@@ -14,6 +14,7 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "ec/registry.h"
+#include "ec/stripe_codec.h"
 #include "exec/thread_pool.h"
 #include "hdfs/client.h"
 #include "hdfs/minidfs.h"
@@ -198,6 +199,83 @@ TEST(FileWriter, RaggedAppendsAccountToBufferedBytes) {
   const auto read = dfs.read_file("/ragged");
   ASSERT_TRUE(read.is_ok());
   EXPECT_EQ(*read, data);
+}
+
+TEST(FileWriter, ZeroCopyRunsKeepTheWriteClass) {
+  // One span of several fused store_stripes runs (2 x batch_stripes() + 1
+  // full stripes, fanned out across the pool) plus a ragged tail stored
+  // from the writer's buffer at close: every upload is charged to the
+  // handle's write class, none to the default client-write class.
+  exec::ThreadPool pool(2);
+  MiniDfs dfs = make_dfs(25, 7, &pool);
+  Client client(dfs, {.read_class = net::TransferClass::kRetier,
+                      .write_class = net::TransferClass::kRetier});
+  const auto code = ec::make_code("rs-10-4").value();
+  const std::size_t stripe_bytes = code->data_blocks() * kBlockSize;
+  const std::size_t full =
+      2 * ec::StripeCodec(*code).batch_stripes(kBlockSize) + 1;
+  const Buffer data = payload(full * stripe_bytes + kBlockSize / 2);
+  const double retier0 = dfs.traffic().class_bytes(net::TransferClass::kRetier);
+  const double write0 =
+      dfs.traffic().class_bytes(net::TransferClass::kClientWrite);
+
+  auto writer = client.create("/retier", "rs-10-4", kBlockSize);
+  ASSERT_TRUE(writer.is_ok());
+  ASSERT_TRUE(writer->append(data).is_ok());
+  EXPECT_EQ(writer->stats().zero_copy_bytes, full * stripe_bytes);
+  ASSERT_TRUE(writer->close().is_ok());
+
+  const double uploaded = static_cast<double>(
+      (full + 1) * code->layout().num_slots() * kBlockSize);
+  EXPECT_EQ(dfs.traffic().class_bytes(net::TransferClass::kRetier) - retier0,
+            uploaded);
+  EXPECT_EQ(
+      dfs.traffic().class_bytes(net::TransferClass::kClientWrite) - write0,
+      0.0);
+  EXPECT_EQ(dfs.stat("/retier")->stripes.size(), full + 1);
+  const auto read = dfs.read_file("/retier");
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(*read, data);
+}
+
+TEST(FileWriter, OneAppendJournalsOneAllocateAndOneStore) {
+  // The stripe-aligned middle of a span is allocated by one
+  // allocate_stripes call and stored by one store_stripes call: two
+  // journal records however many stripes the span covers.
+  MiniDfs dfs = make_dfs();
+  Client client(dfs);
+  const std::size_t stripe_bytes = data_blocks("pentagon") * kBlockSize;
+  auto writer = client.create("/journaled", "pentagon", kBlockSize);
+  ASSERT_TRUE(writer.is_ok());
+  const std::size_t records0 = dfs.namenode().total_journal_records();
+  ASSERT_TRUE(writer->append(payload(3 * stripe_bytes)).is_ok());
+  EXPECT_EQ(dfs.namenode().total_journal_records() - records0, 2u);
+  ASSERT_TRUE(writer->close().is_ok());
+}
+
+TEST(FileWriter, FailedAppendPoisonsTheWriterAndCloseRollsBack) {
+  // Too few live nodes to place a stripe: the zero-copy middle of the
+  // span fails to allocate, the error poisons the writer, and close rolls
+  // the whole file back -- the stripe stored before the failure included.
+  exec::ThreadPool pool(2);
+  MiniDfs dfs = make_dfs(25, 7, &pool);
+  Client client(dfs);
+  const std::size_t stripe_bytes = data_blocks("rs-10-4") * kBlockSize;
+  auto writer = client.create("/doomed", "rs-10-4", kBlockSize);
+  ASSERT_TRUE(writer.is_ok());
+  ASSERT_TRUE(writer->append(payload(stripe_bytes)).is_ok());
+  for (cluster::NodeId node = 0; node < 12; ++node) {
+    ASSERT_TRUE(dfs.fail_node(node).is_ok());
+  }
+  EXPECT_EQ(writer->append(payload(2 * stripe_bytes)).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(writer->append(payload(1)).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(writer->bytes_appended(), stripe_bytes);
+  EXPECT_EQ(writer->close().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(dfs.stat("/doomed").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dfs.catalog().num_stripes(), 0u);
+  EXPECT_EQ(dfs.stored_bytes(), 0u);
 }
 
 TEST(FileWriter, StatShowsOpenThenSealed) {

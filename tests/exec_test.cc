@@ -1,9 +1,10 @@
-// Tests for the execution subsystem: thread pool, parallel_for semantics
-// (correctness, error propagation, nesting, zero-worker serial mode),
-// runtime checkout, and the striped namespace mutex.
+// Tests for the execution subsystem: thread pool, parallel_for_all
+// semantics (correctness, error propagation, nesting, zero-worker serial
+// mode), runtime checkout, and the striped namespace mutex.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -21,10 +22,10 @@ namespace {
 
 // ------------------------------------------------------------ ThreadPool
 
-TEST(ThreadPool, AsyncReturnsFutureResults) {
+TEST(ThreadPool, SpawnReturnsFutureResults) {
   ThreadPool pool(3);
-  auto a = pool.async([] { return 7; });
-  auto b = pool.async([] { return std::string("ok"); });
+  auto a = spawn(pool, [] { return 7; });
+  auto b = spawn(pool, [] { return std::string("ok"); });
   EXPECT_EQ(a.get(), 7);
   EXPECT_EQ(b.get(), "ok");
 }
@@ -107,14 +108,14 @@ TEST(Future, WaitBlocksUntilDelivery) {
   producer.join();
 }
 
-// ---------------------------------------------------------- parallel_for
+// ------------------------------------------------------ parallel_for_all
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
+TEST(ParallelForAll, CoversEveryIndexExactlyOnce) {
   for (std::size_t workers : {0u, 1u, 4u}) {
     ThreadPool pool(workers);
     constexpr std::size_t kN = 500;
     std::vector<std::atomic<int>> hits(kN);
-    const Status status = parallel_for(pool, kN, [&](std::size_t i) {
+    const Status status = parallel_for_all(pool, kN, [&](std::size_t i) {
       hits[i].fetch_add(1);
       return Status::ok();
     });
@@ -125,43 +126,29 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelFor, EmptyRangeIsOk) {
+TEST(ParallelForAll, EmptyRangeIsOk) {
   ThreadPool pool(2);
-  EXPECT_TRUE(parallel_for(pool, 0, [](std::size_t) {
+  EXPECT_TRUE(parallel_for_all(pool, 0, [](std::size_t) {
                 return internal_error("never called");
               }).is_ok());
 }
 
-TEST(ParallelFor, PropagatesFirstErrorAndSkipsRemainder) {
-  ThreadPool pool(4);
-  std::atomic<std::size_t> executed{0};
-  const Status status = parallel_for(pool, 10000, [&](std::size_t i) {
-    executed.fetch_add(1);
-    if (i == 3) return invalid_argument_error("boom");
-    return Status::ok();
-  });
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(status.message(), "boom");
-  // Iterations claimed after the failure are skipped, so far fewer than
-  // the full range ran (in-flight ones may still have completed).
-  EXPECT_LT(executed.load(), 10000u);
-}
-
-TEST(ParallelFor, SerialModeRunsInOrderAndStopsAtError) {
+TEST(ParallelForAll, SerialModeRunsInOrderAndReportsLowestError) {
   ThreadPool pool(0);
   std::vector<std::size_t> order;
-  const Status status = parallel_for(pool, 10, [&](std::size_t i) {
+  const Status status = parallel_for_all(pool, 10, [&](std::size_t i) {
     order.push_back(i);
-    if (i == 4) return internal_error("stop");
+    if (i == 4 || i == 7) return internal_error("stop " + std::to_string(i));
     return Status::ok();
   });
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(status.message(), "stop 4");
+  EXPECT_EQ(order,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(ParallelForAll, RunsEveryIterationDespiteFailures) {
-  // The deterministic-fault variant: no early exit, so the set of executed
-  // iterations never depends on pool scheduling.
+  // No early exit, so the set of executed iterations never depends on
+  // pool scheduling.
   for (const std::size_t workers : {0u, 4u}) {
     ThreadPool pool(workers);
     std::atomic<std::size_t> executed{0};
@@ -187,14 +174,14 @@ TEST(ParallelForAll, AllOkReturnsOk) {
   EXPECT_EQ(executed.load(), 50u);
 }
 
-TEST(ParallelFor, NestedCallsDoNotDeadlock) {
-  // Every outer iteration runs an inner parallel_for on the same small
+TEST(ParallelForAll, NestedCallsDoNotDeadlock) {
+  // Every outer iteration runs an inner parallel_for_all on the same small
   // pool; caller participation guarantees progress even with all workers
   // blocked in outer iterations.
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  const Status status = parallel_for(pool, 8, [&](std::size_t) {
-    return parallel_for(pool, 8, [&](std::size_t) {
+  const Status status = parallel_for_all(pool, 8, [&](std::size_t) {
+    return parallel_for_all(pool, 8, [&](std::size_t) {
       total.fetch_add(1);
       return Status::ok();
     });
@@ -203,13 +190,13 @@ TEST(ParallelFor, NestedCallsDoNotDeadlock) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ParallelFor, ConcurrentCallersFromManyThreads) {
+TEST(ParallelForAll, ConcurrentCallersFromManyThreads) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {
     callers.emplace_back([&] {
-      const Status status = parallel_for(pool, 50, [&](std::size_t) {
+      const Status status = parallel_for_all(pool, 50, [&](std::size_t) {
         total.fetch_add(1);
         return Status::ok();
       });
@@ -250,7 +237,7 @@ TEST(RuntimePool, ParallelCheckoutNeverShares) {
   ThreadPool pool(4);
   std::mutex mu;
   std::set<const RuntimePool::Runtime*> in_use;
-  const Status status = parallel_for(pool, 200, [&](std::size_t) -> Status {
+  const Status status = parallel_for_all(pool, 200, [&](std::size_t) -> Status {
     auto lease = rpool.acquire();
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -260,7 +247,12 @@ TEST(RuntimePool, ParallelCheckoutNeverShares) {
     }
     // Exercise the leased codec so a shared arena would corrupt.
     const Buffer data = random_buffer(7 * 64, 3);
-    (void)lease->codec.encode_stripe(data, 64);
+    EXPECT_TRUE(lease->codec
+                    .encode_batch(data, 64,
+                                  [](std::size_t, std::span<const ByteSpan>) {
+                                    return Status::ok();
+                                  })
+                    .is_ok());
     std::lock_guard<std::mutex> lock(mu);
     in_use.erase(&*lease);
     return Status::ok();

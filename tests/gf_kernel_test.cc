@@ -151,7 +151,7 @@ TEST_P(KernelParamTest, MatrixApplyMatchesRowByRowReference) {
     std::vector<Buffer> outputs_storage(rows, Buffer(n, 0x55));
     std::vector<MutableByteSpan> outputs;
     for (auto& out : outputs_storage) outputs.emplace_back(out);
-    kernel.matrix_apply(coeffs, sources, outputs);
+    matrix_apply_batch_with(kernel, coeffs, sources, outputs, 1);
 
     for (std::size_t r = 0; r < rows; ++r) {
       Buffer expected(n, 0);
@@ -240,16 +240,16 @@ TEST_P(KernelParamTest, MatrixApplyBatchMatchesPerGroupApply) {
     std::vector<Buffer> batch_storage(groups * rows, Buffer(n, 0x44));
     std::vector<MutableByteSpan> batch_outputs;
     for (auto& out : batch_storage) batch_outputs.emplace_back(out);
-    kernel.matrix_apply_batch(coeffs, sources, batch_outputs, groups);
+    matrix_apply_batch_with(kernel, coeffs, sources, batch_outputs, groups);
 
     for (std::size_t g = 0; g < groups; ++g) {
       std::vector<Buffer> single_storage(rows, Buffer(n, 0x99));
       std::vector<MutableByteSpan> single_outputs;
       for (auto& out : single_storage) single_outputs.emplace_back(out);
-      kernel.matrix_apply(
-          coeffs,
+      matrix_apply_batch_with(
+          kernel, coeffs,
           std::span<const ByteSpan>(sources.data() + g * k, k),
-          single_outputs);
+          single_outputs, 1);
       for (std::size_t r = 0; r < rows; ++r) {
         EXPECT_EQ(batch_storage[g * rows + r], single_storage[r])
             << kernel.name << " batch group " << g << " row " << r

@@ -462,10 +462,10 @@ TEST(MiniDfsRecovery, CrashRollsBackOpenWriteAndGcsItsBlocks) {
 
   // Leave a write open with real blocks on disk, then crash.
   ASSERT_TRUE(dfs.begin_write("/open", "3-rep", kBlockSize).is_ok());
-  const auto stripe = dfs.allocate_stripe("/open");
-  ASSERT_TRUE(stripe.is_ok());
+  const auto stripes = dfs.allocate_stripes("/open", 1);
+  ASSERT_TRUE(stripes.is_ok());
   const Buffer partial = random_buffer(kBlockSize, 2);
-  ASSERT_TRUE(dfs.store_stripe("/open", *stripe, partial).is_ok());
+  ASSERT_TRUE(dfs.store_stripes("/open", *stripes, partial).is_ok());
   ASSERT_GT(dfs.stored_bytes(), bytes_before);
 
   const auto report = dfs.crash_namenode();

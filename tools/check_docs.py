@@ -10,6 +10,10 @@ Checks, with no third-party dependencies:
    ``BENCH_<name>.json``) corresponds to a real ``bench/<name>.cc`` file --
    and every ``bench/*.cc`` target is covered by docs/paper_map.md, so the
    paper map can never silently fall behind the benchmarks.
+3. The environment knobs the library reads -- the exact ``"DBLREP_..."``
+   string literals in ``src/`` -- are exactly the rows of README.md's
+   "Environment knobs" table, so a knob can be neither undocumented nor
+   documented after its removal.
 
 Exit code 0 when everything checks out, 1 with a per-finding report
 otherwise.
@@ -25,6 +29,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # in this repo.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_NAME_RE = re.compile(r"\bbench_([a-z0-9_]+)\b|\bBENCH_([a-z0-9_]+)\.json\b")
+KNOB_LITERAL_RE = re.compile(r'"(DBLREP_[A-Z0-9_]+)"')
+KNOB_ROW_RE = re.compile(r"^\| `(DBLREP_[A-Z0-9_]+)` \|", re.MULTILINE)
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -75,10 +81,29 @@ def check_paper_map(errors: list[str]) -> None:
         )
 
 
+def check_knobs(errors: list[str]) -> None:
+    read = set()
+    for source in sorted((REPO / "src").rglob("*")):
+        if source.suffix in (".h", ".cc"):
+            read.update(KNOB_LITERAL_RE.findall(source.read_text(encoding="utf-8")))
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    start = readme.find("## Environment knobs")
+    if start < 0:
+        errors.append("README.md has no 'Environment knobs' section")
+        return
+    end = readme.find("\n## ", start + 1)
+    documented = set(KNOB_ROW_RE.findall(readme[start:end if end >= 0 else None]))
+    for knob in sorted(read - documented):
+        errors.append(f"src/ reads {knob} but README.md's knob table has no row for it")
+    for knob in sorted(documented - read):
+        errors.append(f"README.md's knob table documents {knob}, which src/ never reads")
+
+
 def main() -> int:
     errors: list[str] = []
     check_links(errors)
     check_paper_map(errors)
+    check_knobs(errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s):")
         for error in errors:
@@ -86,7 +111,7 @@ def main() -> int:
         return 1
     print(
         f"check_docs: OK ({len(doc_files())} docs link-checked, "
-        "paper map covers every bench target)"
+        "paper map covers every bench target, knob table matches src/)"
     )
     return 0
 
