@@ -1,5 +1,6 @@
 #include "common/bytes.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 
@@ -10,6 +11,28 @@
 #include "common/check.h"
 
 namespace dblrep {
+
+SharedBlock::SharedBlock(Buffer bytes) {
+  auto owned = std::make_shared<const Buffer>(std::move(bytes));
+  data_ = owned->data();
+  size_ = owned->size();
+  owner_ = std::move(owned);
+}
+
+SharedBlock SharedBlock::uninitialized(std::size_t size,
+                                       MutableByteSpan& fill) {
+  auto owned = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+  fill = MutableByteSpan(owned.get(), size);
+  SharedBlock block;
+  block.data_ = owned.get();
+  block.size_ = size;
+  block.owner_ = std::move(owned);
+  return block;
+}
+
+bool operator==(const SharedBlock& a, ByteSpan b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 void xor_into(MutableByteSpan dst, ByteSpan src) {
   DBLREP_CHECK_EQ(dst.size(), src.size());

@@ -3,8 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dblrep {
@@ -15,6 +17,56 @@ using Buffer = std::vector<std::uint8_t>;
 
 using ByteSpan = std::span<const std::uint8_t>;
 using MutableByteSpan = std::span<std::uint8_t>;
+
+/// Immutable, reference-counted bytes: the form a stored block travels in
+/// through reads and repairs. Copying one shares the bytes (a reference
+/// count, no memcpy), so a DataNode hands out the block it stores and a
+/// plan executor reads it in place. Nothing writes through a SharedBlock,
+/// so any number of threads may read one. It is a contiguous range and
+/// converts to ByteSpan; the view is valid while some SharedBlock holds
+/// the bytes.
+class SharedBlock {
+ public:
+  SharedBlock() = default;
+
+  /// Takes ownership of `bytes` without copying them. Implicit, so a
+  /// Buffer goes wherever a block does; pass an lvalue only to copy.
+  SharedBlock(Buffer bytes);  // NOLINT(google-explicit-constructor)
+
+  SharedBlock(const SharedBlock&) = default;
+  SharedBlock& operator=(const SharedBlock&) = default;
+  /// Moving empties the source, so a moved-from block never views bytes it
+  /// no longer holds.
+  SharedBlock(SharedBlock&& other) noexcept
+      : owner_(std::move(other.owner_)),
+        data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  SharedBlock& operator=(SharedBlock&& other) noexcept {
+    owner_ = std::move(other.owner_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  /// A block of `size` uninitialized bytes, for a writer that fills every
+  /// byte through `fill` before the block is shared: one allocation and no
+  /// zero fill.
+  static SharedBlock uninitialized(std::size_t size, MutableByteSpan& fill);
+
+  const std::uint8_t* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const std::uint8_t* begin() const { return data_; }
+  const std::uint8_t* end() const { return data_ + size_; }
+
+  /// Byte-wise equality with any contiguous bytes (a block, a Buffer).
+  friend bool operator==(const SharedBlock& a, ByteSpan b);
+
+ private:
+  std::shared_ptr<const void> owner_;
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// dst ^= src, element-wise. Sizes must match. The compiler vectorizes this
 /// loop; it is the hot kernel for XOR parities and partial parities.

@@ -133,7 +133,8 @@ Result<std::vector<Buffer>> CodeScheme::decode(const SlotStore& store,
   if (all_systematic) {
     for (std::size_t i = 0; i < k; ++i) {
       if (alpha == 1) {
-        data[i] = store.at(*symbol_slot[i]);
+        const SharedBlock& block = store.at(*symbol_slot[i]);
+        data[i].assign(block.begin(), block.end());
         continue;
       }
       data[i].resize(block_size);
@@ -390,7 +391,7 @@ Status CodeScheme::verify_codeword(const SlotStore& store,
                                    std::size_t block_size) const {
   // Replicas of a symbol must be byte-identical.
   for (std::size_t sym = 0; sym < params_.num_symbols; ++sym) {
-    const Buffer* first = nullptr;
+    const SharedBlock* first = nullptr;
     for (std::size_t slot : layout_.slots_of_symbol(sym)) {
       const auto it = store.find(slot);
       if (it == store.end()) continue;

@@ -77,8 +77,8 @@ std::string RepairPlan::to_string() const {
   return os.str();
 }
 
-Result<std::vector<Buffer>> PlanExecutor::execute(const RepairPlan& plan,
-                                                  SlotStore& store) {
+Result<std::vector<SharedBlock>> PlanExecutor::execute(const RepairPlan& plan,
+                                                       SlotStore& store) {
   // Determine the block size from any available slot.
   std::size_t block_size = 0;
   for (const auto& [slot, bytes] : store) {
@@ -91,34 +91,42 @@ Result<std::vector<Buffer>> PlanExecutor::execute(const RepairPlan& plan,
   }
 
   arena_.reset();
-  std::vector<MutableByteSpan> aggregate_bytes(plan.aggregates.size());
+  // Each aggregate's payload. A plain copy points at its source slot's
+  // block, held in `copied` for the whole call (a later rebuild may replace
+  // the store entry); every other aggregate is computed into the arena.
+  std::vector<ByteSpan> aggregate_bytes(plan.aggregates.size());
+  std::vector<SharedBlock> copied(plan.aggregates.size());
   std::vector<bool> aggregate_ready(plan.aggregates.size(), false);
 
-  // One fused matrix_apply per term list: gather the source views and the
-  // coefficient row, then let the SIMD kernel combine them in one pass.
-  auto eval_terms = [&](NodeIndex at_node, const std::vector<PartialTerm>& terms,
-                        MutableByteSpan out) -> Status {
-    term_sources_.clear();
-    term_coeffs_.clear();
-    for (const auto& term : terms) {
-      const auto it = store.find(term.slot);
-      if (it == store.end()) {
-        return unavailable_error("slot " + std::to_string(term.slot) +
-                                 " not available for repair");
-      }
-      if (it->second.size() != block_size) {
-        return invalid_argument_error("block size mismatch in plan execution");
-      }
-      if (layout_->node_of_slot(term.slot) != at_node) {
-        return failed_precondition_error(
-            "plan reads slot " + std::to_string(term.slot) +
-            " from the wrong node");
-      }
-      term_sources_.emplace_back(it->second);
-      term_coeffs_.push_back(term.coeff);
+  // The stored block a term reads, checked to be present, block-sized, and
+  // on the node evaluating the term.
+  auto term_block = [&](NodeIndex at_node,
+                        std::size_t slot) -> Result<const SharedBlock*> {
+    const auto it = store.find(slot);
+    if (it == store.end()) {
+      return unavailable_error("slot " + std::to_string(slot) +
+                               " not available for repair");
     }
-    const MutableByteSpan outputs[] = {out};
-    gf::matrix_apply(term_coeffs_, term_sources_, outputs);
+    if (it->second.size() != block_size) {
+      return invalid_argument_error("block size mismatch in plan execution");
+    }
+    if (layout_->node_of_slot(slot) != at_node) {
+      return failed_precondition_error("plan reads slot " +
+                                       std::to_string(slot) +
+                                       " from the wrong node");
+    }
+    return &it->second;
+  };
+  // Appends each term's bytes and coefficient to one fused pass's inputs.
+  auto add_terms = [&](NodeIndex at_node, const std::vector<PartialTerm>& terms,
+                       std::vector<ByteSpan>& sources,
+                       std::vector<gf::Elem>& coeffs) -> Status {
+    for (const auto& term : terms) {
+      DBLREP_ASSIGN_OR_RETURN(const SharedBlock* block,
+                              term_block(at_node, term.slot));
+      sources.emplace_back(*block);
+      coeffs.push_back(term.coeff);
+    }
     return Status::ok();
   };
 
@@ -143,53 +151,47 @@ Result<std::vector<Buffer>> PlanExecutor::execute(const RepairPlan& plan,
             "relay combines an aggregate delivered to another node");
       }
     }
+    if (send.is_plain_copy()) {
+      DBLREP_ASSIGN_OR_RETURN(const SharedBlock* block,
+                              term_block(send.from_node, send.terms[0].slot));
+      copied[index] = *block;
+      aggregate_bytes[index] = copied[index];
+      aggregate_ready[index] = true;
+      return Status::ok();
+    }
     // Gather after the recursion: the recursive calls reuse the same
     // term_sources_/term_coeffs_ scratch.
     term_sources_.clear();
     term_coeffs_.clear();
-    for (const auto& term : send.terms) {
-      const auto it = store.find(term.slot);
-      if (it == store.end()) {
-        return unavailable_error("slot " + std::to_string(term.slot) +
-                                 " not available for repair");
-      }
-      if (it->second.size() != block_size) {
-        return invalid_argument_error("block size mismatch in plan execution");
-      }
-      if (layout_->node_of_slot(term.slot) != send.from_node) {
-        return failed_precondition_error("plan reads slot " +
-                                         std::to_string(term.slot) +
-                                         " from the wrong node");
-      }
-      term_sources_.emplace_back(it->second);
-      term_coeffs_.push_back(term.coeff);
-    }
+    DBLREP_RETURN_IF_ERROR(
+        add_terms(send.from_node, send.terms, term_sources_, term_coeffs_));
     for (const auto& [src_index, coeff] : send.from_aggregates) {
       term_sources_.emplace_back(aggregate_bytes[src_index]);
       term_coeffs_.push_back(coeff);
     }
     // Uninitialized: matrix_apply fully overwrites (or zeroes) the output.
-    aggregate_bytes[index] = arena_.alloc_uninit(block_size);
-    const MutableByteSpan outputs[] = {aggregate_bytes[index]};
+    const MutableByteSpan out = arena_.alloc_uninit(block_size);
+    const MutableByteSpan outputs[] = {out};
     gf::matrix_apply(term_coeffs_, term_sources_, outputs);
+    aggregate_bytes[index] = out;
     aggregate_ready[index] = true;
     return Status::ok();
   };
 
-  std::vector<Buffer> client_reads;
+  std::vector<SharedBlock> client_reads;
   for (const auto& rec : plan.reconstructions) {
     // Materialize and validate the needed aggregates first, then combine
-    // them (and any destination-local partial parity) in one fused pass.
+    // them and any destination-local terms in one fused pass.
     agg_sources_.clear();
     agg_coeffs_.clear();
+    const NodeIndex dest = rec.dest_slot == Reconstruction::kClientSlot
+                               ? kClientNode
+                               : layout_->node_of_slot(rec.dest_slot);
     for (const auto& [agg_index, coeff] : rec.from_aggregates) {
       if (agg_index >= plan.aggregates.size()) {
         return invalid_argument_error("plan references unknown aggregate");
       }
       DBLREP_RETURN_IF_ERROR(materialize_aggregate(agg_index));
-      const NodeIndex dest = rec.dest_slot == Reconstruction::kClientSlot
-                                 ? kClientNode
-                                 : layout_->node_of_slot(rec.dest_slot);
       if (plan.aggregates[agg_index].to_node != dest) {
         return failed_precondition_error(
             "aggregate delivered to a node other than the rebuild site");
@@ -197,20 +199,26 @@ Result<std::vector<Buffer>> PlanExecutor::execute(const RepairPlan& plan,
       agg_sources_.emplace_back(aggregate_bytes[agg_index]);
       agg_coeffs_.push_back(coeff);
     }
-    Buffer rebuilt(block_size, 0);
-    {
-      const MutableByteSpan outputs[] = {MutableByteSpan(rebuilt)};
-      gf::matrix_apply(agg_coeffs_, agg_sources_, outputs);
-    }
     if (!rec.local_terms.empty()) {
       if (rec.dest_slot == Reconstruction::kClientSlot) {
         return failed_precondition_error(
             "client-side reconstruction cannot read node-local slots");
       }
-      MutableByteSpan local = arena_.alloc_uninit(block_size);
-      DBLREP_RETURN_IF_ERROR(eval_terms(layout_->node_of_slot(rec.dest_slot),
-                                        rec.local_terms, local));
-      xor_into(rebuilt, local);
+      DBLREP_RETURN_IF_ERROR(
+          add_terms(dest, rec.local_terms, agg_sources_, agg_coeffs_));
+    }
+    SharedBlock rebuilt;
+    if (rec.local_terms.empty() && rec.from_aggregates.size() == 1 &&
+        rec.from_aggregates[0].second == 1 &&
+        !copied[rec.from_aggregates[0].first].empty()) {
+      // Repair by transfer: the rebuilt block is the copied block itself.
+      rebuilt = copied[rec.from_aggregates[0].first];
+    } else {
+      // Written once, by the fused pass: no zero fill first.
+      MutableByteSpan out;
+      rebuilt = SharedBlock::uninitialized(block_size, out);
+      const MutableByteSpan outputs[] = {out};
+      gf::matrix_apply(agg_coeffs_, agg_sources_, outputs);
     }
     if (rec.dest_slot == Reconstruction::kClientSlot) {
       client_reads.push_back(std::move(rebuilt));

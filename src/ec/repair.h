@@ -118,21 +118,25 @@ struct RepairPlan {
   std::string to_string() const;
 };
 
-/// Byte store used when executing a plan: slot index -> block contents.
-/// Slots lost to failures are simply absent.
-using SlotStore = std::unordered_map<std::size_t, Buffer>;
+/// Byte store used when executing a plan: slot index -> block. Slots lost
+/// to failures are simply absent. Entries share their bytes, so a store
+/// gathered from DataNodes holds the nodes' own blocks, uncopied.
+using SlotStore = std::unordered_map<std::size_t, SharedBlock>;
 
 /// Executes `plan` against `store`, writing rebuilt blocks back into the
-/// store (and returning the client-delivered buffers for degraded reads in
+/// store (and returning the client-delivered blocks for degraded reads in
 /// reconstruction order). Errors if the plan references unavailable slots,
 /// violates node-locality of terms, or block sizes mismatch.
 ///
-/// Aggregate and partial-parity scratch lives in an internal StripeArena
-/// that is recycled between execute() calls, so reuse one executor when
-/// running many plans (multi-stripe node repair): the steady state is
-/// allocation-free apart from the rebuilt blocks handed to the store. Every
-/// GF-linear combination in a plan runs through the fused, SIMD-dispatched
-/// gf::matrix_apply kernel.
+/// Nothing is copied that the plan only moves. A plain-copy send is a view
+/// of its source slot's block (the executor holds that block for the whole
+/// call, so a rebuild replacing the store entry cannot free it), and a
+/// rebuild that is one plain copy -- repair by transfer -- stores that very
+/// block. Partial parities and relays are computed into an internal
+/// StripeArena recycled between execute() calls, so reuse one executor when
+/// running many plans (multi-stripe node repair). Every other rebuilt block
+/// is written once, by one fused, SIMD-dispatched gf::matrix_apply pass
+/// over its aggregates and destination-local terms, with no zero fill.
 ///
 /// Because of that scratch, an executor is NOT thread-safe: give each
 /// thread its own (plans and layouts are immutable and freely shared).
@@ -144,8 +148,8 @@ class PlanExecutor {
   PlanExecutor& operator=(const PlanExecutor&) = delete;
 
   /// Runs the plan. On success, all non-client dest_slots exist in `store`.
-  Result<std::vector<Buffer>> execute(const RepairPlan& plan,
-                                      SlotStore& store);
+  Result<std::vector<SharedBlock>> execute(const RepairPlan& plan,
+                                           SlotStore& store);
 
  private:
   const StripeLayout* layout_;

@@ -184,7 +184,7 @@ Result<FileWriter> Client::create(const std::string& path,
 
 Status Client::write(const std::string& path, ByteSpan data,
                      const std::string& code_spec, std::size_t block_size) {
-  return dfs_->write_file(path, data, code_spec, block_size);
+  return dfs_->write_file(path, data, code_spec, block_size, write_class_);
 }
 
 Result<Buffer> Client::read(const std::string& path) {
@@ -205,11 +205,12 @@ exec::Future<Status> Client::write_async(std::string path, Buffer data,
                                          std::string code_spec,
                                          std::size_t block_size) {
   MiniDfs* dfs = dfs_;
+  const net::TransferClass cls = write_class_;
   return exec::spawn(dfs_->pool(),
-                     [dfs, path = std::move(path), data = std::move(data),
+                     [dfs, cls, path = std::move(path), data = std::move(data),
                       code_spec = std::move(code_spec), block_size] {
                        return dfs->write_file(path, data, code_spec,
-                                              block_size);
+                                              block_size, cls);
                      });
 }
 

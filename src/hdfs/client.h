@@ -161,6 +161,7 @@ class Client {
   /// Bulk write of an in-memory buffer: the same transaction a FileWriter
   /// runs, but with all stripes allocated up front and encoded zero-copy
   /// from `data` in parallel (MiniDfs::write_file is this same path).
+  /// Uploads are charged under the handle's write_class, as appends are.
   Status write(const std::string& path, ByteSpan data,
                const std::string& code_spec, std::size_t block_size);
 

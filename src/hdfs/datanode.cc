@@ -2,16 +2,16 @@
 
 namespace dblrep::hdfs {
 
-Status DataNode::put(cluster::SlotAddress address, Buffer bytes) {
+Status DataNode::put(cluster::SlotAddress address, SharedBlock block) {
   if (!is_up()) return unavailable_error("datanode down");
-  StoredBlock block;
-  block.crc = crc32c(bytes);
-  block.bytes = std::make_shared<const Buffer>(std::move(bytes));
+  StoredBlock stored;
+  stored.crc = crc32c(block);
+  stored.bytes = std::move(block);
   std::lock_guard<std::mutex> lock(mu_);
   // Again under the lock: fail() clears the map after marking the node
   // down, so a put that saw it up must not land after the clear.
   if (!is_up()) return unavailable_error("datanode down");
-  blocks_[address] = std::move(block);
+  blocks_[address] = std::move(stored);
   return Status::ok();
 }
 
@@ -25,15 +25,15 @@ Result<DataNode::StoredBlock> DataNode::find(
   return it->second;
 }
 
-Result<Buffer> DataNode::get(cluster::SlotAddress address) const {
+Result<SharedBlock> DataNode::get(cluster::SlotAddress address) const {
   if (!is_up()) return unavailable_error("datanode down");
-  DBLREP_ASSIGN_OR_RETURN(const StoredBlock block, find(address));
-  if (crc32c(*block.bytes) != block.crc) {
+  DBLREP_ASSIGN_OR_RETURN(StoredBlock block, find(address));
+  if (crc32c(block.bytes) != block.crc) {
     return corruption_error("checksum mismatch on stripe " +
                             std::to_string(address.stripe) + " slot " +
                             std::to_string(address.slot));
   }
-  return *block.bytes;
+  return std::move(block.bytes);
 }
 
 bool DataNode::has(cluster::SlotAddress address) const {
@@ -61,7 +61,7 @@ std::size_t DataNode::bytes_stored() const {
   std::size_t total = 0;
   for (const auto& [address, block] : blocks_) {
     (void)address;
-    total += block.bytes->size();
+    total += block.bytes.size();
   }
   return total;
 }
@@ -82,19 +82,20 @@ Status DataNode::corrupt(cluster::SlotAddress address, std::size_t byte_index) {
   if (it == blocks_.end()) {
     return not_found_error("block not on this datanode");
   }
-  if (byte_index >= it->second.bytes->size()) {
+  const SharedBlock& old = it->second.bytes;
+  if (byte_index >= old.size()) {
     return invalid_argument_error("corrupt index out of range");
   }
   // Copy-on-write: a read already holding the old bytes keeps them intact.
-  auto flipped = std::make_shared<Buffer>(*it->second.bytes);
-  (*flipped)[byte_index] ^= 0xff;
+  Buffer flipped(old.begin(), old.end());
+  flipped[byte_index] ^= 0xff;
   it->second.bytes = std::move(flipped);  // CRC left stale on purpose
   return Status::ok();
 }
 
-Result<Buffer> DataNode::peek(cluster::SlotAddress address) const {
-  DBLREP_ASSIGN_OR_RETURN(const StoredBlock block, find(address));
-  return *block.bytes;
+Result<SharedBlock> DataNode::peek(cluster::SlotAddress address) const {
+  DBLREP_ASSIGN_OR_RETURN(StoredBlock block, find(address));
+  return std::move(block.bytes);
 }
 
 std::vector<cluster::SlotAddress> DataNode::stored_addresses() const {

@@ -6,17 +6,18 @@
 //
 // Thread-safe: each DataNode guards its block map with its own mutex, so
 // the node is one shard of the DFS-wide store and operations on different
-// nodes never contend. A stored block is immutable -- shared bytes plus the
+// nodes never contend. A stored block is immutable -- a SharedBlock plus the
 // CRC computed when it was written -- so the mutex covers only the map
-// lookup or insert: get() verifies and copies outside it, concurrent reads
-// of one node run in parallel, and corrupt() replaces the block instead of
-// editing it. Liveness is a separate atomic so is_up() probes never touch
-// the block-map lock.
+// lookup or insert. get() verifies the CRC outside it and hands out the
+// stored block itself, uncopied: concurrent reads of one node run in
+// parallel, a gather or a plan executor reads the node's own bytes, and
+// corrupt() replaces the block instead of editing it, so a reader already
+// holding it keeps intact bytes. put() keeps the block it is given. Liveness
+// is a separate atomic so is_up() probes never touch the block-map lock.
 #pragma once
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "cluster/catalog.h"
@@ -35,8 +36,14 @@ class DataNode {
   cluster::NodeId id() const { return id_; }
   bool is_up() const { return up_.load(std::memory_order_acquire); }
 
-  /// Stores a block replica (overwrites an existing one).
-  Status put(cluster::SlotAddress address, Buffer bytes);
+  /// Stores a block replica (overwrites an existing one). The node keeps
+  /// `block` itself; reads hand the same bytes back.
+  Status put(cluster::SlotAddress address, SharedBlock block);
+
+  /// Takes ownership of `bytes` without copying them.
+  Status put(cluster::SlotAddress address, Buffer bytes) {
+    return put(address, SharedBlock(std::move(bytes)));
+  }
 
   /// View overload for arena-backed writers (the stripe codec hands out
   /// views into scratch memory); copies into node-owned storage.
@@ -44,8 +51,9 @@ class DataNode {
     return put(address, Buffer(bytes.begin(), bytes.end()));
   }
 
-  /// Reads a block replica, verifying its checksum.
-  Result<Buffer> get(cluster::SlotAddress address) const;
+  /// Reads a block replica: the stored block itself, after checking its
+  /// CRC. Nothing is copied.
+  Result<SharedBlock> get(cluster::SlotAddress address) const;
 
   bool has(cluster::SlotAddress address) const;
   Status drop(cluster::SlotAddress address);
@@ -67,17 +75,17 @@ class DataNode {
   /// paths can be exercised. Reads already holding the block are unaffected.
   Status corrupt(cluster::SlotAddress address, std::size_t byte_index);
 
-  /// Diagnostic hook: raw stored bytes, ignoring liveness and skipping CRC
+  /// Diagnostic hook: the stored block, ignoring liveness and skipping CRC
   /// verification. The chaos fingerprints use it to cover offline disks and
   /// corrupted blocks; data-plane reads must go through get().
-  Result<Buffer> peek(cluster::SlotAddress address) const;
+  Result<SharedBlock> peek(cluster::SlotAddress address) const;
 
   /// Addresses of every block currently stored.
   std::vector<cluster::SlotAddress> stored_addresses() const;
 
  private:
   struct StoredBlock {
-    std::shared_ptr<const Buffer> bytes;
+    SharedBlock bytes;
     std::uint32_t crc = 0;
   };
 

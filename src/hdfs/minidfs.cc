@@ -78,22 +78,24 @@ exec::RuntimePool& MiniDfs::runtime_pool_for(const ec::CodeScheme& code) const {
   return *it->second;
 }
 
-Result<const ec::RepairPlan*> MiniDfs::cached_repair_plan(
-    const ec::CodeScheme& code, const std::set<ec::NodeIndex>& failed) {
-  const PlanKey key{&code, failed};
+Result<const ec::RepairPlan*> MiniDfs::cached_plan(
+    const ec::CodeScheme& code, std::size_t target,
+    const std::set<ec::NodeIndex>& failed) {
+  const PlanKey key{&code, target, failed};
   {
     std::shared_lock<std::shared_mutex> lock(plan_mu_);
     const auto it = plan_cache_.find(key);
     if (it != plan_cache_.end()) return &it->second;
   }
   // Planning (the basis solve) runs outside any lock; losing the insertion
-  // race just discards a duplicate plan. Single failures route through the
-  // virtual plan_node_repair so sub-packetized schemes (Clay, piggyback)
-  // can serve their bandwidth-optimal sub-chunk plans; for every other
-  // scheme that call delegates straight back to plan_multi_node_repair.
-  auto plan = failed.size() == 1
-                  ? code.plan_node_repair(*failed.begin())
-                  : code.plan_multi_node_repair(failed);
+  // race just discards a duplicate plan. Single-failure repairs route
+  // through the virtual plan_node_repair so sub-packetized schemes (Clay,
+  // piggyback) can serve their bandwidth-optimal sub-chunk plans; for
+  // every other scheme that call delegates straight back to
+  // plan_multi_node_repair.
+  auto plan = target != kRepairTarget ? code.plan_degraded_block(target, failed)
+              : failed.size() == 1    ? code.plan_node_repair(*failed.begin())
+                                      : code.plan_multi_node_repair(failed);
   if (!plan.is_ok()) return plan.status();
   std::unique_lock<std::shared_mutex> lock(plan_mu_);
   return &plan_cache_.try_emplace(key, std::move(*plan)).first->second;
@@ -276,7 +278,7 @@ Status MiniDfs::abort_write(const std::string& path) {
 
 Status MiniDfs::write_file(const std::string& path, ByteSpan data,
                            const std::string& code_spec,
-                           std::size_t block_size) {
+                           std::size_t block_size, net::TransferClass cls) {
   // The write transaction in one go: place every stripe up front (serial
   // draws), store them all with one store_stripes call, zero-copy from
   // `data`, then publish. store_stripes runs every stripe even after a
@@ -301,7 +303,7 @@ Status MiniDfs::write_file(const std::string& path, ByteSpan data,
       const auto stripes,
       allocate_stripes(path, ec::StripeCodec(*code).stripe_count(
                                  data.size(), block_size)));
-  DBLREP_RETURN_IF_ERROR(store_stripes(path, stripes, data));
+  DBLREP_RETURN_IF_ERROR(store_stripes(path, stripes, data, cls));
   const Status committed = commit_write(path);
   if (committed.is_ok()) guard.armed = false;
   return committed;
@@ -362,13 +364,24 @@ Status MiniDfs::record_plan_sends(const ec::RepairPlan& plan,
   return Status::ok();
 }
 
-Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
-                                        cluster::StripeId stripe,
-                                        std::size_t block,
-                                        net::TransferClass cls) {
+Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
+                                             cluster::StripeId stripe,
+                                             std::size_t block,
+                                             net::TransferClass cls) {
   const auto& info = namenode_.stripe(stripe);
   const ec::CodeScheme& code = *info.code;
   const std::size_t alpha = code.sub_chunks();
+  // The α units of the block, in unit order, as one block: for α == 1 the
+  // unit itself, otherwise their concatenation.
+  auto join = [&](std::vector<SharedBlock>& units) -> SharedBlock {
+    if (units.size() == 1) return std::move(units.front());
+    Buffer out;
+    out.reserve(file.block_size);
+    for (const SharedBlock& unit : units) {
+      out.insert(out.end(), unit.begin(), unit.end());
+    }
+    return out;
+  };
   std::set<ec::NodeIndex> failed;  // holders whose replica read fails
   // Fast path: every sub-chunk of the block served from a replica. Gather
   // all α units first and account the deliveries only once the whole block
@@ -376,8 +389,10 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
   // instead, and the abandoned replica reads must not be charged. For
   // α == 1 this is exactly the old single-replica block read.
   {
-    std::vector<std::pair<cluster::NodeId, Buffer>> units;
+    std::vector<SharedBlock> units;
+    std::vector<cluster::NodeId> holders;
     units.reserve(alpha);
+    holders.reserve(alpha);
     for (std::size_t unit = block * alpha; unit < (block + 1) * alpha;
          ++unit) {
       // Try each replica in turn; CRC failures and down nodes fall through.
@@ -387,7 +402,8 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
         auto bytes =
             datanodes_[static_cast<std::size_t>(node)].get({stripe, slot});
         if (bytes.is_ok()) {
-          units.emplace_back(node, std::move(*bytes));
+          units.push_back(std::move(*bytes));
+          holders.push_back(node);
           got = true;
           break;
         }
@@ -396,53 +412,45 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       if (!got) break;
     }
     if (units.size() == alpha) {
-      for (const auto& [node, bytes] : units) {
-        traffic_.record(node, net::kClientEndpoint,
-                        static_cast<double>(bytes.size()), cls);
+      for (std::size_t i = 0; i < alpha; ++i) {
+        traffic_.record(holders[i], net::kClientEndpoint,
+                        static_cast<double>(units[i].size()), cls);
       }
-      Buffer out = std::move(units.front().second);
-      out.reserve(alpha * out.size());
-      for (std::size_t i = 1; i < units.size(); ++i) {
-        out.insert(out.end(), units[i].second.begin(), units[i].second.end());
-      }
-      return out;
+      return join(units);
     }
   }
   // On-the-fly repair (Section 3.1): plan against the down nodes and the
   // failed holders, and read only the slots the plan names. A slot that
   // fails its read fails its node, and the read plans again with the slots
   // it holds. The failed set only grows, so the loop ends. Executing over
-  // the gathered copies keeps the read stable if the stripe changes.
+  // the gathered blocks keeps the read stable if the stripe changes.
   failed.merge(namenode_.failed_in_stripe(stripe, down_nodes()));
   ec::SlotStore store;
-  ec::RepairPlan plan;
+  const ec::RepairPlan* plan = nullptr;
+  ec::RepairPlan layered;
   std::size_t known = 0;
   do {
     known = failed.size();
-    DBLREP_ASSIGN_OR_RETURN(plan, code.plan_degraded_block(block, failed));
+    DBLREP_ASSIGN_OR_RETURN(plan, cached_plan(code, block, failed));
     // Layered mode: each rack combines its partials locally and sends the
     // client one payload per rack instead of one per helper.
     if (options_.layered_repair) {
-      plan = ec::layer_plan(plan, group_racks(info.group));
+      layered = ec::layer_plan(*plan, group_racks(info.group));
+      plan = &layered;
     }
-    failed.merge(gather_stripe(stripe, plan.source_slots(), store));
+    failed.merge(gather_stripe(stripe, plan->source_slots(), store));
   } while (failed.size() > known);
   auto lease = runtime_pool_for(code).acquire();
-  auto delivered = lease->executor.execute(plan, store);
+  auto delivered = lease->executor.execute(*plan, store);
   if (!delivered.is_ok()) return delivered.status();
   if (delivered->size() != alpha) {
     return internal_error("degraded read returned unexpected unit count");
   }
   DBLREP_RETURN_IF_ERROR(record_plan_sends(
-      plan, info.group, static_cast<double>(file.block_size / alpha), cls));
+      *plan, info.group, static_cast<double>(file.block_size / alpha), cls));
   // plan_degraded_block delivers the α client units in unit order, so they
-  // concatenate straight back into the logical block.
-  Buffer out;
-  out.reserve(file.block_size);
-  for (Buffer& unit : *delivered) {
-    out.insert(out.end(), unit.begin(), unit.end());
-  }
-  return out;
+  // join straight back into the logical block.
+  return join(*delivered);
 }
 
 Result<Buffer> MiniDfs::read_block(const std::string& path,
@@ -460,12 +468,14 @@ Result<Buffer> MiniDfs::read_block(const std::string& path,
   }
   const std::size_t stripe_index = block_index / code.data_blocks();
   const std::size_t block = block_index % code.data_blocks();
-  auto out = read_data_block(info, info.stripes[stripe_index], block, cls);
-  if (out.is_ok() && options_.access_observer != nullptr &&
+  DBLREP_ASSIGN_OR_RETURN(
+      const SharedBlock out,
+      read_data_block(info, info.stripes[stripe_index], block, cls));
+  if (options_.access_observer != nullptr &&
       cls == net::TransferClass::kClientRead) {
-    options_.access_observer->on_read(path, out->size());
+    options_.access_observer->on_read(path, out.size());
   }
-  return out;
+  return Buffer(out.begin(), out.end());
 }
 
 Result<Buffer> MiniDfs::pread_span(const FileInfo& info,
@@ -486,8 +496,8 @@ Result<Buffer> MiniDfs::pread_span(const FileInfo& info,
   const std::size_t last_stripe = last_block / k;
 
   // Only the covering stripes resolve; they stream in parallel straight
-  // into the result buffer (each block writes a disjoint byte range), with
-  // the first and last block trimmed to the requested window.
+  // into the result buffer (each block is copied once, into a disjoint byte
+  // range), with the first and last block trimmed to the requested window.
   const Status read_status = exec::parallel_for_all(
       *pool_, last_stripe - first_stripe + 1, [&](std::size_t i) -> Status {
         const std::size_t si = first_stripe + i;
@@ -677,7 +687,7 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   // so the basis solve behind plan_multi_node_repair runs once per distinct
   // pattern and is replayed -- across threads -- for every affected stripe.
   DBLREP_ASSIGN_OR_RETURN(const ec::RepairPlan* plan,
-                          cached_repair_plan(code, failed));
+                          cached_plan(code, kRepairTarget, failed));
   // Layering depends on this stripe's rack assignment, so it happens per
   // stripe over the shared cached plan (a cheap list rewrite -- the GF
   // work on actual blocks dwarfs it).
@@ -709,8 +719,8 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
         "stripe " + std::to_string(stripe) +
         " was unsealed or deleted while its repair was executing");
   }
-  // Persist only what landed on live nodes; still-down nodes get theirs
-  // when they are repaired.
+  // Persist only what landed on live nodes, moving each rebuilt block into
+  // its DataNode; still-down nodes get theirs when they are repaired.
   for (const auto& rec : plan->reconstructions) {
     const auto rebuilt = store.find(rec.dest_slot);
     if (rebuilt == store.end()) {
@@ -727,7 +737,7 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
     auto& dest_dn = datanodes_[static_cast<std::size_t>(dest)];
     if (dest_dn.is_up()) {
       DBLREP_RETURN_IF_ERROR(
-          dest_dn.put({stripe, rec.dest_slot}, rebuilt->second));
+          dest_dn.put({stripe, rec.dest_slot}, std::move(rebuilt->second)));
     }
   }
   return Status::ok();

@@ -43,8 +43,9 @@
 //    delete/rename) plus a map-structure mutex.
 //  * Mutable codec scratch (ec::StripeCodec / ec::PlanExecutor) is checked
 //    out per worker from an exec::RuntimePool per scheme.
-//  * Repair plans are cached per (code, failure-pattern) under a
-//    shared-read lock and replayed across stripes and threads.
+//  * Degraded-read and repair plans share one cache, keyed by (code,
+//    target, failure pattern), under a shared-read lock; a plan is built
+//    once and replayed across stripes, reads, and threads.
 //  * Deletes and renames are safe to run concurrently with repair and
 //    scrub: each repair pass pins its stripe with a catalog repair lease
 //    (NameNode::begin_repair), so a racing delete drain-waits for the
@@ -60,6 +61,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "cluster/catalog.h"
@@ -217,9 +219,12 @@ class MiniDfs {
   /// Writes `data` as a new file encoded with `code_spec`, striping into
   /// blocks of `block_size` bytes. Thin wrapper over the write transaction
   /// above: every stripe is placed up front (serial draws, so the layout is
-  /// deterministic per seed), then one store_stripes call stores them all.
-  Status write_file(const std::string& path, ByteSpan data,
-                    const std::string& code_spec, std::size_t block_size);
+  /// deterministic per seed), then one store_stripes call stores them all,
+  /// charging every upload under `cls`.
+  Status write_file(
+      const std::string& path, ByteSpan data, const std::string& code_spec,
+      std::size_t block_size,
+      net::TransferClass cls = net::TransferClass::kClientWrite);
 
   /// Whole-file read: pread of [0, length). `cls` classes the delivery
   /// traffic (client read by default; kRetier for tiering re-encode
@@ -355,9 +360,13 @@ class MiniDfs {
     std::unique_ptr<exec::RuntimePool> runtimes;
   };
 
-  /// Repair plans keyed by (code, code-local failure pattern); shared
-  /// across stripes, repair rounds, and threads.
-  using PlanKey = std::pair<const ec::CodeScheme*, std::set<ec::NodeIndex>>;
+  /// Plans keyed by (code, target, code-local failure pattern), where the
+  /// target is a data block index for a degraded read or kRepairTarget for
+  /// a stripe repair; shared across stripes, reads, repair rounds, and
+  /// threads.
+  using PlanKey =
+      std::tuple<const ec::CodeScheme*, std::size_t, std::set<ec::NodeIndex>>;
+  static constexpr std::size_t kRepairTarget = static_cast<std::size_t>(-1);
 
   /// Snapshot of a file's metadata under the namespace lock. FileInfo is
   /// immutable once published, so the copy stays valid without holding any
@@ -368,11 +377,14 @@ class MiniDfs {
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
   exec::RuntimePool& runtime_pool_for(const ec::CodeScheme& code) const;
 
-  /// Plan for `failed` under `code`, computed once per distinct pattern and
-  /// served under a shared-read lock afterwards. The returned pointer stays
-  /// valid for the lifetime of the DFS (entries are never evicted).
-  Result<const ec::RepairPlan*> cached_repair_plan(
-      const ec::CodeScheme& code, const std::set<ec::NodeIndex>& failed);
+  /// Plan under `code` for `target` -- a degraded read of that data block,
+  /// or kRepairTarget to rebuild every slot of the `failed` nodes --
+  /// computed once per distinct key and served under a shared-read lock
+  /// afterwards. The returned pointer stays valid for the lifetime of the
+  /// DFS (entries are never evicted).
+  Result<const ec::RepairPlan*> cached_plan(
+      const ec::CodeScheme& code, std::size_t target,
+      const std::set<ec::NodeIndex>& failed);
 
   /// The one CRC-checked slot reader: reads each of `slots` not in `store`
   /// into it; returns the code-local nodes whose slot failed to read.
@@ -396,15 +408,19 @@ class MiniDfs {
       const std::vector<cluster::NodeId>& group) const;
 
   /// Reads one data block (all α sub-chunk units) of one stripe with all
-  /// fallbacks -- replica reads first, then a degraded read through
-  /// plan_degraded_block; records traffic at unit granularity.
-  Result<Buffer> read_data_block(const FileInfo& file,
-                                 cluster::StripeId stripe, std::size_t block,
-                                 net::TransferClass cls);
+  /// fallbacks -- replica reads first, then a degraded read through the
+  /// cached plan_degraded_block plan; records traffic at unit granularity.
+  /// For α == 1 a replica read returns the DataNode's block itself and a
+  /// degraded read the block its plan rebuilt, neither copied.
+  Result<SharedBlock> read_data_block(const FileInfo& file,
+                                      cluster::StripeId stripe,
+                                      std::size_t block,
+                                      net::TransferClass cls);
 
   /// Range-read core shared by pread and read_file: fans the covering
-  /// stripes out across the pool, trimming the first and last block to the
-  /// requested window. `offset` must be <= info.length.
+  /// stripes out across the pool and copies each block, once, into its
+  /// window of the result, trimming the first and last block. `offset`
+  /// must be <= info.length.
   Result<Buffer> pread_span(const FileInfo& info, const ec::CodeScheme& code,
                             std::size_t offset, std::size_t len,
                             net::TransferClass cls);

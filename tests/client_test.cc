@@ -238,6 +238,35 @@ TEST(FileWriter, ZeroCopyRunsKeepTheWriteClass) {
   EXPECT_EQ(*read, data);
 }
 
+TEST(Client, WriteAndWriteAsyncKeepTheWriteClass) {
+  // The bulk write and its async form charge every upload to the handle's
+  // write class, as a FileWriter does, and none to the default
+  // client-write class.
+  exec::ThreadPool pool(2);
+  MiniDfs dfs = make_dfs(25, 7, &pool);
+  Client client(dfs, {.write_class = net::TransferClass::kRetier});
+  const auto code = ec::make_code("rs-10-4").value();
+  constexpr std::size_t kStripes = 3;
+  const Buffer data = payload(kStripes * code->data_blocks() * kBlockSize);
+  const double retier0 = dfs.traffic().class_bytes(net::TransferClass::kRetier);
+  const double write0 =
+      dfs.traffic().class_bytes(net::TransferClass::kClientWrite);
+
+  ASSERT_TRUE(client.write("/bulk", data, "rs-10-4", kBlockSize).is_ok());
+  ASSERT_TRUE(
+      client.write_async("/async", data, "rs-10-4", kBlockSize).get().is_ok());
+
+  const double uploaded = static_cast<double>(
+      2 * kStripes * code->layout().num_slots() * kBlockSize);
+  EXPECT_EQ(dfs.traffic().class_bytes(net::TransferClass::kRetier) - retier0,
+            uploaded);
+  EXPECT_EQ(
+      dfs.traffic().class_bytes(net::TransferClass::kClientWrite) - write0,
+      0.0);
+  EXPECT_EQ(*dfs.read_file("/bulk"), data);
+  EXPECT_EQ(*dfs.read_file("/async"), data);
+}
+
 TEST(FileWriter, OneAppendJournalsOneAllocateAndOneStore) {
   // The stripe-aligned middle of a span is allocated by one
   // allocate_stripes call and stored by one store_stripes call: two

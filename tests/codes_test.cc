@@ -168,7 +168,9 @@ TEST_P(AllCodesTest, VerifyCodewordAcceptsConsistentStripe) {
 TEST_P(AllCodesTest, VerifyCodewordFlagsCorruptedSlot) {
   const auto data = random_data(*code_, 6);
   auto store = full_store(*code_, data);
-  store[0][10] ^= 0xff;
+  Buffer flipped(store[0].begin(), store[0].end());
+  flipped[10] ^= 0xff;
+  store[0] = std::move(flipped);
   const auto status = code_->verify_codeword(store, kBlockSize);
   EXPECT_FALSE(status.is_ok());
   EXPECT_EQ(status.code(), StatusCode::kCorruption);

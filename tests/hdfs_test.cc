@@ -349,6 +349,48 @@ TEST(MiniDfs, DegradedReadReplansAroundACorruptSource) {
       static_cast<double>(executed->network_bytes(kBlockSize, 1)));
 }
 
+TEST(MiniDfs, CachedDegradedPlanReplansAroundANewCorruptSource) {
+  // heptagon-local: both holders of block 0 are down, so the first read
+  // plans a degraded read and caches the plan. A slot that plan reads is
+  // then CRC-broken: the second read starts from the cached plan, fails
+  // that source, and plans again without its node. (Pentagon cannot host
+  // this: a third failed node leaves a doubly-lost pentagon block
+  // unrecoverable.)
+  MiniDfs dfs = make_dfs();
+  const Buffer data = payload(kBlockSize * 40, 16);
+  ASSERT_TRUE(
+      dfs.write_file("/f", data, "heptagon-local", kBlockSize).is_ok());
+  const cluster::StripeId stripe = dfs.stat("/f")->stripes[0];
+  const auto& code = *dfs.code_for("/f").value();
+  std::set<ec::NodeIndex> failed;
+  for (std::size_t slot : code.layout().slots_of_symbol(0)) {
+    failed.insert(code.layout().node_of_slot(slot));
+    ASSERT_TRUE(dfs.fail_node(dfs.catalog().node_of({stripe, slot})).is_ok());
+  }
+  const auto first = code.plan_degraded_block(0, failed);
+  ASSERT_TRUE(first.is_ok());
+  dfs.traffic().reset();
+  auto block = dfs.read_block("/f", 0);
+  ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+  EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
+  EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(),
+                   static_cast<double>(first->network_bytes(kBlockSize, 1)));
+
+  const std::size_t bad = first->source_slots().front();
+  failed.insert(code.layout().node_of_slot(bad));
+  ASSERT_TRUE(dfs.datanode(dfs.catalog().node_of({stripe, bad}))
+                  .corrupt({stripe, bad}, 0)
+                  .is_ok());
+  const auto second = code.plan_degraded_block(0, failed);
+  ASSERT_TRUE(second.is_ok());
+  dfs.traffic().reset();
+  block = dfs.read_block("/f", 0);
+  ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+  EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
+  EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(),
+                   static_cast<double>(second->network_bytes(kBlockSize, 1)));
+}
+
 TEST(MiniDfs, HealthyReadTouchesNoInterNodeLinks) {
   MiniDfs dfs = make_dfs();
   const Buffer data = payload(kBlockSize * 9, 9);
@@ -560,7 +602,7 @@ TEST(RaidNode, RaidsThroughDegradedStripes) {
 // ----------------------------------------------------------- DataNode
 
 TEST(DataNode, ConcurrentReadersGetExactBytesWhileAWriterChurns) {
-  // Reads verify and copy outside the node lock, so four readers share one
+  // Reads verify outside the node lock, so four readers share one
   // node while a writer puts and drops other addresses and corrupts one
   // block four times, at distinct bytes so it stays corrupt. Every read
   // returns the exact bytes; only reads of the corrupted address may fail,
@@ -620,6 +662,38 @@ TEST(DataNode, ConcurrentReadersGetExactBytesWhileAWriterChurns) {
   Buffer expected = blocks[corrupted.slot];
   for (std::size_t byte = 25; byte < kRounds; byte += 50) expected[byte] ^= 0xff;
   EXPECT_EQ(*raw, expected);
+}
+
+TEST(DataNode, GetHandsOutTheStoredBlockWithoutCopying) {
+  // put() keeps a moved Buffer's bytes and get() returns them in place:
+  // two reads share one buffer. corrupt() swaps in a flipped copy, so a
+  // block already handed out stays intact while the next read fails.
+  DataNode dn(0);
+  Buffer bytes = random_buffer(4096, 3);
+  const Buffer expected = bytes;
+  const std::uint8_t* stored = bytes.data();
+  ASSERT_TRUE(dn.put({1, 0}, std::move(bytes)).is_ok());
+  const auto first = dn.get({1, 0});
+  const auto second = dn.get({1, 0});
+  ASSERT_TRUE(first.is_ok());
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(first->data(), stored);
+  EXPECT_EQ(second->data(), first->data());
+
+  // Moving a block (construction or assignment) empties the source.
+  auto third = dn.get({1, 0});
+  ASSERT_TRUE(third.is_ok());
+  SharedBlock taken = std::move(*third);
+  SharedBlock assigned;
+  assigned = std::move(taken);
+  EXPECT_EQ(assigned.data(), stored);
+  EXPECT_TRUE(third->empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(third->data(), nullptr);
+  EXPECT_TRUE(taken.empty());  // NOLINT(bugprone-use-after-move)
+
+  ASSERT_TRUE(dn.corrupt({1, 0}, 7).is_ok());
+  EXPECT_EQ(*first, expected);
+  EXPECT_EQ(dn.get({1, 0}).status().code(), StatusCode::kCorruption);
 }
 
 TEST(DataNode, PutRacingFailNeverLandsOnTheCrashedDisk) {

@@ -347,7 +347,7 @@ TEST(PlanExecutor, ExecutesHandBuiltRelayChain) {
   auto run = executor.execute(plan, store);
   ASSERT_TRUE(run.is_ok());
   ASSERT_EQ(run->size(), 1u);
-  Buffer expected = store.at(slot_n1);
+  Buffer expected(store.at(slot_n1).begin(), store.at(slot_n1).end());
   xor_into(expected, store.at(slot_n2));
   EXPECT_EQ((*run)[0], expected);
 }

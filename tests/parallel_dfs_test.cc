@@ -32,7 +32,7 @@ constexpr std::size_t kNodes = 25;
 /// Full cluster image: node -> (address -> bytes). get() re-verifies CRCs,
 /// so a corrupt block would show up as absent and fail the comparison.
 using ClusterImage =
-    std::map<cluster::NodeId, std::map<cluster::SlotAddress, Buffer>>;
+    std::map<cluster::NodeId, std::map<cluster::SlotAddress, SharedBlock>>;
 
 ClusterImage image_of(MiniDfs& dfs) {
   ClusterImage image;

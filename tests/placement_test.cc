@@ -194,7 +194,7 @@ TEST(MiniDfsPlacement, LayeredRepairMatchesUnlayeredBytesWithFewerCrossRack) {
   const Buffer data = random_buffer(512 * 10, 6);
 
   auto run_repair = [&](bool layered, double* cross, double* total,
-                        std::map<std::pair<NodeId, SlotAddress>, Buffer>*
+                        std::map<std::pair<NodeId, SlotAddress>, SharedBlock>*
                             contents) -> void {
     hdfs::MiniDfs dfs(topology, 31, nullptr,
                       make_options(PlacementPolicy::kFlat, layered));
@@ -217,7 +217,7 @@ TEST(MiniDfsPlacement, LayeredRepairMatchesUnlayeredBytesWithFewerCrossRack) {
 
   double plain_cross = 0, plain_total = 0, layered_cross = 0,
          layered_total = 0;
-  std::map<std::pair<NodeId, SlotAddress>, Buffer> plain_contents,
+  std::map<std::pair<NodeId, SlotAddress>, SharedBlock> plain_contents,
       layered_contents;
   run_repair(false, &plain_cross, &plain_total, &plain_contents);
   run_repair(true, &layered_cross, &layered_total, &layered_contents);

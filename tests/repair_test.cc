@@ -250,6 +250,26 @@ TEST(HeptagonLocalRepair, TwoFailuresInOneLocalStayLocal) {
 
 // ----------------------------------------------------- executor checks
 
+TEST(PlanExecutor, RepairByTransferSharesTheTwinsBlock) {
+  // Pentagon single-node repair is four plain copies (§2.1): each rebuilt
+  // slot is its surviving twin's block itself, so no byte is copied.
+  PolygonCode pentagon(5);
+  const auto data = random_data(pentagon, 4);
+  PlanExecutor executor(pentagon.layout());
+  auto store = store_without_nodes(pentagon, data, {0});
+  const auto plan = pentagon.plan_node_repair(0);
+  ASSERT_TRUE(plan.is_ok());
+  ASSERT_TRUE(executor.execute(*plan, store).is_ok());
+  for (std::size_t slot : pentagon.layout().slots_on_node(0)) {
+    const std::size_t symbol = pentagon.layout().symbol_of_slot(slot);
+    for (std::size_t twin : pentagon.layout().slots_of_symbol(symbol)) {
+      if (twin == slot) continue;
+      EXPECT_EQ(store.at(slot).data(), store.at(twin).data())
+          << "slot " << slot;
+    }
+  }
+}
+
 TEST(PlanExecutor, RefusesPlanReadingFromWrongNode) {
   PolygonCode pentagon(5);
   PlanExecutor executor(pentagon.layout());
