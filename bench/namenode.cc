@@ -97,7 +97,7 @@ void create_one(hdfs::NameNode& nn, const ec::CodeScheme& code,
   for (std::size_t j = 0; j < group.size(); ++j) {
     group[j] = static_cast<cluster::NodeId>((salt + j) % kNumNodes);
   }
-  DBLREP_CHECK(nn.attach_stripes(path, code, {group}).is_ok());
+  DBLREP_CHECK(nn.attach_stripes(path, {group}).is_ok());
   DBLREP_CHECK(nn.commit_write(path).is_ok());
 }
 

@@ -196,8 +196,8 @@ Result<Buffer> Client::pread(const std::string& path, std::size_t offset,
   return dfs_->pread(path, offset, len, read_class_);
 }
 
-Result<Buffer> Client::read_block(const std::string& path,
-                                  std::size_t block_index) {
+Result<SharedBlock> Client::read_block(const std::string& path,
+                                       std::size_t block_index) {
   return dfs_->read_block(path, block_index, read_class_);
 }
 

@@ -173,7 +173,8 @@ class Client {
   Result<Buffer> pread(const std::string& path, std::size_t offset,
                        std::size_t len);
 
-  Result<Buffer> read_block(const std::string& path, std::size_t block_index);
+  Result<SharedBlock> read_block(const std::string& path,
+                                 std::size_t block_index);
 
   // --------------------------------------------------------------- async
   //

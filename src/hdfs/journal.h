@@ -69,19 +69,21 @@ struct FileState {
 
 /// One journal record. All fields are encoded for every kind (uniform
 /// layout: simpler, and round-trip equality is field-exact); which fields
-/// are meaningful depends on `kind` as annotated above.
+/// are meaningful depends on `kind` as annotated above. Every field has a
+/// default, so a designated initializer names only the fields its kind
+/// uses.
 struct JournalRecord {
   JournalRecordKind kind = JournalRecordKind::kCreate;
   std::uint64_t seq = 0;  // global mutation sequence number
-  std::string path;
-  std::string path2;      // rename target
-  std::string code_spec;
+  std::string path{};
+  std::string path2{};    // rename target
+  std::string code_spec{};
   std::uint64_t block_size = 0;
   std::uint64_t length = 0;  // kStore delta / kCommit final length
   std::uint64_t stripe = 0;  // kStore / kSeal subject
-  std::vector<std::uint64_t> stripes;                // kAllocate / kGcStripes
-  std::vector<std::vector<std::int32_t>> groups;     // kAllocate placements
-  FileState file;                                    // kRenameOut / kRenameIn
+  std::vector<std::uint64_t> stripes{};              // kAllocate / kGcStripes
+  std::vector<std::vector<std::int32_t>> groups{};   // kAllocate placements
+  FileState file{};                                  // kRenameOut / kRenameIn
 
   bool operator==(const JournalRecord&) const = default;
 };

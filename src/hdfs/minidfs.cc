@@ -179,7 +179,7 @@ Result<std::vector<cluster::StripeId>> MiniDfs::allocate_stripes(
   // Unsealed until commit_write publishes the file: a concurrent repair
   // pass must not mistake a write in flight for mass failure (nor race an
   // abort of one).
-  return namenode_.attach_stripes(path, code, groups);
+  return namenode_.attach_stripes(path, groups);
 }
 
 Status MiniDfs::store_stripes(const std::string& path,
@@ -453,9 +453,9 @@ Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
   return join(*delivered);
 }
 
-Result<Buffer> MiniDfs::read_block(const std::string& path,
-                                   std::size_t block_index,
-                                   net::TransferClass cls) {
+Result<SharedBlock> MiniDfs::read_block(const std::string& path,
+                                        std::size_t block_index,
+                                        net::TransferClass cls) {
   std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
   DBLREP_ASSIGN_OR_RETURN(const FileInfo info, lookup_copy(path));
   auto code_result = scheme(info.code_spec);
@@ -469,13 +469,13 @@ Result<Buffer> MiniDfs::read_block(const std::string& path,
   const std::size_t stripe_index = block_index / code.data_blocks();
   const std::size_t block = block_index % code.data_blocks();
   DBLREP_ASSIGN_OR_RETURN(
-      const SharedBlock out,
+      SharedBlock out,
       read_data_block(info, info.stripes[stripe_index], block, cls));
   if (options_.access_observer != nullptr &&
       cls == net::TransferClass::kClientRead) {
     options_.access_observer->on_read(path, out.size());
   }
-  return Buffer(out.begin(), out.end());
+  return out;
 }
 
 Result<Buffer> MiniDfs::pread_span(const FileInfo& info,
@@ -773,8 +773,22 @@ Status MiniDfs::repair_all() {
   });
 }
 
+Status MiniDfs::for_each_file(
+    const std::function<Status(const std::string&, const FileInfo&)>& fn) {
+  for (const std::string& path : namenode_.list_files()) {
+    // Re-resolved under the path's shared lock: a delete racing the walk
+    // either finished first (the file is skipped) or waits for `fn`.
+    std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
+    const auto info = lookup_copy(path);
+    if (info.status().code() == StatusCode::kNotFound) continue;
+    if (!info.is_ok()) return info.status();
+    DBLREP_RETURN_IF_ERROR(fn(path, *info));
+  }
+  return Status::ok();
+}
+
 Status MiniDfs::scrub() {
-  for (const auto& [path, info] : namenode_.snapshot_files()) {
+  return for_each_file([&](const std::string& path, const FileInfo& info) {
     auto code_result = scheme(info.code_spec);
     if (!code_result.is_ok()) return code_result.status();
     const ec::CodeScheme& code = **code_result;
@@ -788,22 +802,20 @@ Status MiniDfs::scrub() {
       }
       DBLREP_RETURN_IF_ERROR(code.verify_codeword(store, info.block_size));
     }
-  }
-  return Status::ok();
+    return Status::ok();
+  });
 }
 
 Result<std::size_t> MiniDfs::scrub_repair() {
-  // Snapshot the namespace, then heal file by file with the stripes of
-  // each file fanned out across the pool.
-  const std::vector<std::pair<std::string, FileInfo>> snapshot =
-      namenode_.snapshot_files();
+  // Heal file by file, with the stripes of each file fanned out across the
+  // pool.
   std::atomic<std::size_t> healed{0};
-  for (const auto& [path, info] : snapshot) {
-    std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
+  DBLREP_RETURN_IF_ERROR(for_each_file([&](const std::string&,
+                                           const FileInfo& info) {
     auto code_result = scheme(info.code_spec);
     if (!code_result.is_ok()) return code_result.status();
     const ec::CodeScheme& code = **code_result;
-    const Status file_status = exec::parallel_for_all(
+    return exec::parallel_for_all(
         *pool_, info.stripes.size(), [&](std::size_t si) -> Status {
           const cluster::StripeId stripe = info.stripes[si];
           // Gather the verifiably-good slots, then decode once and rewrite
@@ -835,8 +847,7 @@ Result<std::size_t> MiniDfs::scrub_repair() {
           }
           return Status::ok();
         });
-    if (!file_status.is_ok()) return file_status;
-  }
+  }));
   return healed.load();
 }
 

@@ -55,6 +55,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -126,10 +127,10 @@ struct MiniDfsOptions {
   /// either way; only the traffic's rack split changes.
   bool layered_repair = false;
 
-  /// Metadata shard count of the sharded NameNode. 0 defers to the
-  /// DBLREP_META_SHARDS environment knob (default 4). Stripe ids come from
-  /// a global counter, so placement, bytes, and traffic are identical for
-  /// every shard count -- only metadata-plane contention changes.
+  /// Metadata shard count of the sharded NameNode (0 = the default, 4).
+  /// Stripe ids come from a global counter, so placement, bytes, and
+  /// traffic are identical for every shard count -- only metadata-plane
+  /// contention changes.
   std::size_t meta_shards = 0;
 
   /// Auto-snapshot a metadata shard once its write-ahead journal holds
@@ -243,9 +244,10 @@ class MiniDfs {
                        std::size_t len,
                        net::TransferClass cls = net::TransferClass::kClientRead);
 
-  /// Reads one data block (index within the file). Indices at or past the
-  /// file's last logical block are INVALID_ARGUMENT.
-  Result<Buffer> read_block(
+  /// Reads one data block (index within the file): the block the replica
+  /// read or degraded read produced, shared rather than copied. Indices at
+  /// or past the file's last logical block are INVALID_ARGUMENT.
+  Result<SharedBlock> read_block(
       const std::string& path, std::size_t block_index,
       net::TransferClass cls = net::TransferClass::kClientRead);
 
@@ -391,6 +393,12 @@ class MiniDfs {
   std::set<ec::NodeIndex> gather_stripe(cluster::StripeId stripe,
                                         std::span<const std::size_t> slots,
                                         ec::SlotStore& store) const;
+
+  /// Runs `fn` on every published file in path order, each under its
+  /// shared path lock and re-resolved there; files deleted since the
+  /// listing are skipped. Stops at the first error.
+  Status for_each_file(
+      const std::function<Status(const std::string&, const FileInfo&)>& fn);
 
   /// gather_stripe over every slot; returns the slots that are missing or
   /// corrupt on live nodes: what repair and scrub rewrite.

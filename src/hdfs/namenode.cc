@@ -1,8 +1,8 @@
 #include "hdfs/namenode.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -34,20 +34,21 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 
-std::size_t resolve_shards(std::size_t requested) {
-  std::size_t shards = requested;
-  if (shards == 0) {
-    shards = 4;
-    if (const char* env = std::getenv("DBLREP_META_SHARDS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) shards = static_cast<std::size_t>(parsed);
-    }
-  }
-  return std::clamp<std::size_t>(shards, 1, 256);
-}
-
 std::vector<std::int32_t> group_to_i32(const std::vector<cluster::NodeId>& g) {
   return std::vector<std::int32_t>(g.begin(), g.end());
+}
+
+Status no_open_write(const std::string& path) {
+  return failed_precondition_error("no write transaction open for " + path);
+}
+
+/// Exclusive locks on `first`, then `second` (one lock if they are one).
+std::array<std::unique_lock<std::shared_mutex>, 2> lock_in_order(
+    std::shared_mutex& first, std::shared_mutex& second) {
+  std::array<std::unique_lock<std::shared_mutex>, 2> locks;
+  locks[0] = std::unique_lock(first);
+  if (&second != &first) locks[1] = std::unique_lock(second);
+  return locks;
 }
 
 }  // namespace
@@ -74,7 +75,8 @@ FileInfo to_file_info(const FileState& state, bool sealed) {
 NameNode::NameNode(const cluster::Topology& topology, SchemeResolver resolver,
                    const NameNodeOptions& options)
     : topology_(topology), resolver_(std::move(resolver)), options_(options) {
-  options_.shards = resolve_shards(options.shards);
+  options_.shards =
+      std::clamp<std::size_t>(options.shards == 0 ? 4 : options.shards, 1, 256);
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(topology_));
@@ -123,69 +125,174 @@ void NameNode::router_reset() {
 
 // -------------------------------------------------------------- mutations
 
+Status NameNode::apply(Shard& shard, const JournalRecord& record,
+                       RemovedFile* removed) {
+  // Unregisters the listed stripes this shard's catalog holds (a renamed
+  // file's others stay with the shards that allocated them).
+  const auto drop_stripes = [&](const auto& ids) {
+    for (const cluster::StripeId id : ids) {
+      if (!shard.catalog.is_registered(id)) continue;
+      auto spec = shard.stripe_specs.extract(id);
+      if (removed != nullptr) {
+        removed->stripes.push_back(
+            {id, std::move(spec.mapped()), shard.catalog.stripe(id).group});
+      }
+      DBLREP_CHECK(shard.catalog.unregister_stripe(id).is_ok());
+    }
+  };
+  // kAbort and kDelete: the entry's stripes, then the entry itself.
+  const auto remove_entry = [&](std::map<std::string, FileInfo>& entries,
+                                std::map<std::string, FileInfo>::iterator it) {
+    drop_stripes(it->second.stripes);
+    if (removed != nullptr) removed->info = std::move(it->second);
+    entries.erase(it);
+  };
+  switch (record.kind) {
+    case JournalRecordKind::kCreate: {
+      FileInfo info;
+      info.code_spec = record.code_spec;
+      info.block_size = static_cast<std::size_t>(record.block_size);
+      info.sealed = false;
+      shard.pending.emplace(record.path, std::move(info));
+      return Status::ok();
+    }
+    case JournalRecordKind::kAllocate: {
+      const auto it = shard.pending.find(record.path);
+      if (it == shard.pending.end()) return no_open_write(record.path);
+      if (record.groups.size() != record.stripes.size()) {
+        return internal_error("kAllocate ids/groups mismatch");
+      }
+      const std::string& spec = it->second.code_spec;
+      DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code, resolver_(spec));
+      for (std::size_t g = 0; g < record.stripes.size(); ++g) {
+        const auto& group = record.groups[g];
+        const Status registered = shard.catalog.register_stripe_at(
+            record.stripes[g], *code,
+            std::vector<cluster::NodeId>(group.begin(), group.end()),
+            /*sealed=*/false);
+        if (!registered.is_ok()) {
+          drop_stripes(std::span(record.stripes).first(g));
+          return registered;
+        }
+        shard.stripe_specs.emplace(record.stripes[g], spec);
+      }
+      it->second.stripes.insert(it->second.stripes.end(),
+                                record.stripes.begin(), record.stripes.end());
+      return Status::ok();
+    }
+    case JournalRecordKind::kStore: {
+      const auto it = shard.pending.find(record.path);
+      if (it == shard.pending.end()) return no_open_write(record.path);
+      it->second.length += static_cast<std::size_t>(record.length);
+      return Status::ok();
+    }
+    case JournalRecordKind::kSeal:
+      return shard.catalog.seal_stripe(record.stripe);
+    case JournalRecordKind::kCommit: {
+      // No sealing here: the write's kSeal records, journaled just before,
+      // sealed its stripes.
+      const auto it = shard.pending.find(record.path);
+      if (it == shard.pending.end()) return no_open_write(record.path);
+      auto entry = shard.pending.extract(it);
+      entry.mapped().length = static_cast<std::size_t>(record.length);
+      entry.mapped().sealed = true;
+      shard.files.insert(std::move(entry));
+      return Status::ok();
+    }
+    case JournalRecordKind::kAbort: {
+      const auto it = shard.pending.find(record.path);
+      if (it == shard.pending.end()) return no_open_write(record.path);
+      remove_entry(shard.pending, it);
+      return Status::ok();
+    }
+    case JournalRecordKind::kDelete: {
+      const auto it = shard.files.find(record.path);
+      if (it == shard.files.end()) return not_found_error(record.path);
+      remove_entry(shard.files, it);
+      return Status::ok();
+    }
+    case JournalRecordKind::kRename: {
+      const auto it = shard.files.find(record.path);
+      if (it == shard.files.end()) return not_found_error(record.path);
+      auto entry = shard.files.extract(it);
+      entry.key() = record.path2;
+      shard.files.insert(std::move(entry));
+      return Status::ok();
+    }
+    case JournalRecordKind::kRenameOut:
+      shard.files.erase(record.path);
+      shard.rename_intents.insert_or_assign(
+          record.path, std::pair(record.path2, record.file));
+      return Status::ok();
+    case JournalRecordKind::kRenameIn:
+      shard.files.insert_or_assign(record.path2,
+                                   to_file_info(record.file, /*sealed=*/true));
+      return Status::ok();
+    case JournalRecordKind::kRenameAck:
+      shard.rename_intents.erase(record.path);
+      return Status::ok();
+    case JournalRecordKind::kGcStripes:
+      drop_stripes(record.stripes);
+      return Status::ok();
+  }
+  return internal_error("unknown journal record kind");
+}
+
+Status NameNode::mutate_locked(std::size_t index, JournalRecord record,
+                               RemovedFile* removed) {
+  Shard& shard = *shards_[index];
+  const std::size_t dropped_before =
+      removed != nullptr ? removed->stripes.size() : 0;
+  DBLREP_RETURN_IF_ERROR(apply(shard, record, removed));
+  record.seq = next_seq_locked();
+  shard.journal.append(record);
+  if (record.kind == JournalRecordKind::kAllocate) {
+    for (const cluster::StripeId id : record.stripes) {
+      router_insert(id, static_cast<std::uint32_t>(index));
+    }
+  }
+  if (removed != nullptr) {
+    for (std::size_t i = dropped_before; i < removed->stripes.size(); ++i) {
+      router_erase(removed->stripes[i].id);
+    }
+  }
+  return Status::ok();
+}
+
 Status NameNode::begin_write(const std::string& path,
                              const std::string& code_spec,
                              std::size_t block_size) {
-  Shard& shard = *shards_[shard_of(path)];
+  const std::size_t index = shard_of(path);
+  Shard& shard = *shards_[index];
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   if (shard.files.contains(path) || shard.pending.contains(path)) {
     return already_exists_error(path);
   }
-  JournalRecord rec;
-  rec.kind = JournalRecordKind::kCreate;
-  rec.seq = next_seq_locked();
-  rec.path = path;
-  rec.code_spec = code_spec;
-  rec.block_size = block_size;
-  shard.journal.append(rec);
-  FileInfo info;
-  info.code_spec = code_spec;
-  info.block_size = block_size;
-  info.sealed = false;
-  shard.pending.emplace(path, std::move(info));
-  maybe_snapshot_locked(shard_of(path));
+  DBLREP_RETURN_IF_ERROR(mutate_locked(
+      index, {.kind = JournalRecordKind::kCreate,
+              .path = path,
+              .code_spec = code_spec,
+              .block_size = block_size}));
+  maybe_snapshot_locked(index);
   return Status::ok();
 }
 
 Result<std::vector<cluster::StripeId>> NameNode::attach_stripes(
-    const std::string& path, const ec::CodeScheme& code,
+    const std::string& path,
     const std::vector<std::vector<cluster::NodeId>>& groups) {
   const std::size_t index = shard_of(path);
   Shard& shard = *shards_[index];
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const auto it = shard.pending.find(path);
-  if (it == shard.pending.end()) {
-    return failed_precondition_error("no write transaction open for " + path);
-  }
-  // Register first (validation may fail), then journal + publish: the
-  // journal must only describe changes that actually took hold.
-  std::vector<cluster::StripeId> ids;
-  ids.reserve(groups.size());
+  // Checked before any id is drawn: a rejected call consumes none.
+  if (!shard.pending.contains(path)) return no_open_write(path);
+  JournalRecord record{.kind = JournalRecordKind::kAllocate, .path = path};
   for (const auto& group : groups) {
-    const cluster::StripeId id = next_stripe_id_.fetch_add(1);
-    const Status registered =
-        shard.catalog.register_stripe_at(id, code, group, /*sealed=*/false);
-    if (!registered.is_ok()) {
-      for (cluster::StripeId done : ids) {
-        (void)shard.catalog.unregister_stripe(done);
-        shard.stripe_specs.erase(done);
-        router_erase(done);
-      }
-      return registered;
-    }
-    shard.stripe_specs.emplace(id, it->second.code_spec);
-    router_insert(id, static_cast<std::uint32_t>(index));
-    ids.push_back(id);
+    record.stripes.push_back(next_stripe_id_.fetch_add(1));
+    record.groups.push_back(group_to_i32(group));
   }
-  JournalRecord rec;
-  rec.kind = JournalRecordKind::kAllocate;
-  rec.seq = next_seq_locked();
-  rec.path = path;
-  rec.stripes.assign(ids.begin(), ids.end());
-  rec.groups.reserve(groups.size());
-  for (const auto& group : groups) rec.groups.push_back(group_to_i32(group));
-  shard.journal.append(rec);
-  it->second.stripes.insert(it->second.stripes.end(), ids.begin(), ids.end());
+  std::vector<cluster::StripeId> ids(record.stripes.begin(),
+                                     record.stripes.end());
+  DBLREP_RETURN_IF_ERROR(mutate_locked(index, std::move(record)));
   maybe_snapshot_locked(index);
   return ids;
 }
@@ -193,20 +300,11 @@ Result<std::vector<cluster::StripeId>> NameNode::attach_stripes(
 Status NameNode::record_store(const std::string& path,
                               cluster::StripeId stripe, std::size_t bytes) {
   const std::size_t index = shard_of(path);
-  Shard& shard = *shards_[index];
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const auto it = shard.pending.find(path);
-  if (it == shard.pending.end()) {
-    return failed_precondition_error("no write transaction open for " + path);
-  }
-  JournalRecord rec;
-  rec.kind = JournalRecordKind::kStore;
-  rec.seq = next_seq_locked();
-  rec.path = path;
-  rec.stripe = stripe;
-  rec.length = bytes;
-  shard.journal.append(rec);
-  it->second.length += bytes;
+  std::unique_lock<std::shared_mutex> lock(shards_[index]->mu);
+  DBLREP_RETURN_IF_ERROR(mutate_locked(index, {.kind = JournalRecordKind::kStore,
+                                               .path = path,
+                                               .length = bytes,
+                                               .stripe = stripe}));
   maybe_snapshot_locked(index);
   return Status::ok();
 }
@@ -216,201 +314,126 @@ Status NameNode::commit_write(const std::string& path) {
   Shard& shard = *shards_[index];
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   const auto it = shard.pending.find(path);
-  if (it == shard.pending.end()) {
-    return failed_precondition_error("no write transaction open for " + path);
-  }
+  if (it == shard.pending.end()) return no_open_write(path);
   // Seal every stripe, then publish, all in one critical section: readers
   // never observe a published file with unsealed stripes.
-  for (cluster::StripeId id : it->second.stripes) {
-    JournalRecord seal;
-    seal.kind = JournalRecordKind::kSeal;
-    seal.seq = next_seq_locked();
-    seal.stripe = id;
-    shard.journal.append(seal);
-    DBLREP_RETURN_IF_ERROR(shard.catalog.seal_stripe(id));
+  for (const cluster::StripeId id : it->second.stripes) {
+    DBLREP_RETURN_IF_ERROR(mutate_locked(
+        index, {.kind = JournalRecordKind::kSeal, .stripe = id}));
   }
-  JournalRecord rec;
-  rec.kind = JournalRecordKind::kCommit;
-  rec.seq = next_seq_locked();
-  rec.path = path;
-  rec.length = it->second.length;
-  shard.journal.append(rec);
-  FileInfo info = std::move(it->second);
-  info.sealed = true;
-  shard.pending.erase(it);
-  shard.files.emplace(path, std::move(info));
+  DBLREP_RETURN_IF_ERROR(
+      mutate_locked(index, {.kind = JournalRecordKind::kCommit,
+                            .path = path,
+                            .length = it->second.length}));
   maybe_snapshot_locked(index);
   return Status::ok();
 }
 
-StripePlacement NameNode::unregister_locked(Shard& shard,
-                                            cluster::StripeId id) {
-  StripePlacement placement;
-  placement.id = id;
-  const auto spec = shard.stripe_specs.find(id);
-  if (spec != shard.stripe_specs.end()) placement.code_spec = spec->second;
-  placement.group = shard.catalog.stripe(id).group;
-  DBLREP_CHECK(shard.catalog.unregister_stripe(id).is_ok());
-  shard.stripe_specs.erase(id);
-  router_erase(id);
-  return placement;
-}
-
 Result<RemovedFile> NameNode::abort_write(const std::string& path) {
   const std::size_t index = shard_of(path);
-  Shard& shard = *shards_[index];
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const auto it = shard.pending.find(path);
-  if (it == shard.pending.end()) {
-    return failed_precondition_error("no write transaction open for " + path);
-  }
-  JournalRecord rec;
-  rec.kind = JournalRecordKind::kAbort;
-  rec.seq = next_seq_locked();
-  rec.path = path;
-  shard.journal.append(rec);
+  std::unique_lock<std::shared_mutex> lock(shards_[index]->mu);
   RemovedFile removed;
-  removed.info = std::move(it->second);
   // An open write's stripes were all allocated by this shard (allocation
   // shard == namespace shard; only a later rename can split them).
-  for (cluster::StripeId id : removed.info.stripes) {
-    removed.stripes.push_back(unregister_locked(shard, id));
-  }
-  shard.pending.erase(it);
+  DBLREP_RETURN_IF_ERROR(mutate_locked(
+      index, {.kind = JournalRecordKind::kAbort, .path = path}, &removed));
   maybe_snapshot_locked(index);
   return removed;
 }
 
+NameNode::StripesByShard NameNode::foreign_stripes(const FileInfo& info) const {
+  StripesByShard owners;
+  for (const cluster::StripeId id : info.stripes) {
+    std::uint32_t owner = 0;
+    if (try_route(id, owner)) owners[owner].push_back(id);
+  }
+  return owners;
+}
+
+void NameNode::gc_locked(std::uint32_t owner,
+                         const std::vector<cluster::StripeId>& ids,
+                         RemovedFile& removed) {
+  DBLREP_CHECK(mutate_locked(owner,
+                             {.kind = JournalRecordKind::kGcStripes,
+                              .stripes = {ids.begin(), ids.end()}},
+                             &removed)
+                   .is_ok());
+}
+
+void NameNode::gc_stripes(const StripesByShard& owners, RemovedFile& removed) {
+  for (const auto& [owner, ids] : owners) {
+    std::unique_lock<std::shared_mutex> lock(shards_[owner]->mu);
+    gc_locked(owner, ids, removed);
+    maybe_snapshot_locked(owner);
+  }
+}
+
 Result<RemovedFile> NameNode::remove_file(const std::string& path) {
   const std::size_t index = shard_of(path);
-  Shard& shard = *shards_[index];
   RemovedFile removed;
+  {
+    std::unique_lock<std::shared_mutex> lock(shards_[index]->mu);
+    DBLREP_RETURN_IF_ERROR(mutate_locked(
+        index, {.kind = JournalRecordKind::kDelete, .path = path}, &removed));
+    maybe_snapshot_locked(index);
+  }
   // Foreign-owned stripes (the file was renamed into this shard) are
   // GC-journaled per owner shard after the namespace shard is released --
   // delete never holds two shard locks at once.
-  std::map<std::uint32_t, std::vector<cluster::StripeId>> foreign;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    const auto it = shard.files.find(path);
-    if (it == shard.files.end()) {
-      return not_found_error(path);
-    }
-    JournalRecord rec;
-    rec.kind = JournalRecordKind::kDelete;
-    rec.seq = next_seq_locked();
-    rec.path = path;
-    shard.journal.append(rec);
-    removed.info = std::move(it->second);
-    shard.files.erase(it);
-    for (cluster::StripeId id : removed.info.stripes) {
-      const std::uint32_t owner = route(id);
-      if (owner == index) {
-        removed.stripes.push_back(unregister_locked(shard, id));
-      } else {
-        foreign[owner].push_back(id);
-      }
-    }
-    maybe_snapshot_locked(index);
-  }
-  for (const auto& [owner, ids] : foreign) {
-    Shard& other = *shards_[owner];
-    std::unique_lock<std::shared_mutex> lock(other.mu);
-    JournalRecord rec;
-    rec.kind = JournalRecordKind::kGcStripes;
-    rec.seq = next_seq_locked();
-    rec.stripes.assign(ids.begin(), ids.end());
-    other.journal.append(rec);
-    for (cluster::StripeId id : ids) {
-      removed.stripes.push_back(unregister_locked(other, id));
-    }
-    maybe_snapshot_locked(owner);
-  }
+  gc_stripes(foreign_stripes(removed.info), removed);
   return removed;
+}
+
+std::array<std::unique_lock<std::shared_mutex>, 2> NameNode::lock_paths(
+    const std::string& x, const std::string& y) const {
+  const auto order = [this](const std::string& path) {
+    const std::size_t shard = shard_of(path);
+    return std::pair(shard, shards_[shard]->path_locks.stripe_of(path));
+  };
+  const bool x_first = order(x) <= order(y);
+  return lock_in_order(path_mutex(x_first ? x : y), path_mutex(x_first ? y : x));
+}
+
+Status NameNode::move_locked(const std::string& from, const std::string& to,
+                             const FileInfo& file) {
+  const std::size_t a = shard_of(from);
+  const std::size_t b = shard_of(to);
+  if (a == b) {
+    return mutate_locked(
+        a, {.kind = JournalRecordKind::kRename, .path = from, .path2 = to});
+  }
+  // Cross-shard: RenameOut in the source, RenameIn in the destination,
+  // RenameAck closing the source. A crash between any two records leaves
+  // an intent recovery can finish from the journals alone.
+  const FileState state = to_file_state(file);
+  DBLREP_RETURN_IF_ERROR(mutate_locked(a, {.kind = JournalRecordKind::kRenameOut,
+                                           .path = from,
+                                           .path2 = to,
+                                           .file = state}));
+  DBLREP_RETURN_IF_ERROR(mutate_locked(
+      b, {.kind = JournalRecordKind::kRenameIn, .path2 = to, .file = state}));
+  return mutate_locked(a, {.kind = JournalRecordKind::kRenameAck, .path = from});
 }
 
 Status NameNode::rename(const std::string& from, const std::string& to) {
   if (from == to) return Status::ok();
+  // Data-plane path locks first (excludes in-flight readers of either
+  // path), then both shard locks in index order.
+  const auto path_locks = lock_paths(from, to);
   const std::size_t a = shard_of(from);
   const std::size_t b = shard_of(to);
-  // Data-plane path locks first (excludes in-flight readers of either
-  // path), ordered by (shard, stripe) -- globally consistent with every
-  // single-path locker.
-  const std::size_t stripe_a = shards_[a]->path_locks.stripe_of(from);
-  const std::size_t stripe_b = shards_[b]->path_locks.stripe_of(to);
-  std::unique_lock<std::shared_mutex> path_first;
-  std::unique_lock<std::shared_mutex> path_second;
-  if (a == b && stripe_a == stripe_b) {
-    path_first = std::unique_lock(shards_[a]->path_locks.of(from));
-  } else if (std::pair(a, stripe_a) < std::pair(b, stripe_b)) {
-    path_first = std::unique_lock(shards_[a]->path_locks.of(from));
-    path_second = std::unique_lock(shards_[b]->path_locks.of(to));
-  } else {
-    path_first = std::unique_lock(shards_[b]->path_locks.of(to));
-    path_second = std::unique_lock(shards_[a]->path_locks.of(from));
-  }
-
-  if (a == b) {
-    Shard& shard = *shards_[a];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    const auto it = shard.files.find(from);
-    if (it == shard.files.end()) {
-      return not_found_error(from);
-    }
-    if (shard.files.contains(to) || shard.pending.contains(to)) {
-      return already_exists_error(to);
-    }
-    JournalRecord rec;
-    rec.kind = JournalRecordKind::kRename;
-    rec.seq = next_seq_locked();
-    rec.path = from;
-    rec.path2 = to;
-    shard.journal.append(rec);
-    FileInfo info = std::move(it->second);
-    shard.files.erase(it);
-    shard.files.emplace(to, std::move(info));
-    maybe_snapshot_locked(a);
-    return Status::ok();
-  }
-
-  // Cross-shard: both shard locks in index order, then the three-record
-  // intent protocol (RenameOut in the source, RenameIn in the destination,
-  // RenameAck closing the source). A crash between any two records leaves
-  // an intent recovery can finish from the journals alone.
   Shard& src = *shards_[a];
   Shard& dst = *shards_[b];
-  std::unique_lock<std::shared_mutex> lock_lo(a < b ? src.mu : dst.mu);
-  std::unique_lock<std::shared_mutex> lock_hi(a < b ? dst.mu : src.mu);
+  const auto shard_locks =
+      lock_in_order(shards_[std::min(a, b)]->mu, shards_[std::max(a, b)]->mu);
   const auto it = src.files.find(from);
-  if (it == src.files.end()) {
-    return not_found_error(from);
-  }
+  if (it == src.files.end()) return not_found_error(from);
   if (dst.files.contains(to) || dst.pending.contains(to)) {
     return already_exists_error(to);
   }
-  const FileState state = to_file_state(it->second);
-  JournalRecord out;
-  out.kind = JournalRecordKind::kRenameOut;
-  out.seq = next_seq_locked();
-  out.path = from;
-  out.path2 = to;
-  out.file = state;
-  src.journal.append(out);
-  JournalRecord in;
-  in.kind = JournalRecordKind::kRenameIn;
-  in.seq = next_seq_locked();
-  in.path2 = to;
-  in.file = state;
-  dst.journal.append(in);
-  JournalRecord ack;
-  ack.kind = JournalRecordKind::kRenameAck;
-  ack.seq = next_seq_locked();
-  ack.path = from;
-  src.journal.append(ack);
-  FileInfo info = std::move(it->second);
-  src.files.erase(it);
-  dst.files.emplace(to, std::move(info));
+  DBLREP_RETURN_IF_ERROR(move_locked(from, to, it->second));
   maybe_snapshot_locked(a);
-  maybe_snapshot_locked(b);
+  if (b != a) maybe_snapshot_locked(b);
   return Status::ok();
 }
 
@@ -419,144 +442,35 @@ Result<RemovedFile> NameNode::replace(const std::string& from,
   if (from == to) {
     return invalid_argument_error("replace: from == to: " + from);
   }
+  // Readers of `to` are excluded for the duration of the swap.
+  const auto path_locks = lock_paths(from, to);
   const std::size_t a = shard_of(from);
   const std::size_t b = shard_of(to);
-  // Both data-plane path locks, exclusive, ordered by (shard, stripe) --
-  // the same global order as rename and every single-path locker. Readers
-  // of `to` are excluded for the duration of the swap.
-  const std::size_t stripe_a = shards_[a]->path_locks.stripe_of(from);
-  const std::size_t stripe_b = shards_[b]->path_locks.stripe_of(to);
-  std::unique_lock<std::shared_mutex> path_first;
-  std::unique_lock<std::shared_mutex> path_second;
-  if (a == b && stripe_a == stripe_b) {
-    path_first = std::unique_lock(shards_[a]->path_locks.of(from));
-  } else if (std::pair(a, stripe_a) < std::pair(b, stripe_b)) {
-    path_first = std::unique_lock(shards_[a]->path_locks.of(from));
-    path_second = std::unique_lock(shards_[b]->path_locks.of(to));
-  } else {
-    path_first = std::unique_lock(shards_[b]->path_locks.of(to));
-    path_second = std::unique_lock(shards_[a]->path_locks.of(from));
-  }
-
   RemovedFile removed;
-  // Stripes of the outgoing layout owned by neither namespace shard are
-  // GC-journaled per owner after the shard locks drop -- like remove_file,
-  // no extra shard lock is ever nested.
-  std::map<std::uint32_t, std::vector<cluster::StripeId>> foreign;
-
-  if (a == b) {
-    Shard& shard = *shards_[a];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    const auto it_from = shard.files.find(from);
-    if (it_from == shard.files.end()) return not_found_error(from);
-    const auto it_to = shard.files.find(to);
-    if (it_to == shard.files.end()) return not_found_error(to);
-    // Delete the outgoing layout, then move `from` over the path -- both
-    // under one lock hold, so no reader can observe the gap.
-    JournalRecord del;
-    del.kind = JournalRecordKind::kDelete;
-    del.seq = next_seq_locked();
-    del.path = to;
-    shard.journal.append(del);
-    removed.info = std::move(it_to->second);
-    shard.files.erase(it_to);
-    for (cluster::StripeId id : removed.info.stripes) {
-      const std::uint32_t owner = route(id);
-      if (owner == a) {
-        removed.stripes.push_back(unregister_locked(shard, id));
-      } else {
-        foreign[owner].push_back(id);
-      }
+  StripesByShard foreign;
+  {
+    const auto shard_locks = lock_in_order(shards_[std::min(a, b)]->mu,
+                                           shards_[std::max(a, b)]->mu);
+    const auto it = shards_[a]->files.find(from);
+    if (it == shards_[a]->files.end()) return not_found_error(from);
+    // Delete the outgoing layout, then move `from` over the path -- all
+    // before any lock drops, so the namespace never shows the path missing.
+    DBLREP_RETURN_IF_ERROR(mutate_locked(
+        b, {.kind = JournalRecordKind::kDelete, .path = to}, &removed));
+    foreign = foreign_stripes(removed.info);
+    if (const auto own = foreign.find(static_cast<std::uint32_t>(a));
+        own != foreign.end()) {
+      gc_locked(own->first, own->second, removed);  // its lock is held
+      foreign.erase(own);
     }
-    JournalRecord rec;
-    rec.kind = JournalRecordKind::kRename;
-    rec.seq = next_seq_locked();
-    rec.path = from;
-    rec.path2 = to;
-    shard.journal.append(rec);
-    FileInfo info = std::move(it_from->second);
-    shard.files.erase(it_from);
-    shard.files.emplace(to, std::move(info));
+    DBLREP_RETURN_IF_ERROR(move_locked(from, to, it->second));
     maybe_snapshot_locked(a);
-  } else {
-    // Cross-shard: both shard locks in index order, kDelete journaled in
-    // the destination, then the rename intent protocol -- all before any
-    // lock drops, so the namespace never shows the path missing.
-    Shard& src = *shards_[a];
-    Shard& dst = *shards_[b];
-    std::unique_lock<std::shared_mutex> lock_lo(a < b ? src.mu : dst.mu);
-    std::unique_lock<std::shared_mutex> lock_hi(a < b ? dst.mu : src.mu);
-    const auto it_from = src.files.find(from);
-    if (it_from == src.files.end()) return not_found_error(from);
-    const auto it_to = dst.files.find(to);
-    if (it_to == dst.files.end()) return not_found_error(to);
-    JournalRecord del;
-    del.kind = JournalRecordKind::kDelete;
-    del.seq = next_seq_locked();
-    del.path = to;
-    dst.journal.append(del);
-    removed.info = std::move(it_to->second);
-    dst.files.erase(it_to);
-    std::vector<cluster::StripeId> src_owned;
-    for (cluster::StripeId id : removed.info.stripes) {
-      const std::uint32_t owner = route(id);
-      if (owner == b) {
-        removed.stripes.push_back(unregister_locked(dst, id));
-      } else if (owner == a) {
-        src_owned.push_back(id);  // src lock already held: GC inline
-      } else {
-        foreign[owner].push_back(id);
-      }
-    }
-    if (!src_owned.empty()) {
-      JournalRecord gc;
-      gc.kind = JournalRecordKind::kGcStripes;
-      gc.seq = next_seq_locked();
-      gc.stripes.assign(src_owned.begin(), src_owned.end());
-      src.journal.append(gc);
-      for (cluster::StripeId id : src_owned) {
-        removed.stripes.push_back(unregister_locked(src, id));
-      }
-    }
-    const FileState state = to_file_state(it_from->second);
-    JournalRecord out;
-    out.kind = JournalRecordKind::kRenameOut;
-    out.seq = next_seq_locked();
-    out.path = from;
-    out.path2 = to;
-    out.file = state;
-    src.journal.append(out);
-    JournalRecord in;
-    in.kind = JournalRecordKind::kRenameIn;
-    in.seq = next_seq_locked();
-    in.path2 = to;
-    in.file = state;
-    dst.journal.append(in);
-    JournalRecord ack;
-    ack.kind = JournalRecordKind::kRenameAck;
-    ack.seq = next_seq_locked();
-    ack.path = from;
-    src.journal.append(ack);
-    FileInfo info = std::move(it_from->second);
-    src.files.erase(it_from);
-    dst.files.emplace(to, std::move(info));
-    maybe_snapshot_locked(a);
-    maybe_snapshot_locked(b);
+    if (b != a) maybe_snapshot_locked(b);
   }
-
-  for (const auto& [owner, ids] : foreign) {
-    Shard& other = *shards_[owner];
-    std::unique_lock<std::shared_mutex> lock(other.mu);
-    JournalRecord rec;
-    rec.kind = JournalRecordKind::kGcStripes;
-    rec.seq = next_seq_locked();
-    rec.stripes.assign(ids.begin(), ids.end());
-    other.journal.append(rec);
-    for (cluster::StripeId id : ids) {
-      removed.stripes.push_back(unregister_locked(other, id));
-    }
-    maybe_snapshot_locked(owner);
-  }
+  // Stripes owned by neither namespace shard are GC-journaled per owner
+  // after the shard locks drop -- like remove_file, no extra shard lock is
+  // ever nested.
+  gc_stripes(foreign, removed);
   return removed;
 }
 
@@ -592,18 +506,6 @@ std::vector<std::string> NameNode::list_files() const {
   }
   std::sort(names.begin(), names.end());
   return names;
-}
-
-std::vector<std::pair<std::string, FileInfo>> NameNode::snapshot_files()
-    const {
-  std::vector<std::pair<std::string, FileInfo>> out;
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mu);
-    for (const auto& entry : shard->files) out.push_back(entry);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  return out;
 }
 
 std::size_t NameNode::num_files() const {

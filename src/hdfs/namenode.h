@@ -8,6 +8,13 @@
 // StripedSharedMutex for per-path data-plane exclusion). Metadata
 // operations on paths in different shards never contend.
 //
+// One mutation path: every change to a shard's files, open writes, catalog
+// stripes and rename intents is one JournalRecord passed through apply().
+// A live mutation checks its preconditions, then applies each of its
+// records and journals it only once it took hold; crash recovery replays
+// the journal through the same apply(). Replay therefore matches live
+// behaviour by construction.
+//
 // Identity across shard counts: stripe ids come from ONE global atomic
 // counter and the mutation sequence from another, so the id a stripe gets
 // -- and therefore every block address, every placement draw, every byte
@@ -40,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -74,8 +82,7 @@ using SchemeResolver =
     std::function<Result<const ec::CodeScheme*>(const std::string&)>;
 
 struct NameNodeOptions {
-  /// Metadata shard count. 0 = the DBLREP_META_SHARDS environment knob,
-  /// falling back to 4. Clamped to [1, 256].
+  /// Metadata shard count. 0 = the default, 4. Clamped to [1, 256].
   std::size_t shards = 0;
   /// Auto-snapshot a shard once its journal holds this many records
   /// (0 = manual snapshots only). Snapshots absorb the journal, bounding
@@ -128,9 +135,11 @@ class NameNode {
 
   // ------------------------------------------------- journaled mutations
   //
-  // Each call appends its records and applies its state change inside one
-  // shard-locked critical section, so the journal is always a
-  // serialization of the shard's history.
+  // Each call checks its preconditions, then applies its records one by
+  // one through apply() and journals each once it took hold, all inside
+  // one shard-locked critical section: the journal is always a
+  // serialization of the shard's history, and a rejected change never
+  // reaches it.
 
   /// Reserves `path` for an open write (ALREADY_EXISTS if taken).
   Status begin_write(const std::string& path, const std::string& code_spec,
@@ -139,9 +148,9 @@ class NameNode {
   /// Registers `groups` as new stripes of the open write at `path`,
   /// assigning ids from the global counter in order. The caller draws the
   /// placements (serially -- that is what makes ids and layouts
-  /// deterministic) and resolves `code` for the transaction's spec.
+  /// deterministic); the transaction's spec resolves through the resolver.
   Result<std::vector<cluster::StripeId>> attach_stripes(
-      const std::string& path, const ec::CodeScheme& code,
+      const std::string& path,
       const std::vector<std::vector<cluster::NodeId>>& groups);
 
   /// Accounts `bytes` of stored payload to the open write (stat()
@@ -179,8 +188,6 @@ class NameNode {
   /// Published or in-flight (then sealed == false).
   Result<FileInfo> stat(const std::string& path) const;
   std::vector<std::string> list_files() const;  // sorted across shards
-  /// Sorted (path, info) snapshot of every published file.
-  std::vector<std::pair<std::string, FileInfo>> snapshot_files() const;
   std::size_t num_files() const;
   bool has_pending_writes() const;
 
@@ -246,8 +253,6 @@ class NameNode {
   Status testonly_drop_last_journal_record(std::size_t shard);
 
  private:
-  friend struct NameNodeRestore;  // recovery.cc implementation helper
-
   struct Shard {
     mutable std::shared_mutex mu;  // namespace + journal + specs
     std::map<std::string, FileInfo> files;
@@ -256,12 +261,17 @@ class NameNode {
     /// Spec of every live stripe in `catalog` (catalog stores scheme
     /// pointers; snapshots and fingerprints need the durable spec string).
     std::map<cluster::StripeId, std::string> stripe_specs;
+    /// Cross-shard renames whose kRenameOut this shard applied and whose
+    /// kRenameAck it has not: from -> (to, file). Empty between live
+    /// operations; after replay, the intents recovery must finish.
+    std::map<std::string, std::pair<std::string, FileState>> rename_intents;
     Journal journal;
     Buffer snapshot;
     mutable exec::StripedSharedMutex path_locks;
 
     explicit Shard(const cluster::Topology& topology) : catalog(topology) {}
   };
+  using StripesByShard = std::map<std::uint32_t, std::vector<cluster::StripeId>>;
 
   /// Striped id -> shard map: catalog reads hash the id to a bucket and
   /// hit one small shared mutex, never a global one.
@@ -277,6 +287,48 @@ class NameNode {
   void router_erase(cluster::StripeId id);
   void router_reset();
 
+  /// The one function that changes a shard's files, pending writes,
+  /// catalog stripes, stripe specs and rename intents: one case per record
+  /// kind, shared by the live mutations and crash replay. Leaves the shard
+  /// unchanged when it rejects the record (FAILED_PRECONDITION without an
+  /// open write, NOT_FOUND without the file). kAbort, kDelete and
+  /// kGcStripes drop the stripes this shard's catalog holds and, when
+  /// `removed` is set, append their placements to it (kAbort and kDelete
+  /// also move the entry's FileInfo there). Touches neither the journal
+  /// nor the router.
+  Status apply(Shard& shard, const JournalRecord& record,
+               RemovedFile* removed);
+
+  /// A live mutation's step: apply() `record` to shard `index`, then stamp
+  /// the next seq and append it, then route the stripes it registered or
+  /// dropped. Callers of the dropping kinds pass `removed`, which is how
+  /// the router learns of the drops. Caller holds the unique lock.
+  Status mutate_locked(std::size_t index, JournalRecord record,
+                       RemovedFile* removed = nullptr);
+
+  /// Moves published `from` (`file`) to the free path `to`: kRename within
+  /// a shard, else the RenameOut / RenameIn / RenameAck intent protocol.
+  /// Caller holds both shard locks.
+  Status move_locked(const std::string& from, const std::string& to,
+                     const FileInfo& file);
+
+  /// Exclusive data-plane locks on both paths, in (shard, stripe) order --
+  /// the global order every single-path locker is consistent with.
+  std::array<std::unique_lock<std::shared_mutex>, 2> lock_paths(
+      const std::string& x, const std::string& y) const;
+
+  /// The stripes of a file removed by kDelete that are still routed: those
+  /// other shards' catalogs own (it was renamed in), by owner.
+  StripesByShard foreign_stripes(const FileInfo& info) const;
+
+  /// Journals kGcStripes for `ids` in shard `owner`, adding their
+  /// placements to `removed`. Caller holds the owner's unique lock.
+  void gc_locked(std::uint32_t owner, const std::vector<cluster::StripeId>& ids,
+                 RemovedFile& removed);
+  /// gc_locked in each owner shard, one shard lock at a time (never nested
+  /// in another).
+  void gc_stripes(const StripesByShard& owners, RemovedFile& removed);
+
   std::uint64_t next_seq_locked() { return seq_.fetch_add(1) + 1; }
 
   /// Serializes `shard`'s image and clears its journal; caller holds the
@@ -286,10 +338,6 @@ class NameNode {
   /// between the records of a compound op -- a mid-op snapshot would
   /// absorb half the op). Caller holds the unique lock.
   void maybe_snapshot_locked(std::size_t index);
-
-  /// Unregisters `id` from `shard`'s catalog, returning its placement for
-  /// the data plane. Caller holds the unique lock.
-  StripePlacement unregister_locked(Shard& shard, cluster::StripeId id);
 
   cluster::Topology topology_;
   SchemeResolver resolver_;

@@ -1,11 +1,8 @@
 #include "hdfs/recovery.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,15 +19,6 @@ Buffer truncate_journal_at_seq(ByteSpan journal, std::uint64_t cut_seq) {
   return out;
 }
 
-namespace {
-
-std::vector<cluster::NodeId> group_from_i32(
-    const std::vector<std::int32_t>& group) {
-  return std::vector<cluster::NodeId>(group.begin(), group.end());
-}
-
-}  // namespace
-
 Result<RecoveryReport> NameNode::restore(std::vector<Buffer> snapshots,
                                          std::vector<Buffer> journals) {
   // Caller guarantees quiescence: a crash has no concurrent clients.
@@ -42,31 +30,31 @@ Result<RecoveryReport> NameNode::restore(std::vector<Buffer> snapshots,
 
   RecoveryReport report;
   report.shards = shards_.size();
-
-  struct Rebuilt {
-    std::unique_ptr<Shard> shard;
-    /// Dangling cross-shard rename sources: RenameOut replayed, RenameAck
-    /// not (yet) seen. from -> (to, serialized file).
-    std::map<std::string, std::pair<std::string, FileState>> intents;
-  };
-  std::vector<Rebuilt> rebuilt;
+  std::vector<std::unique_ptr<Shard>> rebuilt;
   rebuilt.reserve(shards_.size());
 
-  std::uint64_t max_seq = 0;
+  std::uint64_t seq = 0;
   std::uint64_t next_id = 0;
-  const auto saw_stripe = [&next_id](std::uint64_t id) {
-    next_id = std::max(next_id, id + 1);
+  const auto saw_stripes = [&next_id](const std::vector<std::uint64_t>& ids) {
+    for (std::uint64_t id : ids) next_id = std::max(next_id, id + 1);
+  };
+  // Every replayed and reconciliation record goes through apply(), the
+  // code the live mutations run, and then onto the rebuilt journal.
+  const auto replay = [this](Shard& shard, const JournalRecord& record) {
+    DBLREP_RETURN_IF_ERROR(apply(shard, record, /*removed=*/nullptr));
+    shard.journal.append(record);
+    return Status::ok();
   };
 
-  // Phase 1: per shard, snapshot image + journal replay.
+  // Phase 1: per shard, install the snapshot image as it is, then replay
+  // the journal onto it.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Rebuilt r;
-    r.shard = std::make_unique<Shard>(topology_);
-    Shard& shard = *r.shard;
+    rebuilt.push_back(std::make_unique<Shard>(topology_));
+    Shard& shard = *rebuilt.back();
 
     DBLREP_ASSIGN_OR_RETURN(const ShardImage image,
                             decode_snapshot(snapshots[i]));
-    max_seq = std::max(max_seq, image.last_seq);
+    seq = std::max(seq, image.last_seq);
     next_id = std::max(next_id, image.next_stripe_id);
     report.snapshot_files += image.files.size() + image.pending.size();
     report.snapshot_stripes += image.stripes.size();
@@ -74,246 +62,94 @@ Result<RecoveryReport> NameNode::restore(std::vector<Buffer> snapshots,
       DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code,
                               resolver_(s.code_spec));
       DBLREP_RETURN_IF_ERROR(shard.catalog.register_stripe_at(
-          s.id, *code, group_from_i32(s.group), s.sealed));
+          s.id, *code,
+          std::vector<cluster::NodeId>(s.group.begin(), s.group.end()),
+          s.sealed));
       shard.stripe_specs.emplace(s.id, s.code_spec);
-      saw_stripe(s.id);
+      next_id = std::max(next_id, s.id + 1);
     }
     for (const auto& [path, state] : image.files) {
-      for (std::uint64_t id : state.stripes) saw_stripe(id);
+      saw_stripes(state.stripes);
       shard.files.emplace(path, to_file_info(state, /*sealed=*/true));
     }
     for (const auto& [path, state] : image.pending) {
-      for (std::uint64_t id : state.stripes) saw_stripe(id);
+      saw_stripes(state.stripes);
       shard.pending.emplace(path, to_file_info(state, /*sealed=*/false));
     }
     shard.snapshot = std::move(snapshots[i]);
 
     const ParsedJournal parsed = parse_journal(journals[i]);
     report.journal_bytes_discarded += parsed.discarded_bytes;
-    for (const JournalRecord& rec : parsed.records) {
-      max_seq = std::max(max_seq, rec.seq);
-      switch (rec.kind) {
-        case JournalRecordKind::kCreate: {
-          FileInfo info;
-          info.code_spec = rec.code_spec;
-          info.block_size = static_cast<std::size_t>(rec.block_size);
-          info.sealed = false;
-          shard.pending.emplace(rec.path, std::move(info));
-          break;
-        }
-        case JournalRecordKind::kAllocate: {
-          const auto it = shard.pending.find(rec.path);
-          if (it == shard.pending.end()) {
-            return internal_error("replay: kAllocate without open write: " +
-                                  rec.path);
-          }
-          if (rec.groups.size() != rec.stripes.size()) {
-            return internal_error("replay: kAllocate ids/groups mismatch");
-          }
-          DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code,
-                                  resolver_(it->second.code_spec));
-          for (std::size_t g = 0; g < rec.stripes.size(); ++g) {
-            const cluster::StripeId id = rec.stripes[g];
-            DBLREP_RETURN_IF_ERROR(shard.catalog.register_stripe_at(
-                id, *code, group_from_i32(rec.groups[g]), /*sealed=*/false));
-            shard.stripe_specs.emplace(id, it->second.code_spec);
-            it->second.stripes.push_back(id);
-            saw_stripe(id);
-          }
-          break;
-        }
-        case JournalRecordKind::kStore: {
-          const auto it = shard.pending.find(rec.path);
-          if (it == shard.pending.end()) {
-            return internal_error("replay: kStore without open write: " +
-                                  rec.path);
-          }
-          it->second.length += static_cast<std::size_t>(rec.length);
-          break;
-        }
-        case JournalRecordKind::kSeal: {
-          DBLREP_RETURN_IF_ERROR(shard.catalog.seal_stripe(rec.stripe));
-          break;
-        }
-        case JournalRecordKind::kCommit: {
-          const auto it = shard.pending.find(rec.path);
-          if (it == shard.pending.end()) {
-            return internal_error("replay: kCommit without open write: " +
-                                  rec.path);
-          }
-          FileInfo info = std::move(it->second);
-          info.length = static_cast<std::size_t>(rec.length);
-          info.sealed = true;
-          // Idempotent with the kSeal records that precede the commit.
-          for (cluster::StripeId id : info.stripes) {
-            DBLREP_RETURN_IF_ERROR(shard.catalog.seal_stripe(id));
-          }
-          shard.pending.erase(it);
-          shard.files.emplace(rec.path, std::move(info));
-          break;
-        }
-        case JournalRecordKind::kAbort: {
-          const auto it = shard.pending.find(rec.path);
-          if (it == shard.pending.end()) {
-            return internal_error("replay: kAbort without open write: " +
-                                  rec.path);
-          }
-          for (cluster::StripeId id : it->second.stripes) {
-            DBLREP_RETURN_IF_ERROR(shard.catalog.unregister_stripe(id));
-            shard.stripe_specs.erase(id);
-          }
-          shard.pending.erase(it);
-          break;
-        }
-        case JournalRecordKind::kDelete: {
-          const auto it = shard.files.find(rec.path);
-          if (it == shard.files.end()) {
-            return internal_error("replay: kDelete of unknown file: " +
-                                  rec.path);
-          }
-          // Foreign-owned stripes (renamed files) are not in this shard's
-          // catalog; their owners' kGcStripes -- or the orphan sweep --
-          // cover them.
-          for (cluster::StripeId id : it->second.stripes) {
-            if (shard.catalog.is_registered(id)) {
-              DBLREP_RETURN_IF_ERROR(shard.catalog.unregister_stripe(id));
-              shard.stripe_specs.erase(id);
-            }
-          }
-          shard.files.erase(it);
-          break;
-        }
-        case JournalRecordKind::kRename: {
-          const auto it = shard.files.find(rec.path);
-          if (it == shard.files.end()) {
-            return internal_error("replay: kRename of unknown file: " +
-                                  rec.path);
-          }
-          FileInfo info = std::move(it->second);
-          shard.files.erase(it);
-          shard.files.emplace(rec.path2, std::move(info));
-          break;
-        }
-        case JournalRecordKind::kRenameOut: {
-          shard.files.erase(rec.path);
-          r.intents[rec.path] = {rec.path2, rec.file};
-          for (std::uint64_t id : rec.file.stripes) saw_stripe(id);
-          break;
-        }
-        case JournalRecordKind::kRenameIn: {
-          shard.files.insert_or_assign(rec.path2,
-                                       to_file_info(rec.file, true));
-          for (std::uint64_t id : rec.file.stripes) saw_stripe(id);
-          break;
-        }
-        case JournalRecordKind::kRenameAck: {
-          r.intents.erase(rec.path);
-          break;
-        }
-        case JournalRecordKind::kGcStripes: {
-          for (cluster::StripeId id : rec.stripes) {
-            if (shard.catalog.is_registered(id)) {
-              DBLREP_RETURN_IF_ERROR(shard.catalog.unregister_stripe(id));
-              shard.stripe_specs.erase(id);
-            }
-          }
-          break;
-        }
-      }
-      shard.journal.append(rec);  // the surviving prefix IS the new journal
+    for (const JournalRecord& record : parsed.records) {
+      seq = std::max(seq, record.seq);
+      saw_stripes(record.stripes);
+      saw_stripes(record.file.stripes);
+      DBLREP_RETURN_IF_ERROR(replay(shard, record));
       ++report.journal_records_replayed;
     }
     if (shard.journal.num_records() == 0) {
       shard.journal.set_last_seq(image.last_seq);
     }
-    rebuilt.push_back(std::move(r));
   }
 
-  // Reconciliation seqs resume past everything the artifacts mention.
-  std::uint64_t seq = max_seq;
-  const auto next_recovery_seq = [&seq]() { return ++seq; };
+  // Phase 2: reconcile, journaling each fix with a seq past everything the
+  // artifacts mention.
+  const auto reconcile = [&](Shard& shard, JournalRecord record) {
+    record.seq = ++seq;
+    return replay(shard, record);
+  };
 
-  // Phase 2a: finish dangling cross-shard renames. Runs before the orphan
-  // sweep so completed renames anchor their stripes as referenced.
-  for (std::size_t a = 0; a < rebuilt.size(); ++a) {
-    for (const auto& [from, intent] : rebuilt[a].intents) {
+  // 2a: finish dangling cross-shard renames. Runs before the orphan sweep
+  // so completed renames anchor their stripes as referenced.
+  for (const auto& src : rebuilt) {
+    while (!src->rename_intents.empty()) {
+      const auto& [from, intent] = *src->rename_intents.begin();
       const auto& [to, state] = intent;
-      const std::size_t d = shard_of(to);
-      Shard& dst = *rebuilt[d].shard;
+      Shard& dst = *rebuilt[shard_of(to)];
       if (!dst.files.contains(to) && !dst.pending.contains(to)) {
         // The destination's RenameIn was lost: re-apply and re-journal it.
-        dst.files.emplace(to, to_file_info(state, /*sealed=*/true));
-        JournalRecord in;
-        in.kind = JournalRecordKind::kRenameIn;
-        in.seq = next_recovery_seq();
-        in.path2 = to;
-        in.file = state;
-        dst.journal.append(in);
+        DBLREP_RETURN_IF_ERROR(reconcile(
+            dst,
+            {.kind = JournalRecordKind::kRenameIn, .path2 = to, .file = state}));
       }
-      JournalRecord ack;
-      ack.kind = JournalRecordKind::kRenameAck;
-      ack.seq = next_recovery_seq();
-      ack.path = from;
-      rebuilt[a].shard->journal.append(ack);
+      DBLREP_RETURN_IF_ERROR(reconcile(
+          *src, {.kind = JournalRecordKind::kRenameAck, .path = from}));
       ++report.rename_intents_completed;
     }
-    rebuilt[a].intents.clear();
   }
 
-  // Phase 2b: roll back every open write -- its client died with us.
-  for (Rebuilt& r : rebuilt) {
-    Shard& shard = *r.shard;
-    while (!shard.pending.empty()) {
-      const auto it = shard.pending.begin();
-      for (cluster::StripeId id : it->second.stripes) {
-        if (shard.catalog.is_registered(id)) {
-          DBLREP_RETURN_IF_ERROR(shard.catalog.unregister_stripe(id));
-          shard.stripe_specs.erase(id);
-        }
-      }
-      JournalRecord abort;
-      abort.kind = JournalRecordKind::kAbort;
-      abort.seq = next_recovery_seq();
-      abort.path = it->first;
-      shard.journal.append(abort);
-      shard.pending.erase(it);
+  // 2b: roll back every open write -- its client died with us.
+  for (const auto& shard : rebuilt) {
+    while (!shard->pending.empty()) {
+      DBLREP_RETURN_IF_ERROR(
+          reconcile(*shard, {.kind = JournalRecordKind::kAbort,
+                             .path = shard->pending.begin()->first}));
       ++report.open_writes_rolled_back;
     }
   }
 
-  // Phase 2c: orphan sweep. A stripe no file references is the debris of
-  // a delete whose foreign kGcStripes never hit disk.
+  // 2c: orphan sweep. A stripe no file references is the debris of a
+  // delete whose foreign kGcStripes never hit disk.
   std::set<cluster::StripeId> referenced;
-  for (const Rebuilt& r : rebuilt) {
-    for (const auto& [path, info] : r.shard->files) {
+  for (const auto& shard : rebuilt) {
+    for (const auto& [path, info] : shard->files) {
       referenced.insert(info.stripes.begin(), info.stripes.end());
     }
   }
-  for (Rebuilt& r : rebuilt) {
-    Shard& shard = *r.shard;
-    std::vector<cluster::StripeId> orphans;
-    for (cluster::StripeId id : shard.catalog.live_stripe_ids()) {
-      if (!referenced.contains(id)) orphans.push_back(id);
+  for (const auto& shard : rebuilt) {
+    JournalRecord gc{.kind = JournalRecordKind::kGcStripes};
+    for (cluster::StripeId id : shard->catalog.live_stripe_ids()) {
+      if (!referenced.contains(id)) gc.stripes.push_back(id);
     }
-    if (orphans.empty()) continue;
-    for (cluster::StripeId id : orphans) {
-      DBLREP_RETURN_IF_ERROR(shard.catalog.unregister_stripe(id));
-      shard.stripe_specs.erase(id);
-    }
-    JournalRecord gc;
-    gc.kind = JournalRecordKind::kGcStripes;
-    gc.seq = next_recovery_seq();
-    gc.stripes.assign(orphans.begin(), orphans.end());
-    shard.journal.append(gc);
-    report.orphan_stripes_gced += orphans.size();
+    if (gc.stripes.empty()) continue;
+    report.orphan_stripes_gced += gc.stripes.size();
+    DBLREP_RETURN_IF_ERROR(reconcile(*shard, std::move(gc)));
   }
 
   // Phase 3: install. Rebuild the router; counters resume past every id
   // and seq the artifacts mention (ids are never reused -- even ids only
   // a rolled-back write consumed may still label stale datanode blocks).
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i] = std::move(rebuilt[i].shard);
-  }
+  shards_ = std::move(rebuilt);
   router_reset();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     for (cluster::StripeId id : shards_[i]->catalog.live_stripe_ids()) {

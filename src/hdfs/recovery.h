@@ -6,23 +6,24 @@
 //  1. Per shard: decode the snapshot image (strict -- a damaged snapshot
 //     is CORRUPTION), then parse the journal with parse_journal (lenient
 //     -- a torn or CRC-bad tail is discarded) and replay each record in
-//     order onto the image. Replay is pure bookkeeping: kCreate opens a
-//     pending entry, kAllocate re-registers stripes under their original
-//     ids, kStore accumulates length, kSeal/kCommit seal and publish,
-//     kAbort/kDelete/kGcStripes unregister, the rename records move
-//     entries and track cross-shard intents.
+//     order onto the image. Every record goes through NameNode::apply,
+//     the code the live mutations run, so replay does exactly what the
+//     mutation did when it journaled the record -- a kRenameOut without
+//     its kRenameAck stays behind as an open rename intent.
 //
-//  2. Across shards: reconcile what a crash can leave half-done.
-//      * A RenameOut without its RenameAck is a dangling intent: the file
-//        is inserted at the destination if the destination shard's journal
-//        lost the RenameIn, and the ack is re-journaled. (Applied before
-//        the orphan sweep so the referenced-stripe set is already right.)
+//  2. Across shards: reconcile what a crash can leave half-done. Each fix
+//     is a record built here, applied through NameNode::apply and
+//     journaled with a seq past every seq the artifacts mention.
+//      * A rename intent is finished: kRenameIn in the destination shard
+//        if its journal lost it, then kRenameAck in the source. (Run
+//        before the orphan sweep so the referenced-stripe set is already
+//        right.)
 //      * Every surviving pending entry is an open write whose client died
-//        with the NameNode: its stripes are unregistered, a kAbort is
-//        journaled, and the entry dropped -- open writes roll back.
+//        with the NameNode: a kAbort unregisters its stripes and drops it
+//        -- open writes roll back.
 //      * Stripes referenced by no file on any shard (a delete's kDelete
-//        survived but a foreign kGcStripes did not) are unregistered and
-//        a kGcStripes journaled -- the orphan sweep.
+//        survived but a foreign kGcStripes did not) get a kGcStripes --
+//        the orphan sweep.
 //
 //  3. Install: the rebuilt shards replace the live ones, the stripe
 //     router is rebuilt, and the global id/seq counters resume past every

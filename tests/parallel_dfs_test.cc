@@ -401,6 +401,61 @@ TEST(DeleteRepairRace, DeleteDuringNodeRepairIsCleanOnBothSides) {
   }
 }
 
+// Regression for scrub walking a stale listing: scrub() and scrub_repair()
+// used to list the namespace once, then read each listed file's stripes
+// with no path lock held (scrub_repair took it only after the listing), so
+// a racing delete_file could unregister a stripe under them -- a CHECK
+// failure on the unknown stripe, or a read of freed catalog state. Each
+// file is now re-resolved under its shared path lock and skipped once
+// deleted, so both sides finish cleanly.
+
+TEST(ScrubDeleteRace, ScrubRacingDeleteIsCleanOnBothSides) {
+  constexpr int kFiles = 40;
+  for (const bool heal : {false, true}) {
+    for (int round = 0; round < 25; ++round) {
+      SCOPED_TRACE(std::string(heal ? "scrub_repair" : "scrub") +
+                   " round=" + std::to_string(round));
+      cluster::Topology topology;
+      topology.num_nodes = kNodes;
+      exec::ThreadPool pool(2);
+      MiniDfs dfs(topology, /*seed=*/700 + round, &pool);
+      const Buffer kept_payload = random_buffer(kBlockSize * 9, 1);
+      ASSERT_TRUE(
+          dfs.write_file("/kept", kept_payload, "pentagon", kBlockSize)
+              .is_ok());
+      for (int f = 0; f < kFiles; ++f) {
+        ASSERT_TRUE(dfs.write_file("/doomed/" + std::to_string(f),
+                                   random_buffer(kBlockSize * 9, 2 + f),
+                                   "pentagon", kBlockSize)
+                        .is_ok());
+      }
+
+      Status scrub_status = Status::ok();
+      Status delete_status = Status::ok();
+      std::thread scrubber([&] {
+        for (int pass = 0; pass < 4 && scrub_status.is_ok(); ++pass) {
+          scrub_status = heal ? dfs.scrub_repair().status() : dfs.scrub();
+        }
+      });
+      std::thread deleter([&] {
+        for (int f = 0; f < kFiles && delete_status.is_ok(); ++f) {
+          delete_status = dfs.delete_file("/doomed/" + std::to_string(f));
+        }
+      });
+      scrubber.join();
+      deleter.join();
+      EXPECT_TRUE(scrub_status.is_ok()) << scrub_status.to_string();
+      EXPECT_TRUE(delete_status.is_ok()) << delete_status.to_string();
+
+      EXPECT_EQ(dfs.list_files(), std::vector<std::string>{"/kept"});
+      const auto back = dfs.read_file("/kept");
+      ASSERT_TRUE(back.is_ok());
+      EXPECT_EQ(*back, kept_payload);
+      EXPECT_TRUE(dfs.scrub().is_ok());
+    }
+  }
+}
+
 // ------------------------------------------- metadata shard equivalence
 //
 // The shard count is a pure concurrency knob: every observable -- bytes

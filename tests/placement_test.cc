@@ -267,7 +267,7 @@ TEST(MiniDfsPlacement, LayeredDegradedReadDeliversSameBytes) {
   topology.num_nodes = 24;
   topology.num_racks = 3;
   const Buffer data = random_buffer(256 * 9, 8);
-  Buffer plain_block, layered_block;
+  SharedBlock plain_block, layered_block;
   double plain_client = 0, layered_client = 0;
   for (const bool layered : {false, true}) {
     hdfs::MiniDfs dfs(topology, 41, nullptr,

@@ -4,14 +4,18 @@
 // write-ahead journals at *every* global sequence cut S (plus mid-record
 // byte cuts and CRC-corrupted tails) and recovering must land the catalog
 // in a consistent pre- or post-mutation state for every mutation type --
-// never anything in between. Consistency is checked against an
-// independent oracle: a fresh single-shard NameNode that re-runs exactly
-// the operations whose *decisive* record (kCommit for creates, kDelete
-// for deletes, kRename/kRenameOut for renames) survived the cut, with
-// non-surviving and aborted creates neutralized (begin + attach + abort)
-// so the global stripe-id sequence matches the original run. The oracle
-// never touches the journal codec or restore path, so agreement is not
-// circular.
+// never anything in between. Consistency is checked against an oracle: a
+// fresh single-shard NameNode that re-runs exactly the operations whose
+// *decisive* record (kCommit for creates, kDelete for deletes,
+// kRename/kRenameOut for renames) survived the cut, with non-surviving
+// and aborted creates neutralized (begin + attach + abort) so the global
+// stripe-id sequence matches the original run. The oracle never touches
+// the journal codec or restore(), but its mutations and restore()'s
+// replay both change a shard only through NameNode::apply: the fuzzer
+// proves that replay reaches the state the same operations reach live,
+// not that those operations do what they always did. That independent
+// check is NameNodeJournal.ScriptedLifecycleMatchesTheParent
+// (journal_test.cc), which pins the bytes the live path journals.
 //
 // Because the fingerprint is shard-count independent, one oracle serves
 // every shard count: the fuzzer runs the same workload and cut sweep at
@@ -131,7 +135,7 @@ void run_create_steps(NameNode& nn, const Op& op, std::size_t index,
   ASSERT_TRUE(nn.begin_write(op.path, op.spec, kBlockSize).is_ok())
       << op.path;
   const auto stripes =
-      nn.attach_stripes(op.path, code, groups_for(op, index, code.num_nodes()));
+      nn.attach_stripes(op.path, groups_for(op, index, code.num_nodes()));
   ASSERT_TRUE(stripes.is_ok()) << op.path << ": "
                                << stripes.status().to_string();
   ASSERT_TRUE(nn.record_store(op.path, stripes->front(), op.bytes).is_ok());
@@ -161,8 +165,7 @@ void run_workload(NameNode& nn, const std::vector<Op>& ops,
         const ec::CodeScheme& code = *shared_resolver()(op.spec).value();
         ASSERT_TRUE(nn.begin_write(op.path, op.spec, kBlockSize).is_ok());
         ASSERT_TRUE(
-            nn.attach_stripes(op.path, code,
-                              groups_for(op, i, code.num_nodes()))
+            nn.attach_stripes(op.path, groups_for(op, i, code.num_nodes()))
                 .is_ok());
         break;
       }
