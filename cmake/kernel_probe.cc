@@ -2,55 +2,20 @@
 // CMake only registers forced-kernel test variants that can actually run
 // (a DBLREP_GF_KERNEL the dispatcher can't honor silently falls back,
 // which would report green coverage for a kernel that never executed).
-// The avx512/gfni gating must mirror src/gf/kernel_x86.cc: CPUID feature
-// bits plus XCR0 ZMM state (the OS must save ZMM/opmask registers).
+// It compiles in the CPUID/XCR0 probe the dispatchers themselves run.
 #include <cstdio>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#include <cstdint>
-
-namespace {
-
-std::uint64_t xgetbv0() {
-  std::uint32_t eax, edx;
-  __asm__ volatile("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
-  return (static_cast<std::uint64_t>(edx) << 32) | eax;
-}
-
-bool os_zmm_usable() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  if (!(ecx & (1u << 27))) return false;  // OSXSAVE
-  constexpr std::uint64_t kAvx512State = 0xe6;
-  return (xgetbv0() & kAvx512State) == kAvx512State;
-}
-
-bool avx512_core() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-  const bool f = ebx & (1u << 16);
-  const bool bw = ebx & (1u << 30);
-  const bool vl = ebx & (1u << 31);
-  return f && bw && vl && os_zmm_usable();
-}
-
-bool gfni() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-  return (ecx & (1u << 8)) != 0;
-}
-
-}  // namespace
-#endif
+#include "common/cpu.cc"
 
 int main() {
   std::printf("scalar");
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("ssse3")) std::printf(";ssse3");
   if (__builtin_cpu_supports("avx2")) std::printf(";avx2");
-  if (avx512_core()) std::printf(";avx512");
-  if (avx512_core() && gfni()) std::printf(";gfni");
+  if (dblrep::cpu_has_avx512()) std::printf(";avx512");
+  if (dblrep::cpu_has_avx512() && dblrep::cpu_has_gfni()) {
+    std::printf(";gfni");
+  }
 #endif
   std::printf("\n");
   return 0;

@@ -90,6 +90,9 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
 ///  * "table" -- portable byte-at-a-time table loop. Always available.
 ///  * "sse42" -- three interleaved SSE4.2 `crc32` streams (x86-64), merged
 ///    by a precomputed shift; one stream below a few hundred bytes.
+///  * "vpclmul" -- four ZMM accumulators fold 256 B per step with
+///    carry-less multiplies (AVX-512 + VPCLMULQDQ); inputs under 512 B
+///    and the tail run on sse42.
 struct Crc32cImpl {
   const char* name;
   std::uint32_t (*run)(ByteSpan data, std::uint32_t seed);

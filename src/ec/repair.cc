@@ -1,5 +1,6 @@
 #include "ec/repair.h"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -78,147 +79,112 @@ std::string RepairPlan::to_string() const {
 }
 
 Result<std::vector<SharedBlock>> PlanExecutor::execute(const RepairPlan& plan,
-                                                       SlotStore& store) {
+                                                       SlotStore& store) const {
   // Determine the block size from any available slot.
-  std::size_t block_size = 0;
-  for (const auto& [slot, bytes] : store) {
-    (void)slot;
-    block_size = bytes.size();
-    break;
-  }
+  const std::size_t block_size =
+      store.empty() ? 0 : store.begin()->second.size();
   if (block_size == 0 && (!plan.aggregates.empty() || !plan.reconstructions.empty())) {
     return failed_precondition_error("plan execution with empty slot store");
   }
 
-  arena_.reset();
-  // Each aggregate's payload. A plain copy points at its source slot's
-  // block, held in `copied` for the whole call (a later rebuild may replace
-  // the store entry); every other aggregate is computed into the arena.
-  std::vector<ByteSpan> aggregate_bytes(plan.aggregates.size());
-  std::vector<SharedBlock> copied(plan.aggregates.size());
-  std::vector<bool> aggregate_ready(plan.aggregates.size(), false);
-
-  // The stored block a term reads, checked to be present, block-sized, and
-  // on the node evaluating the term.
-  auto term_block = [&](NodeIndex at_node,
-                        std::size_t slot) -> Result<const SharedBlock*> {
-    const auto it = store.find(slot);
-    if (it == store.end()) {
-      return unavailable_error("slot " + std::to_string(slot) +
-                               " not available for repair");
-    }
-    if (it->second.size() != block_size) {
-      return invalid_argument_error("block size mismatch in plan execution");
-    }
-    if (layout_->node_of_slot(slot) != at_node) {
-      return failed_precondition_error("plan reads slot " +
-                                       std::to_string(slot) +
-                                       " from the wrong node");
-    }
-    return &it->second;
+  // The rebuild being evaluated, as GF coefficients over stored blocks.
+  struct RowTerm {
+    const SharedBlock* block;
+    gf::Elem coeff;
   };
-  // Appends each term's bytes and coefficient to one fused pass's inputs.
+  std::vector<RowTerm> row;
+  // Adds scale * terms to the row, each slot checked to be present,
+  // block-sized, and on the node evaluating the terms.
   auto add_terms = [&](NodeIndex at_node, const std::vector<PartialTerm>& terms,
-                       std::vector<ByteSpan>& sources,
-                       std::vector<gf::Elem>& coeffs) -> Status {
+                       gf::Elem scale) -> Status {
     for (const auto& term : terms) {
-      DBLREP_ASSIGN_OR_RETURN(const SharedBlock* block,
-                              term_block(at_node, term.slot));
-      sources.emplace_back(*block);
-      coeffs.push_back(term.coeff);
+      const auto it = store.find(term.slot);
+      if (it == store.end()) {
+        return unavailable_error("slot " + std::to_string(term.slot) +
+                                 " not available for repair");
+      }
+      if (it->second.size() != block_size) {
+        return invalid_argument_error("block size mismatch in plan execution");
+      }
+      if (layout_->node_of_slot(term.slot) != at_node) {
+        return failed_precondition_error("plan reads slot " +
+                                         std::to_string(term.slot) +
+                                         " from the wrong node");
+      }
+      const gf::Elem coeff = gf::mul(scale, term.coeff);
+      const auto same = std::ranges::find(row, &it->second, &RowTerm::block);
+      if (same != row.end()) {
+        same->coeff = gf::add(same->coeff, coeff);
+      } else {
+        row.push_back({&it->second, coeff});
+      }
     }
     return Status::ok();
   };
-
-  // Aggregates may reference slots rebuilt by earlier reconstructions, so
-  // evaluate them lazily, in reconstruction order. A relay send first
-  // materializes the (strictly earlier) aggregates it folds in, then
-  // combines them with its local slot terms in one fused pass.
-  std::function<Status(std::size_t)> materialize_aggregate =
-      [&](std::size_t index) -> Status {
-    if (aggregate_ready[index]) return Status::ok();
+  // Adds scale * aggregate `index`: its terms and, scaled along the chain,
+  // the (strictly earlier) aggregates it relays.
+  std::function<Status(std::size_t, gf::Elem)> add_aggregate =
+      [&](std::size_t index, gf::Elem scale) -> Status {
     const auto& send = plan.aggregates[index];
     for (const auto& [src_index, coeff] : send.from_aggregates) {
-      (void)coeff;
       if (src_index >= index) {
         return invalid_argument_error(
             "relay references aggregate " + std::to_string(src_index) +
             " at or after its own position " + std::to_string(index));
       }
-      DBLREP_RETURN_IF_ERROR(materialize_aggregate(src_index));
+      DBLREP_RETURN_IF_ERROR(add_aggregate(src_index, gf::mul(scale, coeff)));
       if (plan.aggregates[src_index].to_node != send.from_node) {
         return failed_precondition_error(
             "relay combines an aggregate delivered to another node");
       }
     }
-    if (send.is_plain_copy()) {
-      DBLREP_ASSIGN_OR_RETURN(const SharedBlock* block,
-                              term_block(send.from_node, send.terms[0].slot));
-      copied[index] = *block;
-      aggregate_bytes[index] = copied[index];
-      aggregate_ready[index] = true;
-      return Status::ok();
-    }
-    // Gather after the recursion: the recursive calls reuse the same
-    // term_sources_/term_coeffs_ scratch.
-    term_sources_.clear();
-    term_coeffs_.clear();
-    DBLREP_RETURN_IF_ERROR(
-        add_terms(send.from_node, send.terms, term_sources_, term_coeffs_));
-    for (const auto& [src_index, coeff] : send.from_aggregates) {
-      term_sources_.emplace_back(aggregate_bytes[src_index]);
-      term_coeffs_.push_back(coeff);
-    }
-    // Uninitialized: matrix_apply fully overwrites (or zeroes) the output.
-    const MutableByteSpan out = arena_.alloc_uninit(block_size);
-    const MutableByteSpan outputs[] = {out};
-    gf::matrix_apply(term_coeffs_, term_sources_, outputs);
-    aggregate_bytes[index] = out;
-    aggregate_ready[index] = true;
-    return Status::ok();
+    return add_terms(send.from_node, send.terms, scale);
   };
 
+  // Each rebuild reads the store as earlier rebuilds left it (pentagon's
+  // two-node repair copies the shared block rebuilt on one replacement).
   std::vector<SharedBlock> client_reads;
+  std::vector<ByteSpan> sources;
+  std::vector<gf::Elem> coeffs;
   for (const auto& rec : plan.reconstructions) {
-    // Materialize and validate the needed aggregates first, then combine
-    // them and any destination-local terms in one fused pass.
-    agg_sources_.clear();
-    agg_coeffs_.clear();
     const NodeIndex dest = rec.dest_slot == Reconstruction::kClientSlot
                                ? kClientNode
                                : layout_->node_of_slot(rec.dest_slot);
+    row.clear();
     for (const auto& [agg_index, coeff] : rec.from_aggregates) {
       if (agg_index >= plan.aggregates.size()) {
         return invalid_argument_error("plan references unknown aggregate");
       }
-      DBLREP_RETURN_IF_ERROR(materialize_aggregate(agg_index));
+      DBLREP_RETURN_IF_ERROR(add_aggregate(agg_index, coeff));
       if (plan.aggregates[agg_index].to_node != dest) {
         return failed_precondition_error(
             "aggregate delivered to a node other than the rebuild site");
       }
-      agg_sources_.emplace_back(aggregate_bytes[agg_index]);
-      agg_coeffs_.push_back(coeff);
     }
     if (!rec.local_terms.empty()) {
       if (rec.dest_slot == Reconstruction::kClientSlot) {
         return failed_precondition_error(
             "client-side reconstruction cannot read node-local slots");
       }
-      DBLREP_RETURN_IF_ERROR(
-          add_terms(dest, rec.local_terms, agg_sources_, agg_coeffs_));
+      DBLREP_RETURN_IF_ERROR(add_terms(dest, rec.local_terms, 1));
     }
+    std::erase_if(row, [](const RowTerm& t) { return t.coeff == 0; });
     SharedBlock rebuilt;
-    if (rec.local_terms.empty() && rec.from_aggregates.size() == 1 &&
-        rec.from_aggregates[0].second == 1 &&
-        !copied[rec.from_aggregates[0].first].empty()) {
-      // Repair by transfer: the rebuilt block is the copied block itself.
-      rebuilt = copied[rec.from_aggregates[0].first];
+    if (row.size() == 1 && row[0].coeff == 1) {
+      // Repair by transfer: the rebuilt block is the source block itself.
+      rebuilt = *row[0].block;
     } else {
-      // Written once, by the fused pass: no zero fill first.
+      // Written once, by one fused pass over the sources: no zero fill.
+      sources.clear();
+      coeffs.clear();
+      for (const RowTerm& term : row) {
+        sources.emplace_back(*term.block);
+        coeffs.push_back(term.coeff);
+      }
       MutableByteSpan out;
       rebuilt = SharedBlock::uninitialized(block_size, out);
       const MutableByteSpan outputs[] = {out};
-      gf::matrix_apply(agg_coeffs_, agg_sources_, outputs);
+      gf::matrix_apply(coeffs, sources, outputs);
     }
     if (rec.dest_slot == Reconstruction::kClientSlot) {
       client_reads.push_back(std::move(rebuilt));

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "ec/layout.h"
@@ -128,37 +127,29 @@ using SlotStore = std::unordered_map<std::size_t, SharedBlock>;
 /// reconstruction order). Errors if the plan references unavailable slots,
 /// violates node-locality of terms, or block sizes mismatch.
 ///
-/// Nothing is copied that the plan only moves. A plain-copy send is a view
-/// of its source slot's block (the executor holds that block for the whole
-/// call, so a rebuild replacing the store entry cannot free it), and a
-/// rebuild that is one plain copy -- repair by transfer -- stores that very
-/// block. Partial parities and relays are computed into an internal
-/// StripeArena recycled between execute() calls, so reuse one executor when
-/// running many plans (multi-stripe node repair). Every other rebuilt block
-/// is written once, by one fused, SIMD-dispatched gf::matrix_apply pass
-/// over its aggregates and destination-local terms, with no zero fill.
+/// No aggregate payload is materialized: aggregates are what crosses the
+/// wire, not what the CPU computes. Each rebuild expands into one row of GF
+/// coefficients over stored slots -- its aggregates' terms, the relays
+/// those fold and its local terms, coefficients multiplied along the chain
+/// and terms on one slot added -- and is written once, by one fused,
+/// SIMD-dispatched gf::matrix_apply pass over the row's nonzero terms, with
+/// no zero fill. A row that is one slot with coefficient 1 (repair by
+/// transfer) stores or delivers that slot's block itself, uncopied.
+/// Rebuilds run in order against the current store, so one may read a slot
+/// rebuilt earlier in the plan.
 ///
-/// Because of that scratch, an executor is NOT thread-safe: give each
-/// thread its own (plans and layouts are immutable and freely shared).
+/// An executor holds no scratch: construct one where it is used, and share
+/// it between threads freely (plans and layouts are immutable).
 class PlanExecutor {
  public:
   explicit PlanExecutor(const StripeLayout& layout) : layout_(&layout) {}
 
-  PlanExecutor(const PlanExecutor&) = delete;
-  PlanExecutor& operator=(const PlanExecutor&) = delete;
-
   /// Runs the plan. On success, all non-client dest_slots exist in `store`.
   Result<std::vector<SharedBlock>> execute(const RepairPlan& plan,
-                                           SlotStore& store);
+                                           SlotStore& store) const;
 
  private:
   const StripeLayout* layout_;
-  StripeArena arena_;
-  // Reused per execute(): views over the terms / aggregates being combined.
-  std::vector<ByteSpan> term_sources_;
-  std::vector<gf::Elem> term_coeffs_;
-  std::vector<ByteSpan> agg_sources_;
-  std::vector<gf::Elem> agg_coeffs_;
 };
 
 }  // namespace dblrep::ec

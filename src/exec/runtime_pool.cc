@@ -15,8 +15,8 @@ RuntimePool::Lease RuntimePool::acquire() const {
       return Lease(this, runtime);
     }
   }
-  // Construct outside the lock: codec/executor setup touches the scheme's
-  // immutable tables only.
+  // Construct outside the lock: codec setup touches the scheme's immutable
+  // tables only.
   auto fresh = std::make_unique<Runtime>(*code_);
   Runtime* runtime = fresh.get();
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,18 +1,16 @@
-// RuntimePool: per-worker checkout of the mutable-scratch codec objects.
+// RuntimePool: per-worker checkout of the mutable-scratch stripe codec.
 //
-// ec::StripeCodec and ec::PlanExecutor carry recycled arena scratch and are
-// therefore documented non-thread-safe, while the CodeScheme they wrap is
-// immutable and freely shared. The pool resolves that split for the
-// concurrent data plane: each worker checks out a Runtime (one codec + one
-// executor for a given scheme) for the duration of a stripe's work and
-// returns it on scope exit. Checked-in runtimes are reused, so the steady
-// state is one warm runtime per concurrently active worker per scheme --
-// the same O(1)-allocation behavior the single-threaded path had, times
-// the worker count.
+// ec::StripeCodec carries recycled arena scratch and is therefore
+// documented non-thread-safe, while the CodeScheme it wraps is immutable
+// and freely shared. The pool resolves that split for the concurrent data
+// plane: each worker checks out a Runtime (one codec for a given scheme)
+// for the duration of a stripe's work and returns it on scope exit.
+// Checked-in runtimes are reused, so the steady state is one warm runtime
+// per concurrently active worker per scheme -- the same O(1)-allocation
+// behavior the single-threaded path had, times the worker count.
 //
 // acquire() is const: checking out scratch is logically a read of the
-// scheme (read paths like degraded reads need it), so the pool's internals
-// are mutable and internally synchronized.
+// scheme, so the pool's internals are mutable and internally synchronized.
 #pragma once
 
 #include <memory>
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "ec/code.h"
-#include "ec/repair.h"
 #include "ec/stripe_codec.h"
 
 namespace dblrep::exec {
@@ -29,10 +26,8 @@ class RuntimePool {
  public:
   /// One worker's private slice of a scheme's data plane.
   struct Runtime {
-    explicit Runtime(const ec::CodeScheme& code)
-        : codec(code), executor(code.layout()) {}
+    explicit Runtime(const ec::CodeScheme& code) : codec(code) {}
     ec::StripeCodec codec;
-    ec::PlanExecutor executor;
   };
 
   /// RAII checkout: returns the runtime to the pool on destruction.

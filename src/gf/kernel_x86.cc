@@ -19,17 +19,18 @@
 // read-for-ownership of every destination line.
 //
 // Compiled with function-level target attributes so the rest of the library
-// needs no -march flags; runtime CPUID (plus XCR0 for ZMM state) gates
-// every entry.
+// needs no -march flags; runtime CPUID (plus XCR0 for ZMM state, probed in
+// common/cpu.h) gates every entry.
 #include "gf/kernel.h"
 #include "gf/kernel_tables.h"
 
 #if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cstring>
+
+#include "common/cpu.h"
 
 namespace dblrep::gf {
 namespace detail {
@@ -490,49 +491,6 @@ constexpr GfKernel kGfniKernel = {
 
 #pragma GCC diagnostic pop
 
-// ----------------------------------------------------------------- probing
-//
-// __builtin_cpu_supports covers ssse3/avx2, but AVX-512 usability also
-// depends on the OS saving ZMM/opmask state (XCR0), and "gfni" as a
-// feature string is not portable across the toolchain range we build with
-// -- probe CPUID leaves directly.
-
-std::uint64_t xgetbv0() {
-  std::uint32_t eax, edx;
-  __asm__ volatile("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
-  return (static_cast<std::uint64_t>(edx) << 32) | eax;
-}
-
-bool os_zmm_usable() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  if (!(ecx & (1u << 27))) return false;  // OSXSAVE: xgetbv is executable
-  // XMM (bit 1), YMM (2), opmask (5), ZMM0-15 upper (6), ZMM16-31 (7).
-  constexpr std::uint64_t kAvx512State = 0xe6;
-  return (xgetbv0() & kAvx512State) == kAvx512State;
-}
-
-struct Leaf7 {
-  unsigned ebx = 0, ecx = 0;
-};
-
-Leaf7 cpuid_leaf7() {
-  Leaf7 out;
-  unsigned eax = 0, edx = 0;
-  if (!__get_cpuid_count(7, 0, &eax, &out.ebx, &out.ecx, &edx)) return {};
-  return out;
-}
-
-bool cpu_has_avx512_core() {
-  const Leaf7 leaf = cpuid_leaf7();
-  const bool f = leaf.ebx & (1u << 16);
-  const bool bw = leaf.ebx & (1u << 30);
-  const bool vl = leaf.ebx & (1u << 31);
-  return f && bw && vl && os_zmm_usable();
-}
-
-bool cpu_has_gfni() { return (cpuid_leaf7().ecx & (1u << 8)) != 0; }
-
 }  // namespace
 
 const GfKernel* ssse3_kernel() {
@@ -544,11 +502,11 @@ const GfKernel* avx2_kernel() {
 }
 
 const GfKernel* avx512_kernel() {
-  return cpu_has_avx512_core() ? &kAvx512Kernel : nullptr;
+  return cpu_has_avx512() ? &kAvx512Kernel : nullptr;
 }
 
 const GfKernel* gfni_kernel() {
-  return cpu_has_avx512_core() && cpu_has_gfni() ? &kGfniKernel : nullptr;
+  return cpu_has_avx512() && cpu_has_gfni() ? &kGfniKernel : nullptr;
 }
 
 }  // namespace detail

@@ -58,24 +58,13 @@ Result<MiniDfs::SchemeRuntime*> MiniDfs::runtime(const std::string& code_spec) {
   SchemeRuntime rt;
   rt.code = std::move(*made);
   rt.runtimes = std::make_unique<exec::RuntimePool>(*rt.code);
-  auto* placed = &schemes_.emplace(code_spec, std::move(rt)).first->second;
-  pools_by_code_.emplace(placed->code.get(), placed->runtimes.get());
-  return placed;
+  return &schemes_.emplace(code_spec, std::move(rt)).first->second;
 }
 
 Result<const ec::CodeScheme*> MiniDfs::scheme(const std::string& code_spec) {
   auto rt = runtime(code_spec);
   if (!rt.is_ok()) return rt.status();
   return (*rt)->code.get();
-}
-
-exec::RuntimePool& MiniDfs::runtime_pool_for(const ec::CodeScheme& code) const {
-  std::shared_lock<std::shared_mutex> lock(scheme_mu_);
-  const auto it = pools_by_code_.find(&code);
-  // Every registered stripe's code was created through runtime().
-  DBLREP_CHECK_MSG(it != pools_by_code_.end(),
-                   "no runtime pool for code " << code.params().name);
-  return *it->second;
 }
 
 Result<const ec::RepairPlan*> MiniDfs::cached_plan(
@@ -440,8 +429,7 @@ Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
     }
     failed.merge(gather_stripe(stripe, plan->source_slots(), store));
   } while (failed.size() > known);
-  auto lease = runtime_pool_for(code).acquire();
-  auto delivered = lease->executor.execute(*plan, store);
+  auto delivered = ec::PlanExecutor(code.layout()).execute(*plan, store);
   if (!delivered.is_ok()) return delivered.status();
   if (delivered->size() != alpha) {
     return internal_error("degraded read returned unexpected unit count");
@@ -696,8 +684,7 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
     layered = ec::layer_plan(*plan, group_racks(info.group));
     plan = &layered;
   }
-  auto lease = runtime_pool_for(code).acquire();
-  auto run = lease->executor.execute(*plan, store);
+  auto run = ec::PlanExecutor(code.layout()).execute(*plan, store);
   if (!run.is_ok()) return run.status();
 
   // Always-on guards (Status, not DCHECK): a malformed plan or a stripe

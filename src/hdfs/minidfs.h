@@ -41,8 +41,9 @@
 //  * DataNode stores are per-node lock shards; the namespace is guarded by
 //    a striped per-path shared mutex (concurrent readers, exclusive
 //    delete/rename) plus a map-structure mutex.
-//  * Mutable codec scratch (ec::StripeCodec / ec::PlanExecutor) is checked
-//    out per worker from an exec::RuntimePool per scheme.
+//  * Mutable codec scratch (ec::StripeCodec) is checked out per worker from
+//    an exec::RuntimePool per scheme; a plan executor holds no scratch and
+//    is built on the stack where a plan runs.
 //  * Degraded-read and repair plans share one cache, keyed by (code,
 //    target, failure pattern), under a shared-read lock; a plan is built
 //    once and replayed across stripes, reads, and threads.
@@ -355,8 +356,8 @@ class MiniDfs {
   friend class Client;
 
   /// Everything the data plane keeps warm per code spec: the immutable
-  /// scheme plus a RuntimePool of per-worker StripeCodec/PlanExecutor
-  /// instances (mutable scratch is never shared between threads).
+  /// scheme plus a RuntimePool of per-worker StripeCodec instances (mutable
+  /// scratch is never shared between threads).
   struct SchemeRuntime {
     std::unique_ptr<ec::CodeScheme> code;
     std::unique_ptr<exec::RuntimePool> runtimes;
@@ -377,7 +378,6 @@ class MiniDfs {
 
   Result<SchemeRuntime*> runtime(const std::string& code_spec);
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
-  exec::RuntimePool& runtime_pool_for(const ec::CodeScheme& code) const;
 
   /// Plan under `code` for `target` -- a degraded read of that data block,
   /// or kRepairTarget to rebuild every slot of the `failed` nodes --
@@ -457,9 +457,8 @@ class MiniDfs {
   mutable std::mutex place_mu_;  // guards rng_ + placement decisions
   Rng rng_;
 
-  mutable std::shared_mutex scheme_mu_;  // guards schemes_ + pools_by_code_
+  mutable std::shared_mutex scheme_mu_;  // guards schemes_
   std::map<std::string, SchemeRuntime> schemes_;
-  std::map<const ec::CodeScheme*, exec::RuntimePool*> pools_by_code_;
 
   mutable std::shared_mutex plan_mu_;  // guards plan_cache_
   std::map<PlanKey, ec::RepairPlan> plan_cache_;

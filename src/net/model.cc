@@ -186,8 +186,9 @@ void NetworkModel::start_flow(std::vector<TransferRecord> records,
   }
   // Dependency rule: record j waits for every *earlier* record i whose
   // destination node is j's source (an aggregator or relay can only forward
-  // after its inputs arrive). Capture order is topological -- PlanExecutor
-  // records a relay after the sends it folds -- so "earlier" keeps the
+  // after its inputs arrive). Capture order is topological --
+  // MiniDfs::record_plan_sends records a plan's sends in aggregate order,
+  // and a relay's inputs have smaller indices -- so "earlier" keeps the
   // graph acyclic even when unrelated records share node ids. The client
   // endpoint never gates anything: uploads don't wait for deliveries.
   auto flow = std::make_shared<FlowState>();

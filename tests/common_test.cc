@@ -136,13 +136,14 @@ TEST(Bytes, Crc32cKnownVector) {
 }
 
 TEST(Bytes, EveryCrc32cImplMatchesTheTableAtEveryLengthAndOffset) {
-  // Lengths 0-4096 and 65536 +- 0..15 at start offsets 0-15 reach the
-  // one-stream path, both three-stream block sizes and every tail length
-  // at every alignment. Each length is also checked split in half and
-  // chained: crc(a‖b) == crc(b, crc(a)). The table reference for each
-  // length chains the previous one over the new bytes, which keeps the
-  // sweep linear in the table's (slow) time; the last one is checked
-  // against the table's direct value.
+  // Lengths 0-4096 and 65536 +- 0..15 at start offsets 0-63 reach the
+  // one-stream path, both three-stream block sizes, every vpclmul head to
+  // a 64-byte boundary and every tail length at every alignment. Each
+  // length is also checked split in half and chained: crc(a‖b) ==
+  // crc(b, crc(a)). The table reference for each length chains the
+  // previous one over the new bytes, which keeps the sweep linear in the
+  // table's (slow) time; the last one is checked against the table's
+  // direct value.
   const auto impls = supported_crc32c_impls();
   const Crc32cImpl& table = *impls.front();
   std::vector<std::size_t> lengths;
@@ -150,7 +151,7 @@ TEST(Bytes, EveryCrc32cImplMatchesTheTableAtEveryLengthAndOffset) {
   for (std::size_t len = 65536 - 15; len <= 65536 + 15; ++len) {
     lengths.push_back(len);
   }
-  constexpr std::size_t kOffsets = 16;
+  constexpr std::size_t kOffsets = 64;
   const Buffer data = random_buffer(lengths.back() + kOffsets, 11);
   for (std::size_t offset = 0; offset < kOffsets; ++offset) {
     const ByteSpan base = ByteSpan(data).subspan(offset);

@@ -1,12 +1,15 @@
 // Property tests for two-stage repair layering (ec/layering.h): for every
 // registered code and failure pattern, the layered plan must execute to
 // byte-identical results, never send more cross-rack blocks than the
-// unlayered plan, and keep the total block count unchanged.
+// unlayered plan, and keep the total block count unchanged. The same sweep
+// drives every plan through the executor's fused GF pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ec/layering.h"
@@ -15,16 +18,19 @@
 #include "ec/registry.h"
 #include "ec/repair.h"
 #include "ec/rs.h"
+#include "gf/kernel.h"
+#include "gf/matrix.h"
 
 namespace dblrep::ec {
 namespace {
 
 constexpr std::size_t kBlockSize = 96;
 
-std::vector<Buffer> random_data(const CodeScheme& code, std::uint64_t seed) {
+std::vector<Buffer> random_data(const CodeScheme& code, std::uint64_t seed,
+                                std::size_t block_size = kBlockSize) {
   std::vector<Buffer> data;
   for (std::size_t i = 0; i < code.data_blocks(); ++i) {
-    data.push_back(random_buffer(kBlockSize, seed * 1000 + i));
+    data.push_back(random_buffer(block_size, seed * 1000 + i));
   }
   return data;
 }
@@ -50,12 +56,45 @@ std::vector<int> round_robin_racks(const CodeScheme& code,
   return racks;
 }
 
+/// Source blocks an executor that computed every aggregate before combining
+/// them would read: each referenced aggregate that is not a plain copy
+/// reads its terms and relay inputs, and each rebuild that is not one plain
+/// copy (repair by transfer) reads its aggregates and local terms.
+std::size_t materialized_sources(const RepairPlan& plan) {
+  std::size_t count = 0;
+  std::vector<std::size_t> pending;
+  for (const auto& rec : plan.reconstructions) {
+    const bool transfer =
+        rec.local_terms.empty() && rec.from_aggregates.size() == 1 &&
+        rec.from_aggregates[0].second == 1 &&
+        plan.aggregates[rec.from_aggregates[0].first].is_plain_copy();
+    if (!transfer) count += rec.from_aggregates.size() + rec.local_terms.size();
+    for (const auto& [agg, coeff] : rec.from_aggregates) pending.push_back(agg);
+  }
+  std::set<std::size_t> referenced;
+  while (!pending.empty()) {
+    const std::size_t agg = pending.back();
+    pending.pop_back();
+    if (!referenced.insert(agg).second) continue;
+    const auto& send = plan.aggregates[agg];
+    if (!send.is_plain_copy()) {
+      count += send.terms.size() + send.from_aggregates.size();
+    }
+    for (const auto& [src, coeff] : send.from_aggregates) pending.push_back(src);
+  }
+  return count;
+}
+
 /// Executes `plan` over only its source slots, taken from `full`, and
-/// checks that none of them sits on a failed node and that it delivers and
-/// rebuilds the same bytes as executing over the whole of `full`.
+/// checks that none of them sits on a failed node; that it delivers `read`
+/// (a degraded read's pristine block, its units joined; nothing for a
+/// repair) and rebuilds the same bytes as executing over the whole of
+/// `full`; and that its GF passes read no more source blocks than
+/// computing every aggregate first would.
 void check_reads_only_sources(const CodeScheme& code, const RepairPlan& plan,
                               const SlotStore& full,
-                              const std::set<NodeIndex>& failed) {
+                              const std::set<NodeIndex>& failed,
+                              ByteSpan read = {}) {
   SlotStore sparse;
   for (std::size_t slot : plan.source_slots()) {
     EXPECT_FALSE(failed.contains(code.layout().node_of_slot(slot)))
@@ -67,10 +106,19 @@ void check_reads_only_sources(const CodeScheme& code, const RepairPlan& plan,
   SlotStore whole = full;
   PlanExecutor executor(code.layout());
   const auto from_whole = executor.execute(plan, whole);
+  gf::reset_slice_op_stats();
   const auto from_sparse = executor.execute(plan, sparse);
+  const std::uint64_t src_bytes_read = gf::slice_op_stats().src_bytes_read;
   ASSERT_TRUE(from_whole.is_ok());
   ASSERT_TRUE(from_sparse.is_ok()) << from_sparse.status().to_string();
   EXPECT_EQ(*from_sparse, *from_whole);
+  Buffer delivered;
+  for (const auto& unit : *from_sparse) {
+    delivered.insert(delivered.end(), unit.begin(), unit.end());
+  }
+  EXPECT_TRUE(std::ranges::equal(delivered, read)) << "delivered bytes";
+  EXPECT_LE(src_bytes_read,
+            materialized_sources(plan) * full.begin()->second.size());
   for (const auto& rec : plan.reconstructions) {
     if (rec.dest_slot == Reconstruction::kClientSlot) continue;
     EXPECT_EQ(sparse.at(rec.dest_slot), whole.at(rec.dest_slot))
@@ -112,8 +160,9 @@ void check_repair_equivalence(const CodeScheme& code,
   for (std::size_t block = 0; block < code.data_blocks(); ++block) {
     const auto read = code.plan_degraded_block(block, failed);
     ASSERT_TRUE(read.is_ok()) << "block " << block;
-    check_reads_only_sources(code, *read, full, failed);
-    check_reads_only_sources(code, layer_plan(*read, racks), full, failed);
+    check_reads_only_sources(code, *read, full, failed, data[block]);
+    check_reads_only_sources(code, layer_plan(*read, racks), full, failed,
+                             data[block]);
   }
 }
 
@@ -140,6 +189,24 @@ TEST(LayerPlan, EveryCodeEveryFailurePatternIsEquivalent) {
         }
       }
     }
+  }
+  // At the DataNode block size, a degraded read of a block lost with nodes
+  // 0 and 1 reads each source block once, in one fused pass.
+  constexpr std::size_t kDataNodeBlock = 64 << 10;
+  const std::pair<const char*, std::size_t> pins[] = {
+      {"pentagon", 9}, {"heptagon-local", 20}, {"rs-10-4", 10}};
+  for (const auto& [spec, sources] : pins) {
+    SCOPED_TRACE(spec);
+    const auto code = make_code(spec).value();
+    const auto data = random_data(*code, 19, kDataNodeBlock);
+    auto store = store_without_nodes(*code, data, {0, 1});
+    const auto plan = code->plan_degraded_block(0, {0, 1});
+    ASSERT_TRUE(plan.is_ok());
+    gf::reset_slice_op_stats();
+    const auto read = PlanExecutor(code->layout()).execute(*plan, store);
+    ASSERT_TRUE(read.is_ok());
+    EXPECT_EQ((*read)[0], data[0]);
+    EXPECT_EQ(gf::slice_op_stats().src_bytes_read, sources * kDataNodeBlock);
   }
 }
 
@@ -172,8 +239,8 @@ TEST(LayerPlan, DegradedReadDeliversIdenticalBytesPerRackRelayed) {
       EXPECT_EQ((*relayed)[0], (*plain)[0]);
 
       const auto full = store_without_nodes(pentagon, data, {a, b});
-      check_reads_only_sources(pentagon, *plan, full, {a, b});
-      check_reads_only_sources(pentagon, layered, full, {a, b});
+      check_reads_only_sources(pentagon, *plan, full, {a, b}, symbols[sym]);
+      check_reads_only_sources(pentagon, layered, full, {a, b}, symbols[sym]);
     }
   }
 }
@@ -350,6 +417,44 @@ TEST(PlanExecutor, ExecutesHandBuiltRelayChain) {
   Buffer expected(store.at(slot_n1).begin(), store.at(slot_n1).end());
   xor_into(expected, store.at(slot_n2));
   EXPECT_EQ((*run)[0], expected);
+}
+
+TEST(PlanExecutor, ScalesTermsAlongRelayChainsAndAddsThemPerSlot) {
+  // Generated plans keep relay coefficients at 1 and never name a slot
+  // twice in one rebuild; this one does both. Rebuild 0 is
+  // 2 * (5 * s1 + 7 * (3 * s2)); rebuild 1 reads slot s2 through two sends,
+  // 3 * s2 + 6 * s2 = 5 * s2; rebuild 2 names one send twice, which
+  // cancels to a zero block.
+  PolygonCode pentagon(5);
+  PlanExecutor executor(pentagon.layout());
+  const auto data = random_data(pentagon, 34);
+  auto store = store_without_nodes(pentagon, data, {});
+  const std::size_t s1 = pentagon.layout().slots_on_node(1)[0];
+  const std::size_t s2 = pentagon.layout().slots_on_node(2)[0];
+  RepairPlan plan;
+  plan.aggregates.push_back({2, 1, {{s2, 3}}, {}});
+  plan.aggregates.push_back({1, kClientNode, {{s1, 5}}, {{0, gf::Elem{7}}}});
+  plan.aggregates.push_back({2, kClientNode, {{s2, 3}}, {}});
+  plan.aggregates.push_back({2, kClientNode, {{s2, 6}}, {}});
+  plan.reconstructions.push_back(
+      {0, Reconstruction::kClientSlot, {{1, 2}}, {}});
+  plan.reconstructions.push_back(
+      {0, Reconstruction::kClientSlot, {{2, 1}, {3, 1}}, {}});
+  plan.reconstructions.push_back(
+      {0, Reconstruction::kClientSlot, {{2, 1}, {2, 1}}, {}});
+  const auto run = executor.execute(plan, store);
+  ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+  ASSERT_EQ(run->size(), 3u);
+  const ByteSpan blocks[] = {store.at(s1), store.at(s2)};
+  Buffer chained(kBlockSize);
+  const gf::Elem chain[] = {gf::mul(2, 5), gf::mul(2, gf::mul(7, 3))};
+  gf::linear_combine(chained, chain, blocks);
+  EXPECT_EQ((*run)[0], chained);
+  Buffer summed(kBlockSize);
+  const gf::Elem sum[] = {0, 5};
+  gf::linear_combine(summed, sum, blocks);
+  EXPECT_EQ((*run)[1], summed);
+  EXPECT_EQ((*run)[2], Buffer(kBlockSize, 0));
 }
 
 }  // namespace
