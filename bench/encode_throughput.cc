@@ -87,7 +87,7 @@ struct Roofline {
 /// call) and returns MB/s given `bytes` of data processed per call.
 template <typename Fn>
 double measure_mb_s(double min_time, std::size_t bytes, Fn&& fn) {
-  fn();  // warmup: tables, arena growth, page faults
+  fn();  // warmup: tables, parity buffer growth, page faults
   std::size_t iters = 0;
   const auto start = Clock::now();
   double elapsed = 0;

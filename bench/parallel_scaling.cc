@@ -142,7 +142,8 @@ int main(int argc, char** argv) {
         hdfs::MiniDfs dfs(topology, 7, pool_ptr);
         std::size_t iters = 0;
         double elapsed = 0;
-        // Warmup write materializes runtimes and page-faults the arena.
+        // Warmup write creates the scheme and grows each worker's parity
+        // buffer to its largest batch.
         DBLREP_CHECK(dfs.write_file("/warm", data, spec, block_size).is_ok());
         DBLREP_CHECK(dfs.delete_file("/warm").is_ok());
         do {

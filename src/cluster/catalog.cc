@@ -1,12 +1,13 @@
 #include "cluster/catalog.h"
 
-#include <algorithm>
 #include <mutex>
 
 namespace dblrep::cluster {
 
-Status BlockCatalog::register_locked(StripeId id, const ec::CodeScheme& code,
-                                     std::vector<NodeId> group, bool sealed) {
+Status BlockCatalog::register_stripe_at(StripeId id,
+                                        const ec::CodeScheme& code,
+                                        std::vector<NodeId> group,
+                                        bool sealed) {
   if (group.size() != code.num_nodes()) {
     return invalid_argument_error("placement group size != code length");
   }
@@ -19,6 +20,7 @@ Status BlockCatalog::register_locked(StripeId id, const ec::CodeScheme& code,
       return invalid_argument_error("placement group node out of range");
     }
   }
+  std::unique_lock<std::shared_mutex> lock(mu_);
   if (stripes_.contains(id)) {
     return already_exists_error("stripe id " + std::to_string(id) +
                                 " already in use");
@@ -29,27 +31,9 @@ Status BlockCatalog::register_locked(StripeId id, const ec::CodeScheme& code,
   for (std::size_t slot = 0; slot < code.layout().num_slots(); ++slot) {
     const NodeId node = info.group[static_cast<std::size_t>(
         code.layout().node_of_slot(slot))];
-    node_slots_[node].insert({id, slot});
+    node_stripes_[node].insert(id);
   }
-  next_id_ = std::max(next_id_, id + 1);
   return Status::ok();
-}
-
-Result<StripeId> BlockCatalog::register_stripe(const ec::CodeScheme& code,
-                                               std::vector<NodeId> group,
-                                               bool sealed) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  const StripeId id = next_id_;
-  DBLREP_RETURN_IF_ERROR(register_locked(id, code, std::move(group), sealed));
-  return id;
-}
-
-Status BlockCatalog::register_stripe_at(StripeId id,
-                                        const ec::CodeScheme& code,
-                                        std::vector<NodeId> group,
-                                        bool sealed) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return register_locked(id, code, std::move(group), sealed);
 }
 
 Status BlockCatalog::unregister_stripe(StripeId id) {
@@ -75,7 +59,7 @@ Status BlockCatalog::unregister_stripe(StripeId id) {
            ++slot) {
         const NodeId node = info.group[static_cast<std::size_t>(
             info.code->layout().node_of_slot(slot))];
-        node_slots_[node].erase({id, slot});
+        node_stripes_[node].erase(id);
       }
       it->second.code = nullptr;  // tombstone; ids stay stable
       it->second.group.clear();
@@ -194,13 +178,6 @@ std::vector<NodeId> BlockCatalog::replica_nodes(StripeId id,
   return nodes;
 }
 
-std::vector<SlotAddress> BlockCatalog::slots_on_node(NodeId node) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const auto it = node_slots_.find(node);
-  if (it == node_slots_.end()) return {};
-  return {it->second.begin(), it->second.end()};
-}
-
 std::set<ec::NodeIndex> BlockCatalog::failed_in_stripe(
     StripeId id, const std::set<NodeId>& down_nodes) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -215,14 +192,10 @@ std::set<ec::NodeIndex> BlockCatalog::failed_in_stripe(
 }
 
 std::vector<StripeId> BlockCatalog::stripes_on_node(NodeId node) const {
-  std::vector<StripeId> out;
-  for (const auto& address : slots_on_node(node)) {
-    if (out.empty() || out.back() != address.stripe) {
-      out.push_back(address.stripe);
-    }
-  }
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto it = node_stripes_.find(node);
+  if (it == node_stripes_.end()) return {};
+  return {it->second.begin(), it->second.end()};
 }
 
 }  // namespace dblrep::cluster

@@ -6,12 +6,6 @@
 // actual block payloads; the repair engine and the MapReduce simulator
 // both consult the catalog for replica locations.
 //
-// Stripe ids come from two sources: register_stripe draws from an internal
-// counter (standalone use: one catalog, ids 0, 1, 2, ...), while
-// register_stripe_at takes an explicit id -- the sharded NameNode assigns
-// ids from one global counter so a stripe's id is independent of which
-// metadata shard's catalog records it (and therefore of the shard count).
-//
 // Thread-safe: all methods synchronize on an internal shared mutex, and
 // stripe records live in a node-based map so the references stripe() hands
 // out stay valid across concurrent registrations. Unregistration is
@@ -61,16 +55,11 @@ class BlockCatalog {
   explicit BlockCatalog(const Topology& topology) : topology_(&topology) {}
 
   /// Registers a stripe placed on `group` (one cluster node per code node,
-  /// all distinct). Returns its id, drawn from the internal counter. Pass
-  /// sealed=false for a stripe whose bytes are still being written, then
-  /// seal_stripe() when they land.
-  Result<StripeId> register_stripe(const ec::CodeScheme& code,
-                                   std::vector<NodeId> group,
-                                   bool sealed = true);
-
-  /// Registers a stripe under a caller-assigned id (the sharded NameNode's
-  /// global id space, and snapshot/journal replay). The id must not be in
-  /// use -- live or tombstoned -- in this catalog.
+  /// all distinct) under a caller-assigned id: the sharded NameNode draws
+  /// ids from one global counter, so a stripe's id does not depend on which
+  /// shard's catalog records it. The id must not be in use -- live or
+  /// tombstoned -- in this catalog. Pass sealed=false for a stripe whose
+  /// bytes are still being written, then seal_stripe() when they land.
   Status register_stripe_at(StripeId id, const ec::CodeScheme& code,
                             std::vector<NodeId> group, bool sealed);
 
@@ -107,21 +96,16 @@ class BlockCatalog {
   /// Cluster nodes holding replicas of (stripe, symbol), in slot order.
   std::vector<NodeId> replica_nodes(StripeId id, std::size_t symbol) const;
 
-  /// All slots a cluster node hosts (across stripes), in address order.
-  /// Returns a snapshot by value: the per-node listings mutate under
-  /// concurrent registration.
-  std::vector<SlotAddress> slots_on_node(NodeId node) const;
-
   /// Code-local failed set for a stripe, given cluster-level down nodes.
   std::set<ec::NodeIndex> failed_in_stripe(
       StripeId id, const std::set<NodeId>& down_nodes) const;
 
-  /// Stripes that have at least one slot on `node`, ascending.
+  /// Stripes that have at least one slot on `node`, ascending. Returns a
+  /// snapshot by value: the per-node index mutates under concurrent
+  /// registration.
   std::vector<StripeId> stripes_on_node(NodeId node) const;
 
  private:
-  Status register_locked(StripeId id, const ec::CodeScheme& code,
-                         std::vector<NodeId> group, bool sealed);
   const StripeInfo& stripe_unlocked(StripeId id) const;
   NodeId node_of_unlocked(SlotAddress address) const;
 
@@ -130,11 +114,8 @@ class BlockCatalog {
   /// Live stripes and tombstones (code == nullptr); node-based map so
   /// references stay stable across registration, ids stable forever.
   std::map<StripeId, StripeInfo> stripes_;
-  StripeId next_id_ = 0;  // register_stripe draws; register_stripe_at bumps
-  /// Ordered per-node slot sets: enumeration order is (stripe, slot) --
-  /// identical to registration order in the single-catalog case (ids are
-  /// assigned monotonically) and deterministic under sharding.
-  std::map<NodeId, std::set<SlotAddress>> node_slots_;
+  /// Per-node index: the live stripes with a slot on each node, by id.
+  std::map<NodeId, std::set<StripeId>> node_stripes_;
   /// Repair-lease state lives under its own mutex: unregister_stripe must
   /// be able to drain-wait on leases *before* taking mu_, so a leased
   /// repair can keep reading catalog state (which needs mu_ shared) while

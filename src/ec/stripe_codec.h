@@ -1,4 +1,4 @@
-// StripeCodec: streaming, arena-backed encoder over a CodeScheme.
+// StripeCodec: streaming encoder over a CodeScheme.
 //
 // CodeScheme::encode() allocates one vector<Buffer> per call and copies
 // systematic blocks; fine for tests, wrong for the data plane. The codec's
@@ -6,27 +6,27 @@
 //
 //  * serves systematic symbols as zero-copy views straight into the
 //    caller's contiguous file data (only the final, zero-padded partial
-//    stripe is staged through the arena),
+//    stripe is staged, in a buffer local to the call),
 //  * fuses encode across stripes: one gf::matrix_apply_batch pass computes
 //    the parity symbols of up to batch_stripes() stripes at once, so the
 //    generator-matrix coefficient block and its per-coefficient tables
 //    stay hot in L1/L2 across the batch instead of being re-streamed per
-//    stripe, and per-call setup (views, arena bookkeeping, dispatch) is
-//    paid once per batch,
-//  * recycles a single StripeArena across batches, so encoding an N-stripe
-//    file performs O(1) heap allocations instead of O(N * num_symbols).
+//    stripe, and per-call setup (views, dispatch) is paid once per batch,
+//  * writes each batch's parity into one buffer per thread, which grows to
+//    the largest batch that thread has encoded and is reused after that,
+//    so encoding an N-stripe file allocates no parity memory per stripe.
 //
 // MiniDfs::store_stripes is its data-plane caller: every stripe written,
-// bulk or streamed, goes through encode_batch.
+// bulk or streamed, goes through encode_batch, on a codec built on the
+// stack.
 //
-// One codec instance is not thread-safe; give each writer thread its own
-// (they share the CodeScheme, which is immutable after construction).
+// A codec holds only its scheme (immutable after construction), so it is
+// free to build and any number of threads may share one.
 #pragma once
 
 #include <functional>
 #include <span>
 
-#include "common/arena.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "ec/code.h"
@@ -42,9 +42,6 @@ class StripeCodec {
   static constexpr std::size_t kMaxBatchStripes = 32;
 
   explicit StripeCodec(const CodeScheme& code) : code_(&code) {}
-
-  StripeCodec(const StripeCodec&) = delete;
-  StripeCodec& operator=(const StripeCodec&) = delete;
 
   const CodeScheme& code() const { return *code_; }
 
@@ -65,23 +62,19 @@ class StripeCodec {
   /// `sink(stripe_index, symbols)` in stripe order. Each view is
   /// block_size / sub_chunks() bytes (a full block for alpha == 1
   /// schemes); systematic views alias `data` where possible, parity views
-  /// point into the arena. stripe_index counts from 0 within `data`; views
-  /// passed to the sink are invalidated when the next batch starts (i.e. a
-  /// sink must consume its stripe before returning). Stops and propagates
-  /// the first sink error. `data` may cover any number of stripes; the
-  /// final one may be ragged (zero-padded). block_size must be divisible
-  /// by sub_chunks().
+  /// point into this thread's parity buffer. stripe_index counts from 0
+  /// within `data`; the views are valid until the sink returns (a sink
+  /// must consume its stripe before returning). A sink must not call
+  /// encode_batch on its own thread. Stops and propagates the first sink
+  /// error. `data` may cover any number of stripes; the final one may be
+  /// ragged (zero-padded). block_size must be divisible by sub_chunks().
   Status encode_batch(
       ByteSpan data, std::size_t block_size,
       const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
-          sink);
+          sink) const;
 
  private:
   const CodeScheme* code_;
-  StripeArena arena_;
-  std::vector<ByteSpan> data_views_;
-  std::vector<MutableByteSpan> parity_views_;
-  std::vector<ByteSpan> symbol_views_;
 };
 
 }  // namespace dblrep::ec

@@ -332,10 +332,6 @@ void log_selection(const GfKernel& kernel, const char* how) {
 }
 
 void init_active_kernel() {
-  if (const char* nt = std::getenv("DBLREP_GF_NT");
-      nt != nullptr && std::strcmp(nt, "0") == 0) {
-    g_non_temporal.store(false, std::memory_order_relaxed);
-  }
   const auto kernels = compiled_kernels();
   const GfKernel* chosen = kernels.back();  // fastest supported
   const char* how = "runtime dispatch";

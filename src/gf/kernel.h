@@ -26,8 +26,8 @@
 // outputs are written once and never re-read by the encode pass, so
 // streaming stores skip the read-for-ownership of every destination cache
 // line -- for memory-bound schemes the win is exactly those bytes not
-// moved. Disable with DBLREP_GF_NT=0 or set_non_temporal(false); the
-// stored bytes are identical either way.
+// moved. Disable with set_non_temporal(false); the stored bytes are
+// identical either way.
 //
 // All kernels are bit-identical by contract; tests/gf_kernel_test.cc
 // cross-checks them exhaustively.
@@ -115,10 +115,9 @@ bool set_active_kernel(std::string_view name);
 /// streaming store would only evict them for no saved traffic.
 inline constexpr std::size_t kNonTemporalMinBytes = 256 * 1024;
 
-/// Process-wide enable for the non-temporal store path (default on;
-/// DBLREP_GF_NT=0 disables at startup). Bytes produced are identical with
-/// it on or off -- this is a perf policy switch for benchmarking and
-/// A/B-ing, not a correctness knob.
+/// Process-wide enable for the non-temporal store path (default on). Bytes
+/// produced are identical with it on or off -- this is a perf policy switch
+/// for benchmarking and A/B-ing, not a correctness knob.
 void set_non_temporal(bool enabled);
 bool non_temporal_enabled();
 

@@ -12,8 +12,12 @@
 // stored block itself, uncopied: concurrent reads of one node run in
 // parallel, a gather or a plan executor reads the node's own bytes, and
 // corrupt() replaces the block instead of editing it, so a reader already
-// holding it keeps intact bytes. put() keeps the block it is given. Liveness
-// is a separate atomic so is_up() probes never touch the block-map lock.
+// holding it keeps intact bytes. put() keeps the block it is given, so one
+// stored block may back several slots: a write stores each symbol's block
+// in all of its replica slots, and repair by transfer stores a twin's
+// block. Each slot keeps its own CRC, and corrupt() replaces only its own
+// slot's block. Liveness is a separate atomic so is_up() probes never
+// touch the block-map lock.
 #pragma once
 
 #include <atomic>
@@ -45,8 +49,8 @@ class DataNode {
     return put(address, SharedBlock(std::move(bytes)));
   }
 
-  /// View overload for arena-backed writers (the stripe codec hands out
-  /// views into scratch memory); copies into node-owned storage.
+  /// Copies `bytes` into node-owned storage, for a writer whose bytes live
+  /// in scratch memory.
   Status put(cluster::SlotAddress address, ByteSpan bytes) {
     return put(address, Buffer(bytes.begin(), bytes.end()));
   }

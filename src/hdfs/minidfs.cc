@@ -7,6 +7,7 @@
 
 #include "ec/layering.h"
 #include "ec/registry.h"
+#include "ec/stripe_codec.h"
 
 namespace dblrep::hdfs {
 
@@ -23,8 +24,8 @@ MiniDfs::MiniDfs(const cluster::Topology& topology, std::uint64_t seed,
       options_(options),
       namenode_(
           topology_,
-          // The NameNode resolves code specs through the DFS's runtime
-          // table (one scheme + codec pool per spec, created on demand).
+          // The NameNode resolves code specs through the DFS's scheme
+          // table (one immutable scheme per spec, created on demand).
           [this](const std::string& spec) { return this->scheme(spec); },
           NameNodeOptions{options.meta_shards, options.meta_snapshot_every}),
       traffic_(topology_),
@@ -44,27 +45,17 @@ std::vector<int> MiniDfs::group_racks(
   return racks;
 }
 
-Result<MiniDfs::SchemeRuntime*> MiniDfs::runtime(const std::string& code_spec) {
+Result<const ec::CodeScheme*> MiniDfs::scheme(const std::string& code_spec) {
   {
     std::shared_lock<std::shared_mutex> lock(scheme_mu_);
     const auto it = schemes_.find(code_spec);
-    if (it != schemes_.end()) return &it->second;
+    if (it != schemes_.end()) return it->second.get();
   }
   auto made = ec::make_code(code_spec);
   if (!made.is_ok()) return made.status();
   std::unique_lock<std::shared_mutex> lock(scheme_mu_);
-  const auto it = schemes_.find(code_spec);
-  if (it != schemes_.end()) return &it->second;  // lost the creation race
-  SchemeRuntime rt;
-  rt.code = std::move(*made);
-  rt.runtimes = std::make_unique<exec::RuntimePool>(*rt.code);
-  return &schemes_.emplace(code_spec, std::move(rt)).first->second;
-}
-
-Result<const ec::CodeScheme*> MiniDfs::scheme(const std::string& code_spec) {
-  auto rt = runtime(code_spec);
-  if (!rt.is_ok()) return rt.status();
-  return (*rt)->code.get();
+  // try_emplace keeps the winner's scheme if another thread created one.
+  return schemes_.try_emplace(code_spec, std::move(*made)).first->second.get();
 }
 
 Result<const ec::RepairPlan*> MiniDfs::cached_plan(
@@ -94,9 +85,9 @@ Status MiniDfs::begin_write(const std::string& path,
                             const std::string& code_spec,
                             std::size_t block_size) {
   if (block_size == 0) return invalid_argument_error("zero block size");
-  auto rt_result = runtime(code_spec);  // validates the spec
-  if (!rt_result.is_ok()) return rt_result.status();
-  const ec::CodeScheme& code = *(*rt_result)->code;
+  auto code_result = scheme(code_spec);  // validates the spec
+  if (!code_result.is_ok()) return code_result.status();
+  const ec::CodeScheme& code = **code_result;
   // Sub-packetized schemes slice every block into α sub-chunks; a block
   // size that does not divide evenly would silently change the stripe
   // geometry, so reject it at transaction open.
@@ -178,47 +169,56 @@ Status MiniDfs::store_stripes(const std::string& path,
   if (!open.is_ok() || open->sealed) {
     return failed_precondition_error("no write transaction open for " + path);
   }
-  DBLREP_ASSIGN_OR_RETURN(SchemeRuntime* rt, runtime(open->code_spec));
+  DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code, scheme(open->code_spec));
   const std::size_t block_size = open->block_size;
-  const ec::StripeCodec sizing(*rt->code);
-  if (stripes.size() != sizing.stripe_count(data.size(), block_size)) {
+  const ec::StripeCodec codec(*code);
+  if (stripes.size() != codec.stripe_count(data.size(), block_size)) {
     return invalid_argument_error(
         std::to_string(data.size()) + " bytes do not fill exactly " +
         std::to_string(stripes.size()) + " stripes of " + path);
   }
   if (stripes.empty()) return Status::ok();
 
-  // Each run of batch_stripes() stripes is one leased codec's fused
-  // encode_batch pass; the sink stores a stripe's symbol views before the
-  // next batch recycles the arena. parallel_for_all reports the lowest
-  // failing run and encode_batch stops at a run's first failing stripe, so
-  // the error is the lowest failing stripe's whatever the pool's schedule.
-  const std::size_t per_stripe = sizing.stripe_bytes(block_size);
-  const std::size_t batch = sizing.batch_stripes(block_size);
-  const auto& layout = rt->code->layout();
+  // Each run of batch_stripes() stripes is one fused encode_batch pass on
+  // the shared codec; the sink stores a stripe's symbols before it returns.
+  // parallel_for_all reports the lowest failing run and encode_batch stops
+  // at a run's first failing stripe, so the error is the lowest failing
+  // stripe's whatever the pool's schedule.
+  const std::size_t per_stripe = codec.stripe_bytes(block_size);
+  const std::size_t batch = codec.batch_stripes(block_size);
+  const auto& layout = code->layout();
   const Status stored = exec::parallel_for_all(
       *pool_, (stripes.size() + batch - 1) / batch,
       [&](std::size_t run) -> Status {
         const std::size_t first = run * batch;
         const std::size_t begin = first * per_stripe;
-        auto lease = rt->runtimes->acquire();
-        return lease->codec.encode_batch(
+        return codec.encode_batch(
             data.subspan(begin, std::min(batch * per_stripe,
                                          data.size() - begin)),
             block_size,
             [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
               const cluster::StripeId stripe = stripes[first + s];
+              // Each symbol is copied once; every replica slot of it stores
+              // that one block, as repair by transfer stores a twin's.
+              std::vector<SharedBlock> blocks;
+              blocks.reserve(symbols.size());
+              for (const ByteSpan symbol : symbols) {
+                MutableByteSpan fill;
+                blocks.push_back(
+                    SharedBlock::uninitialized(symbol.size(), fill));
+                std::memcpy(fill.data(), symbol.data(), symbol.size());
+              }
               for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-                const ByteSpan symbol = symbols[layout.symbol_of_slot(slot)];
+                const SharedBlock& block = blocks[layout.symbol_of_slot(slot)];
                 const cluster::NodeId node = namenode_.node_of({stripe, slot});
                 DBLREP_RETURN_IF_ERROR(
                     datanodes_[static_cast<std::size_t>(node)].put(
-                        {stripe, slot}, symbol));
+                        {stripe, slot}, block));
                 // Client -> datanode transfer (the client is off-cluster)
                 // of one slot payload: a full block for α == 1, one
                 // sub-chunk for sub-packetized schemes.
                 traffic_.record(net::kClientEndpoint, node,
-                                static_cast<double>(symbol.size()), cls);
+                                static_cast<double>(block.size()), cls);
               }
               return Status::ok();
             });
@@ -857,11 +857,11 @@ Result<const ec::CodeScheme*> MiniDfs::code_for(
   std::shared_lock<std::shared_mutex> lock(scheme_mu_);
   const auto it = schemes_.find(file->code_spec);
   if (it == schemes_.end()) {
-    // Every published file's scheme was created through runtime(); a miss
+    // Every published file's scheme was created through scheme(); a miss
     // means the namespace and scheme table disagree.
-    return internal_error("no scheme runtime for " + file->code_spec);
+    return internal_error("no scheme for " + file->code_spec);
   }
-  return it->second.code.get();
+  return it->second.get();
 }
 
 std::size_t MiniDfs::stored_bytes() const {

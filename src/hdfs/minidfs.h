@@ -41,9 +41,12 @@
 //  * DataNode stores are per-node lock shards; the namespace is guarded by
 //    a striped per-path shared mutex (concurrent readers, exclusive
 //    delete/rename) plus a map-structure mutex.
-//  * Mutable codec scratch (ec::StripeCodec) is checked out per worker from
-//    an exec::RuntimePool per scheme; a plan executor holds no scratch and
-//    is built on the stack where a plan runs.
+//  * The codec (ec::StripeCodec) and the plan executor hold only their
+//    immutable scheme or layout, so each is built on the stack where it
+//    runs; the encoder's parity scratch is one buffer per thread.
+//  * A write copies each coded symbol once into a SharedBlock and stores
+//    that block in every replica slot of the symbol, as a repair by
+//    transfer stores a twin's block; each DataNode keeps its own CRC.
 //  * Degraded-read and repair plans share one cache, keyed by (code,
 //    target, failure pattern), under a shared-read lock; a plan is built
 //    once and replayed across stripes, reads, and threads.
@@ -59,6 +62,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <span>
@@ -71,7 +75,6 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "ec/code.h"
-#include "exec/runtime_pool.h"
 #include "exec/striped_mutex.h"
 #include "exec/thread_pool.h"
 #include "hdfs/datanode.h"
@@ -194,14 +197,14 @@ class MiniDfs {
   /// Encodes `data` -- the logical bytes of `stripes` in stripe order, the
   /// last stripe possibly short (zero-padded) -- and stores every slot on
   /// its placed node. Runs of StripeCodec::batch_stripes() stripes share
-  /// one leased codec's fused encode_batch pass and fan out across the
-  /// pool, the caller taking part (a single run executes inline).
-  /// Systematic symbols are zero-copy views into `data`. Every upload is
-  /// charged under `cls` (client write by default; the tiering re-encode
-  /// passes kRetier so its bytes are throttleable like repair), and the
-  /// call journals one record_store for all of its bytes. Returns the
-  /// lowest failing stripe's error. The stripes stay unsealed -- invisible
-  /// to repair and scrub -- until commit_write.
+  /// one fused encode_batch pass and fan out across the pool, the caller
+  /// taking part (a single run executes inline). Each symbol is copied
+  /// once into a SharedBlock that all of its replica slots store. Every
+  /// upload is charged under `cls` (client write by default; the tiering
+  /// re-encode passes kRetier so its bytes are throttleable like repair),
+  /// and the call journals one record_store for all of its bytes. Returns
+  /// the lowest failing stripe's error. The stripes stay unsealed --
+  /// invisible to repair and scrub -- until commit_write.
   Status store_stripes(
       const std::string& path, std::span<const cluster::StripeId> stripes,
       ByteSpan data,
@@ -355,14 +358,6 @@ class MiniDfs {
   /// composes the transaction primitives and scheme lookups directly.
   friend class Client;
 
-  /// Everything the data plane keeps warm per code spec: the immutable
-  /// scheme plus a RuntimePool of per-worker StripeCodec instances (mutable
-  /// scratch is never shared between threads).
-  struct SchemeRuntime {
-    std::unique_ptr<ec::CodeScheme> code;
-    std::unique_ptr<exec::RuntimePool> runtimes;
-  };
-
   /// Plans keyed by (code, target, code-local failure pattern), where the
   /// target is a data block index for a degraded read or kRepairTarget for
   /// a stripe repair; shared across stripes, reads, repair rounds, and
@@ -376,7 +371,9 @@ class MiniDfs {
   /// lock while bytes move.
   Result<FileInfo> lookup_copy(const std::string& path) const;
 
-  Result<SchemeRuntime*> runtime(const std::string& code_spec);
+  /// The immutable scheme of `code_spec`, created on first use and shared
+  /// by every file, thread, and plan of that spec; an unknown spec fails
+  /// as ec::make_code does.
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
 
   /// Plan under `code` for `target` -- a degraded read of that data block,
@@ -458,7 +455,7 @@ class MiniDfs {
   Rng rng_;
 
   mutable std::shared_mutex scheme_mu_;  // guards schemes_
-  std::map<std::string, SchemeRuntime> schemes_;
+  std::map<std::string, std::unique_ptr<ec::CodeScheme>> schemes_;
 
   mutable std::shared_mutex plan_mu_;  // guards plan_cache_
   std::map<PlanKey, ec::RepairPlan> plan_cache_;

@@ -559,17 +559,6 @@ std::size_t NameNode::num_stripes() const {
   return n;
 }
 
-std::vector<cluster::SlotAddress> NameNode::slots_on_node(
-    cluster::NodeId node) const {
-  std::vector<cluster::SlotAddress> slots;
-  for (const auto& shard : shards_) {
-    const auto part = shard->catalog.slots_on_node(node);
-    slots.insert(slots.end(), part.begin(), part.end());
-  }
-  std::sort(slots.begin(), slots.end());
-  return slots;
-}
-
 std::vector<cluster::StripeId> NameNode::stripes_on_node(
     cluster::NodeId node) const {
   std::vector<cluster::StripeId> out;

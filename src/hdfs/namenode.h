@@ -75,7 +75,7 @@ struct FileInfo {
 };
 
 /// Resolves a code spec to its (long-lived) scheme. The NameNode keeps no
-/// schemes of its own: MiniDfs passes its runtime table, standalone tests
+/// schemes of its own: MiniDfs passes its scheme table, standalone tests
 /// pass an ec::make_code cache. Must be thread-safe and return pointers
 /// that outlive the NameNode.
 using SchemeResolver =
@@ -203,7 +203,6 @@ class NameNode {
   bool is_registered(cluster::StripeId id) const;
   bool is_sealed(cluster::StripeId id) const;
   std::size_t num_stripes() const;  // live stripes across all shards
-  std::vector<cluster::SlotAddress> slots_on_node(cluster::NodeId node) const;
   std::vector<cluster::StripeId> stripes_on_node(cluster::NodeId node) const;
   std::set<ec::NodeIndex> failed_in_stripe(
       cluster::StripeId id, const std::set<cluster::NodeId>& down_nodes) const;

@@ -1,22 +1,10 @@
 #include "tier/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace dblrep::tier {
 
 namespace {
-
-/// Options override > DBLREP_TIER_MAX_BYTES > unlimited.
-std::size_t resolve_max_bytes(const TieringEngineOptions& options) {
-  if (options.max_bytes_per_pass > 0) return options.max_bytes_per_pass;
-  if (const char* env = std::getenv("DBLREP_TIER_MAX_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env && parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return 0;  // unlimited
-}
 
 bool is_temp_path(const std::string& path) {
   return path.ends_with(".raid-tmp");
@@ -31,9 +19,7 @@ TieringEngine::TieringEngine(hdfs::MiniDfs& dfs, HeatTracker& heat,
       heat_(&heat),
       policy_(std::move(policy)),
       options_(options),
-      raid_(dfs) {
-  options_.max_bytes_per_pass = resolve_max_bytes(options);
-}
+      raid_(dfs) {}
 
 PassReport TieringEngine::run_once(double now_s) {
   heat_->advance_to(now_s);

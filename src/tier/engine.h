@@ -35,8 +35,7 @@ struct TieringEngineOptions {
   /// Most transitions one pass will execute (0 = unlimited).
   std::size_t max_transitions_per_pass = 4;
 
-  /// Most logical bytes one pass will re-encode. 0 defers to
-  /// DBLREP_TIER_MAX_BYTES (default: unlimited).
+  /// Most logical bytes one pass will re-encode (0 = unlimited).
   std::size_t max_bytes_per_pass = 0;
 };
 

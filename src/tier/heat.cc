@@ -2,27 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace dblrep::tier {
 
-namespace {
-
-/// HeatOptions override > DBLREP_TIER_HALF_LIFE_S > 60s.
-double resolve_half_life(const HeatOptions& options) {
-  if (options.half_life_s > 0) return options.half_life_s;
-  if (const char* env = std::getenv("DBLREP_TIER_HALF_LIFE_S")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    if (end != env && parsed > 0) return parsed;
-  }
-  return 60.0;
-}
-
-}  // namespace
-
 HeatTracker::HeatTracker(const HeatOptions& options)
-    : half_life_s_(resolve_half_life(options)) {}
+    : half_life_s_(options.half_life_s > 0 ? options.half_life_s : 60.0) {}
 
 void HeatTracker::advance_to(double now_s) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -27,8 +27,7 @@ namespace dblrep::tier {
 
 struct HeatOptions {
   /// Exponential half-life of the per-file byte counter, in logical
-  /// seconds. 0 defers to the DBLREP_TIER_HALF_LIFE_S environment knob
-  /// (default 60).
+  /// seconds. 0 (or less) selects the default, 60.
   double half_life_s = 0;
 };
 

@@ -2,29 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace dblrep::tier {
 
 namespace {
 
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    if (end != env && parsed > 0) return parsed;
-  }
-  return fallback;
-}
-
-/// Options override > DBLREP_TIER_HOT / DBLREP_TIER_COLD > {4096, 1024}.
-/// With a ladder longer than three rungs the extra thresholds interpolate
-/// geometrically between hot and cold.
+/// The options' thresholds, else {4096, 1024}. With a ladder longer than
+/// three rungs the extra thresholds interpolate geometrically between hot
+/// and cold.
 std::vector<double> resolve_thresholds(const TieringPolicyOptions& options,
                                        std::size_t rungs) {
   if (options.demote_below.size() == rungs) return options.demote_below;
-  const double hot = env_double("DBLREP_TIER_HOT", 4096.0);
-  const double cold = env_double("DBLREP_TIER_COLD", 1024.0);
+  const double hot = 4096.0;
+  const double cold = 1024.0;
   std::vector<double> out(rungs, hot);
   if (rungs >= 2) {
     const double ratio =

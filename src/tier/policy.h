@@ -24,9 +24,8 @@ struct TieringPolicyOptions {
   std::vector<std::string> ladder = {"3-rep", "heptagon-local", "rs-10-4"};
 
   /// demote_below[t]: a file in tier t demotes to t+1 while its heat is
-  /// below this (one entry per ladder rung except the last). Empty defers
-  /// to DBLREP_TIER_HOT / DBLREP_TIER_COLD (defaults 4096 / 1024 bytes of
-  /// decayed access).
+  /// below this (one entry per ladder rung except the last). Empty selects
+  /// the defaults, 4096 / 1024 bytes of decayed access.
   std::vector<double> demote_below;
 
   /// Promote from tier t to t-1 once heat >= demote_below[t-1] times this

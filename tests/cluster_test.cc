@@ -33,33 +33,47 @@ TEST(BlockCatalog, RegistersAndResolvesPentagonStripe) {
   const Topology t = setup1_topology();
   BlockCatalog catalog(t);
   ec::PolygonCode pentagon(5);
-  const auto id = catalog.register_stripe(pentagon, {10, 11, 12, 13, 14});
-  ASSERT_TRUE(id.is_ok());
+  ASSERT_TRUE(
+      catalog.register_stripe_at(3, pentagon, {10, 11, 12, 13, 14}, true)
+          .is_ok());
   EXPECT_EQ(catalog.num_stripes(), 1u);
+  EXPECT_TRUE(catalog.is_registered(3));
+  EXPECT_TRUE(catalog.is_sealed(3));
   // Symbol on edge {0,1} of the code maps to cluster nodes 10 and 11.
-  const auto replicas = catalog.replica_nodes(*id, pentagon.edge_symbol(0, 1));
+  const auto replicas = catalog.replica_nodes(3, pentagon.edge_symbol(0, 1));
   EXPECT_EQ(replicas, (std::vector<NodeId>{10, 11}));
-  // Node 10 hosts 4 slots of this stripe.
-  EXPECT_EQ(catalog.slots_on_node(10).size(), 4u);
-  EXPECT_TRUE(catalog.slots_on_node(0).empty());
+  // Node 10 is code node 0, which hosts 4 slots of this stripe.
+  EXPECT_EQ(catalog.node_of({3, pentagon.layout().slots_on_node(0)[3]}), 10);
+  EXPECT_EQ(catalog.stripes_on_node(10), (std::vector<StripeId>{3}));
+  EXPECT_TRUE(catalog.stripes_on_node(0).empty());
 }
 
-TEST(BlockCatalog, RejectsBadGroups) {
+TEST(BlockCatalog, RejectsBadGroupsAndReusedIds) {
   const Topology t = setup1_topology();
   BlockCatalog catalog(t);
   ec::PolygonCode pentagon(5);
-  EXPECT_FALSE(catalog.register_stripe(pentagon, {0, 1, 2}).is_ok());
-  EXPECT_FALSE(catalog.register_stripe(pentagon, {0, 1, 2, 3, 3}).is_ok());
-  EXPECT_FALSE(catalog.register_stripe(pentagon, {0, 1, 2, 3, 99}).is_ok());
+  EXPECT_FALSE(
+      catalog.register_stripe_at(0, pentagon, {0, 1, 2}, true).is_ok());
+  EXPECT_FALSE(
+      catalog.register_stripe_at(0, pentagon, {0, 1, 2, 3, 3}, true).is_ok());
+  EXPECT_FALSE(
+      catalog.register_stripe_at(0, pentagon, {0, 1, 2, 3, 99}, true).is_ok());
+  EXPECT_EQ(catalog.num_stripes(), 0u);
+  ASSERT_TRUE(
+      catalog.register_stripe_at(0, pentagon, {0, 1, 2, 3, 4}, true).is_ok());
+  EXPECT_EQ(
+      catalog.register_stripe_at(0, pentagon, {5, 6, 7, 8, 9}, true).code(),
+      StatusCode::kAlreadyExists);
+  EXPECT_TRUE(catalog.stripes_on_node(5).empty());
 }
 
 TEST(BlockCatalog, FailedInStripeMapsClusterToCodeIndices) {
   const Topology t = setup1_topology();
   BlockCatalog catalog(t);
   ec::PolygonCode pentagon(5);
-  const auto id = catalog.register_stripe(pentagon, {20, 5, 9, 3, 17});
-  ASSERT_TRUE(id.is_ok());
-  const auto failed = catalog.failed_in_stripe(*id, {5, 17, 4});
+  ASSERT_TRUE(
+      catalog.register_stripe_at(7, pentagon, {20, 5, 9, 3, 17}, true).is_ok());
+  const auto failed = catalog.failed_in_stripe(7, {5, 17, 4});
   EXPECT_EQ(failed, (std::set<ec::NodeIndex>{1, 4}));
 }
 
@@ -67,35 +81,43 @@ TEST(BlockCatalog, UnregisterTombstonesStripe) {
   const Topology t = setup1_topology();
   BlockCatalog catalog(t);
   ec::PolygonCode pentagon(5);
-  const auto a = catalog.register_stripe(pentagon, {0, 1, 2, 3, 4});
-  const auto b = catalog.register_stripe(pentagon, {5, 6, 7, 8, 9});
-  ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(b.is_ok());
+  ASSERT_TRUE(
+      catalog.register_stripe_at(0, pentagon, {0, 1, 2, 3, 4}, true).is_ok());
+  ASSERT_TRUE(
+      catalog.register_stripe_at(1, pentagon, {5, 6, 7, 8, 9}, true).is_ok());
   EXPECT_EQ(catalog.num_stripes(), 2u);
-  ASSERT_TRUE(catalog.unregister_stripe(*a).is_ok());
+  ASSERT_TRUE(catalog.unregister_stripe(0).is_ok());
   EXPECT_EQ(catalog.num_stripes(), 1u);
-  EXPECT_FALSE(catalog.is_registered(*a));
-  EXPECT_TRUE(catalog.is_registered(*b));
+  EXPECT_FALSE(catalog.is_registered(0));
+  EXPECT_TRUE(catalog.is_registered(1));
+  EXPECT_EQ(catalog.live_stripe_ids(), (std::vector<StripeId>{1}));
   // Node listings no longer mention the dead stripe.
-  EXPECT_TRUE(catalog.slots_on_node(0).empty());
+  EXPECT_TRUE(catalog.stripes_on_node(0).empty());
   EXPECT_TRUE(catalog.stripes_on_node(2).empty());
+  EXPECT_EQ(catalog.stripes_on_node(5), (std::vector<StripeId>{1}));
   // Double delete and access to a tombstone are rejected.
-  EXPECT_FALSE(catalog.unregister_stripe(*a).is_ok());
-  EXPECT_THROW(catalog.stripe(*a), ContractViolation);
-  // New registrations keep working and get fresh ids.
-  const auto c = catalog.register_stripe(pentagon, {0, 1, 2, 3, 4});
-  ASSERT_TRUE(c.is_ok());
-  EXPECT_NE(*c, *a);
+  EXPECT_FALSE(catalog.unregister_stripe(0).is_ok());
+  EXPECT_THROW(catalog.stripe(0), ContractViolation);
+  // The tombstone keeps its id; a fresh id registers on the same nodes.
+  EXPECT_EQ(
+      catalog.register_stripe_at(0, pentagon, {0, 1, 2, 3, 4}, true).code(),
+      StatusCode::kAlreadyExists);
+  ASSERT_TRUE(
+      catalog.register_stripe_at(2, pentagon, {0, 1, 2, 3, 4}, true).is_ok());
+  EXPECT_EQ(catalog.stripes_on_node(0), (std::vector<StripeId>{2}));
 }
 
-TEST(BlockCatalog, StripesOnNodeDeduplicates) {
+TEST(BlockCatalog, StripesOnNodeListsEachStripeOnceInIdOrder) {
   const Topology t = setup1_topology();
   BlockCatalog catalog(t);
   ec::PolygonCode pentagon(5);
-  ASSERT_TRUE(catalog.register_stripe(pentagon, {0, 1, 2, 3, 4}).is_ok());
-  ASSERT_TRUE(catalog.register_stripe(pentagon, {0, 5, 6, 7, 8}).is_ok());
-  const auto stripes = catalog.stripes_on_node(0);
-  EXPECT_EQ(stripes.size(), 2u);  // node 0 hosts 4 slots of each stripe
+  ASSERT_TRUE(
+      catalog.register_stripe_at(9, pentagon, {0, 1, 2, 3, 4}, true).is_ok());
+  ASSERT_TRUE(
+      catalog.register_stripe_at(4, pentagon, {0, 5, 6, 7, 8}, true).is_ok());
+  // Node 0 hosts 4 slots of each stripe, and each stripe is listed once.
+  EXPECT_EQ(catalog.stripes_on_node(0), (std::vector<StripeId>{4, 9}));
+  EXPECT_EQ(catalog.stripes_on_node(5), (std::vector<StripeId>{4}));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Property tests on every CodeScheme: encode/decode round trips under all
 // tolerated erasure patterns, fault-tolerance boundaries, Table-1 static
-// parameters, and codeword verification.
+// parameters, codeword verification, and the batched stripe encoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <set>
@@ -15,6 +16,7 @@
 #include "ec/registry.h"
 #include "ec/replication.h"
 #include "ec/rs.h"
+#include "ec/stripe_codec.h"
 
 namespace dblrep::ec {
 namespace {
@@ -113,6 +115,44 @@ TEST_P(AllCodesTest, EncodeProducesReplicaConsistentSlots) {
                           block.begin() + (u % alpha + 1) * unit_size);
     EXPECT_EQ(slots[code_->layout().slots_of_symbol(u)[0]], expected);
   }
+}
+
+TEST_P(AllCodesTest, EncodeBatchHandsTheSinkEncodeSymbolsOfEachStripe) {
+  // More stripes than one fused batch holds, and a final stripe that ends
+  // inside a unit: every symbol view the sink sees must equal
+  // encode_symbols of that stripe, zero-padded.
+  const StripeCodec codec(*code_);
+  const std::size_t stripe_bytes = codec.stripe_bytes(kBlockSize);
+  const std::size_t stripes = codec.batch_stripes(kBlockSize) + 2;
+  const Buffer data =
+      random_buffer((stripes - 1) * stripe_bytes + stripe_bytes / 2 + 3, 4);
+  ASSERT_EQ(codec.stripe_count(data.size(), kBlockSize), stripes);
+  std::size_t seen = 0;
+  const Status status = codec.encode_batch(
+      data, kBlockSize,
+      [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
+        EXPECT_EQ(s, seen++);
+        std::vector<Buffer> blocks(code_->data_blocks(), Buffer(kBlockSize, 0));
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+          const std::size_t begin =
+              std::min(data.size(), s * stripe_bytes + b * kBlockSize);
+          const std::size_t end = std::min(data.size(), begin + kBlockSize);
+          std::copy(data.begin() + static_cast<std::ptrdiff_t>(begin),
+                    data.begin() + static_cast<std::ptrdiff_t>(end),
+                    blocks[b].begin());
+        }
+        const auto want = code_->encode_symbols(blocks);
+        EXPECT_EQ(symbols.size(), want.size());
+        for (std::size_t sym = 0; sym < std::min(symbols.size(), want.size());
+             ++sym) {
+          EXPECT_TRUE(std::equal(symbols[sym].begin(), symbols[sym].end(),
+                                 want[sym].begin(), want[sym].end()))
+              << "stripe " << s << " symbol " << sym;
+        }
+        return Status::ok();
+      });
+  EXPECT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(seen, stripes);
 }
 
 TEST_P(AllCodesTest, DecodeFromIntactStripe) {

@@ -1,8 +1,10 @@
 // Tests for the execution subsystem: thread pool, parallel_for_all
 // semantics (correctness, error propagation, nesting, zero-worker serial
-// mode), runtime checkout, and the striped namespace mutex.
+// mode), one stripe codec shared across workers, and the striped namespace
+// mutex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <numeric>
@@ -12,8 +14,8 @@
 
 #include "common/bytes.h"
 #include "ec/registry.h"
+#include "ec/stripe_codec.h"
 #include "exec/future.h"
-#include "exec/runtime_pool.h"
 #include "exec/striped_mutex.h"
 #include "exec/thread_pool.h"
 
@@ -207,58 +209,52 @@ TEST(ParallelForAll, ConcurrentCallersFromManyThreads) {
   EXPECT_EQ(total.load(), 200);
 }
 
-// ----------------------------------------------------------- RuntimePool
+// ----------------------------------------------------------- StripeCodec
 
-TEST(RuntimePool, ReusesReturnedRuntime) {
-  const auto code = ec::make_code("rs-10-4").value();
-  RuntimePool pool(*code);
-  const RuntimePool::Runtime* first;
-  {
-    auto lease = pool.acquire();
-    first = &*lease;
-  }
-  auto lease = pool.acquire();
-  EXPECT_EQ(&*lease, first);  // checked back in, checked back out
-  EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(RuntimePool, ConcurrentLeasesAreDistinct) {
-  const auto code = ec::make_code("pentagon").value();
-  RuntimePool pool(*code);
-  auto a = pool.acquire();
-  auto b = pool.acquire();
-  EXPECT_NE(&*a, &*b);
-  EXPECT_EQ(pool.size(), 2u);
-}
-
-TEST(RuntimePool, ParallelCheckoutNeverShares) {
+TEST(StripeCodec, OneConstCodecEncodesConcurrentlyOnEveryWorker) {
+  // The data plane shares one codec per write across the pool. Each
+  // iteration encodes its own data (one to three stripes, ragged on odd
+  // iterations) while the others encode theirs; every sink must see what
+  // encode_symbols computes for its stripe, so parity scratch shared across
+  // threads or calls would show.
   const auto code = ec::make_code("heptagon").value();
-  RuntimePool rpool(*code);
+  const ec::StripeCodec codec(*code);
+  constexpr std::size_t kBlock = 64;
+  const std::size_t stripe_bytes = codec.stripe_bytes(kBlock);
   ThreadPool pool(4);
-  std::mutex mu;
-  std::set<const RuntimePool::Runtime*> in_use;
-  const Status status = parallel_for_all(pool, 200, [&](std::size_t) -> Status {
-    auto lease = rpool.acquire();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!in_use.insert(&*lease).second) {
-        return internal_error("runtime leased twice concurrently");
-      }
-    }
-    // Exercise the leased codec so a shared arena would corrupt.
-    const Buffer data = random_buffer(7 * 64, 3);
-    EXPECT_TRUE(lease->codec
-                    .encode_batch(data, 64,
-                                  [](std::size_t, std::span<const ByteSpan>) {
-                                    return Status::ok();
-                                  })
-                    .is_ok());
-    std::lock_guard<std::mutex> lock(mu);
-    in_use.erase(&*lease);
-    return Status::ok();
-  });
+  auto encode = [&](std::size_t i) -> Status {
+    const Buffer data = random_buffer(
+        (1 + i % 3) * stripe_bytes - (i % 2) * (stripe_bytes / 3), i);
+    return codec.encode_batch(
+        data, kBlock,
+        [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
+          std::vector<Buffer> blocks(code->data_blocks(), Buffer(kBlock, 0));
+          for (std::size_t b = 0; b < blocks.size(); ++b) {
+            const std::size_t begin =
+                std::min(data.size(), s * stripe_bytes + b * kBlock);
+            const std::size_t end = std::min(data.size(), begin + kBlock);
+            std::copy(data.begin() + static_cast<std::ptrdiff_t>(begin),
+                      data.begin() + static_cast<std::ptrdiff_t>(end),
+                      blocks[b].begin());
+          }
+          const auto want = code->encode_symbols(blocks);
+          if (symbols.size() != want.size()) {
+            return internal_error("wrong symbol count");
+          }
+          for (std::size_t sym = 0; sym < want.size(); ++sym) {
+            if (!std::equal(symbols[sym].begin(), symbols[sym].end(),
+                            want[sym].begin(), want[sym].end())) {
+              return internal_error("iteration " + std::to_string(i) +
+                                    " stripe " + std::to_string(s) +
+                                    " symbol " + std::to_string(sym) +
+                                    " differs from encode_symbols");
+            }
+          }
+          return Status::ok();
+        });
+  };
+  const Status status = parallel_for_all(pool, 256, encode);
   EXPECT_TRUE(status.is_ok()) << status.to_string();
-  EXPECT_LE(rpool.size(), 5u);  // at most one per participant
 }
 
 // ----------------------------------------------------- StripedSharedMutex

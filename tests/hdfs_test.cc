@@ -235,6 +235,56 @@ TEST(MiniDfs, ScrubRepairHealsEvenWithBothReplicasOfABlockCorrupt) {
                          data.begin() + 4 * kBlockSize));
 }
 
+TEST(MiniDfs, WriteStoresOneBlockInBothReplicaSlotsOfEachSymbol) {
+  // A write copies each symbol once and stores that block in both of its
+  // replica slots. Corrupting one replica replaces only that slot's block,
+  // so its twin still verifies, the read returns the data, and
+  // scrub_repair rewrites the bad replica.
+  MiniDfs dfs = make_dfs();
+  const Buffer data = payload(kBlockSize * 18, 33);
+  ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
+  const auto info = *dfs.stat("/f");
+  const auto& code = *dfs.code_for("/f").value();
+  auto holder = [&](cluster::StripeId stripe, std::size_t slot) -> DataNode& {
+    return dfs.datanode(dfs.catalog().node_of({stripe, slot}));
+  };
+  for (const cluster::StripeId stripe : info.stripes) {
+    for (std::size_t sym = 0; sym < code.num_symbols(); ++sym) {
+      const auto& slots = code.layout().slots_of_symbol(sym);
+      ASSERT_EQ(slots.size(), 2u);
+      const auto first = holder(stripe, slots[0]).peek({stripe, slots[0]});
+      const auto second = holder(stripe, slots[1]).peek({stripe, slots[1]});
+      ASSERT_TRUE(first.is_ok() && second.is_ok());
+      EXPECT_EQ(first->data(), second->data())
+          << "stripe " << stripe << " symbol " << sym;
+    }
+  }
+
+  // Data block 2 of the second stripe is block 11 of the file.
+  const cluster::StripeId stripe = info.stripes[1];
+  const auto& twins = code.layout().slots_of_symbol(2);
+  const Buffer expected(data.begin() + 11 * kBlockSize,
+                        data.begin() + 12 * kBlockSize);
+  DataNode& bad = holder(stripe, twins[0]);
+  ASSERT_TRUE(bad.corrupt({stripe, twins[0]}, 5).is_ok());
+  EXPECT_EQ(bad.get({stripe, twins[0]}).status().code(),
+            StatusCode::kCorruption);
+  const auto twin = holder(stripe, twins[1]).get({stripe, twins[1]});
+  ASSERT_TRUE(twin.is_ok()) << twin.status().to_string();
+  EXPECT_EQ(*twin, expected);
+  const auto block = dfs.read_block("/f", 11);
+  ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+  EXPECT_EQ(*block, expected);
+
+  const auto healed = dfs.scrub_repair();
+  ASSERT_TRUE(healed.is_ok()) << healed.status().to_string();
+  EXPECT_EQ(*healed, 1u);
+  EXPECT_TRUE(dfs.scrub().is_ok());
+  const auto rewritten = bad.get({stripe, twins[0]});
+  ASSERT_TRUE(rewritten.is_ok()) << rewritten.status().to_string();
+  EXPECT_EQ(*rewritten, expected);
+}
+
 TEST(MiniDfs, ScrubRepairIsNoopWhenHealthy) {
   MiniDfs dfs = make_dfs();
   ASSERT_TRUE(dfs.write_file("/f", payload(kBlockSize * 9, 32), "heptagon",

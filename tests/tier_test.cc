@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "common/rng.h"
@@ -51,13 +50,13 @@ TEST(HeatTrackerTest, AccruesAndDecaysWithHalfLife) {
   EXPECT_DOUBLE_EQ(heat.heat("/untracked"), 0.0);
 }
 
-TEST(HeatTrackerTest, HalfLifeEnvKnobApplies) {
-  ASSERT_EQ(setenv("DBLREP_TIER_HALF_LIFE_S", "10", 1), 0);
-  HeatTracker heat;  // half_life_s = 0 defers to the env knob
-  unsetenv("DBLREP_TIER_HALF_LIFE_S");
-  heat.record_access("/f", 100);
-  heat.advance_to(10.0);
-  EXPECT_DOUBLE_EQ(heat.heat("/f"), 50.0);
+TEST(HeatTrackerTest, UnsetHalfLifeDefaultsToSixtySeconds) {
+  for (const double unset : {0.0, -5.0}) {
+    HeatTracker heat({.half_life_s = unset});
+    heat.record_access("/f", 100);
+    heat.advance_to(60.0);
+    EXPECT_DOUBLE_EQ(heat.heat("/f"), 50.0) << "half_life_s " << unset;
+  }
 }
 
 TEST(HeatTrackerTest, NamespaceEventsFollowTheFile) {
@@ -139,14 +138,17 @@ TEST(TieringPolicyTest, PromotionRequiresHysteresis) {
   EXPECT_EQ(policy.target_tier(1024 * 4, 2), 1u);
 }
 
-TEST(TieringPolicyTest, ThresholdEnvKnobsApply) {
-  ASSERT_EQ(setenv("DBLREP_TIER_HOT", "100", 1), 0);
-  ASSERT_EQ(setenv("DBLREP_TIER_COLD", "10", 1), 0);
-  TieringPolicy policy;  // empty demote_below defers to the env knobs
-  unsetenv("DBLREP_TIER_HOT");
-  unsetenv("DBLREP_TIER_COLD");
-  EXPECT_DOUBLE_EQ(policy.demote_threshold(0), 100.0);
-  EXPECT_DOUBLE_EQ(policy.demote_threshold(1), 10.0);
+TEST(TieringPolicyTest, EmptyThresholdsDefaultToHotAndColdBytes) {
+  TieringPolicy policy;  // empty demote_below: 4096 / 1024
+  EXPECT_DOUBLE_EQ(policy.demote_threshold(0), 4096.0);
+  EXPECT_DOUBLE_EQ(policy.demote_threshold(1), 1024.0);
+  // A longer ladder interpolates geometrically between the two.
+  TieringPolicyOptions options;
+  options.ladder = {"3-rep", "heptagon-local", "pentagon", "rs-10-4"};
+  TieringPolicy four_rungs(options);
+  EXPECT_DOUBLE_EQ(four_rungs.demote_threshold(0), 4096.0);
+  EXPECT_NEAR(four_rungs.demote_threshold(1), 2048.0, 1e-9);
+  EXPECT_DOUBLE_EQ(four_rungs.demote_threshold(2), 1024.0);
 }
 
 TEST(TieringPolicyTest, OffLadderSpecsAreRejected) {

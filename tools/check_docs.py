@@ -14,6 +14,11 @@ Checks, with no third-party dependencies:
    string literals in ``src/`` -- are exactly the rows of README.md's
    "Environment knobs" table, so a knob can be neither undocumented nor
    documented after its removal.
+4. Every backticked C++ name in README.md and docs/*.md that is qualified
+   (``ns::Name``, ``Class::member``, optionally called as ``f()``) or
+   CamelCase (``StripeLayout``) names code that exists: each of its
+   ``::``-separated parts appears as a word in ``src/``. A class renamed or
+   deleted in the code then cannot linger in the docs.
 
 Exit code 0 when everything checks out, 1 with a per-finding report
 otherwise.
@@ -31,6 +36,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_NAME_RE = re.compile(r"\bbench_([a-z0-9_]+)\b|\bBENCH_([a-z0-9_]+)\.json\b")
 KNOB_LITERAL_RE = re.compile(r'"(DBLREP_[A-Z0-9_]+)"')
 KNOB_ROW_RE = re.compile(r"^\| `(DBLREP_[A-Z0-9_]+)` \|", re.MULTILINE)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# An identifier path, optionally followed by one call's parentheses.
+CODE_NAME_RE = re.compile(r"^((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\([^()]*\))?$")
+CAMEL_CASE_RE = re.compile(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+$")
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -81,11 +90,14 @@ def check_paper_map(errors: list[str]) -> None:
         )
 
 
+def sources() -> list[pathlib.Path]:
+    return [p for p in sorted((REPO / "src").rglob("*")) if p.suffix in (".h", ".cc")]
+
+
 def check_knobs(errors: list[str]) -> None:
     read = set()
-    for source in sorted((REPO / "src").rglob("*")):
-        if source.suffix in (".h", ".cc"):
-            read.update(KNOB_LITERAL_RE.findall(source.read_text(encoding="utf-8")))
+    for source in sources():
+        read.update(KNOB_LITERAL_RE.findall(source.read_text(encoding="utf-8")))
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     start = readme.find("## Environment knobs")
     if start < 0:
@@ -99,11 +111,39 @@ def check_knobs(errors: list[str]) -> None:
         errors.append(f"README.md's knob table documents {knob}, which src/ never reads")
 
 
+def check_code_names(errors: list[str]) -> int:
+    """Check 4; returns how many distinct names it checked."""
+    words = set()
+    for source in sources():
+        words.update(re.findall(r"\w+", source.read_text(encoding="utf-8")))
+    docs = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    checked = set()
+    for doc in docs:
+        lines = doc.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for span in CODE_SPAN_RE.findall(line):
+                match = CODE_NAME_RE.match(span.strip())
+                if not match:
+                    continue
+                name = match.group(1)
+                if "::" not in name and not CAMEL_CASE_RE.match(name):
+                    continue
+                checked.add(name)
+                missing = [part for part in name.split("::") if part not in words]
+                if missing:
+                    errors.append(
+                        f"{doc.relative_to(REPO)}:{lineno}: `{span}` names "
+                        f"{', '.join(missing)}, which src/ never mentions"
+                    )
+    return len(checked)
+
+
 def main() -> int:
     errors: list[str] = []
     check_links(errors)
     check_paper_map(errors)
     check_knobs(errors)
+    names = check_code_names(errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s):")
         for error in errors:
@@ -111,7 +151,8 @@ def main() -> int:
         return 1
     print(
         f"check_docs: OK ({len(doc_files())} docs link-checked, "
-        "paper map covers every bench target, knob table matches src/)"
+        "paper map covers every bench target, knob table matches src/, "
+        f"{names} code names in the docs exist in src/)"
     )
     return 0
 
