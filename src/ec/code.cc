@@ -73,29 +73,26 @@ std::vector<Buffer> CodeScheme::encode(std::span<const Buffer> data) const {
   return slots;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>
-CodeScheme::surviving_symbol_slots(const std::set<NodeIndex>& failed) const {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t sym = 0; sym < params_.num_symbols; ++sym) {
-    for (std::size_t slot : layout_.slots_of_symbol(sym)) {
-      if (!failed.contains(layout_.node_of_slot(slot))) {
-        out.emplace_back(sym, slot);
-        break;
-      }
+bool CodeScheme::spans_data(const std::vector<bool>& readable) const {
+  const std::size_t units = params_.data_units();
+  RowSpace space(units);
+  for (std::size_t sym = 0; sym < params_.num_symbols && space.rank() < units;
+       ++sym) {
+    const auto& slots = layout_.slots_of_symbol(sym);
+    if (std::any_of(slots.begin(), slots.end(),
+                    [&](std::size_t slot) { return readable[slot]; })) {
+      space.add(generator_.row(sym));
     }
   }
-  return out;
+  return space.rank() == units;
 }
 
 bool CodeScheme::is_recoverable(const std::set<NodeIndex>& failed) const {
-  const std::size_t units = params_.data_units();
-  RowSpace space(units);
-  for (const auto& [sym, slot] : surviving_symbol_slots(failed)) {
-    (void)slot;
-    space.add(generator_.row(sym));
-    if (space.rank() == units) return true;
+  std::vector<bool> readable(layout_.num_slots());
+  for (std::size_t s = 0; s < readable.size(); ++s) {
+    readable[s] = !failed.contains(layout_.node_of_slot(s));
   }
-  return space.rank() == units;
+  return spans_data(readable);
 }
 
 Result<std::vector<Buffer>> CodeScheme::decode(const SlotStore& store,
@@ -189,21 +186,29 @@ Result<RepairPlan> CodeScheme::plan_node_repair(NodeIndex failed) const {
 
 Result<RepairPlan> CodeScheme::plan_multi_node_repair(
     const std::set<NodeIndex>& failed) const {
+  std::set<std::size_t> lost;
   for (NodeIndex node : failed) {
-    DBLREP_CHECK_GE(node, 0);
-    DBLREP_CHECK_LT(static_cast<std::size_t>(node), params_.num_nodes);
+    const auto& slots = layout_.slots_on_node(node);
+    lost.insert(slots.begin(), slots.end());
   }
-  if (!is_recoverable(failed)) {
+  return plan_slot_repair(lost, {});
+}
+
+Result<RepairPlan> CodeScheme::plan_slot_repair(
+    const std::set<std::size_t>& lost, const std::set<NodeIndex>& down) const {
+  DBLREP_CHECK(lost.empty() || *lost.rbegin() < layout_.num_slots());
+  // Slots readable before the plan runs; `available` grows as rebuilds
+  // land in plan order.
+  std::vector<bool> readable(layout_.num_slots());
+  for (std::size_t s = 0; s < readable.size(); ++s) {
+    readable[s] = !lost.contains(s) && !down.contains(layout_.node_of_slot(s));
+  }
+  if (!spans_data(readable)) {
     return data_loss_error("failure pattern exceeds code tolerance");
   }
 
   RepairPlan plan;
-  // Slots currently readable: everything on live nodes; grows as replacements
-  // are rebuilt in plan order.
-  std::vector<bool> available(layout_.num_slots());
-  for (std::size_t s = 0; s < layout_.num_slots(); ++s) {
-    available[s] = !failed.contains(layout_.node_of_slot(s));
-  }
+  std::vector<bool> available = readable;
   auto live_slot_of = [&](std::size_t symbol) -> std::optional<std::size_t> {
     for (std::size_t slot : layout_.slots_of_symbol(symbol)) {
       if (available[slot]) return slot;
@@ -211,11 +216,13 @@ Result<RepairPlan> CodeScheme::plan_multi_node_repair(
     return std::nullopt;
   };
 
-  // Pass 1 over each failed node: copy every slot whose symbol still has a
-  // readable replica (repair-by-transfer). Record the rest.
+  // Pass 1, node by node: copy every lost slot on a live node whose symbol
+  // still has a readable replica (repair-by-transfer). Record the rest.
   std::vector<std::pair<std::size_t, NodeIndex>> doubly_lost;  // (slot, node)
-  for (NodeIndex node : failed) {
+  for (NodeIndex node = 0; node < static_cast<NodeIndex>(params_.num_nodes);
+       ++node) {
     for (std::size_t slot : layout_.slots_on_node(node)) {
+      if (!lost.contains(slot) || down.contains(node)) continue;
       const std::size_t symbol = layout_.symbol_of_slot(slot);
       if (const auto src = live_slot_of(symbol)) {
         plan.aggregates.push_back(
@@ -246,9 +253,9 @@ Result<RepairPlan> CodeScheme::plan_multi_node_repair(
     }
 
     // Greedy basis over available symbols. Preference order: slots already
-    // on the destination node (zero network cost), then slots on originally
-    // live nodes (stable sources, and folding them per node yields the
-    // paper's partial parities), then slots rebuilt on other replacements.
+    // on the destination node (zero network cost), then originally readable
+    // slots (stable sources, and folding them per node yields the paper's
+    // partial parities), then slots rebuilt earlier in this plan.
     std::vector<std::pair<std::size_t, std::size_t>> candidates;  // (sym, slot)
     {
       std::vector<bool> seen(params_.num_symbols, false);
@@ -260,7 +267,7 @@ Result<RepairPlan> CodeScheme::plan_multi_node_repair(
       };
       for (std::size_t s : layout_.slots_on_node(node)) consider(s);
       for (std::size_t s = 0; s < layout_.num_slots(); ++s) {
-        if (!failed.contains(layout_.node_of_slot(s))) consider(s);
+        if (readable[s]) consider(s);
       }
       for (std::size_t s = 0; s < layout_.num_slots(); ++s) consider(s);
     }
@@ -305,11 +312,6 @@ Result<RepairPlan> CodeScheme::plan_multi_node_repair(
   return plan;
 }
 
-Result<RepairPlan> CodeScheme::plan_degraded_read(
-    std::size_t symbol, const std::set<NodeIndex>& failed) const {
-  return generic_degraded_read(symbol, failed);
-}
-
 Result<RepairPlan> CodeScheme::plan_degraded_block(
     std::size_t block, const std::set<NodeIndex>& failed) const {
   DBLREP_CHECK_LT(block, params_.data_blocks);
@@ -335,7 +337,7 @@ Result<RepairPlan> CodeScheme::plan_degraded_block(
   return plan;
 }
 
-Result<RepairPlan> CodeScheme::generic_degraded_read(
+Result<RepairPlan> CodeScheme::plan_degraded_read(
     std::size_t symbol, const std::set<NodeIndex>& failed) const {
   DBLREP_CHECK_LT(symbol, params_.num_symbols);
   RepairPlan plan;
@@ -350,17 +352,22 @@ Result<RepairPlan> CodeScheme::generic_degraded_read(
     }
   }
 
-  // On-the-fly repair: express the symbol over a surviving basis and fold
-  // per-node partial parities (Section 3.1 of the paper).
-  const auto survivors = surviving_symbol_slots(failed);
+  // On-the-fly repair: express the symbol over a surviving basis (each
+  // symbol offers its first slot on a live node) and fold per-node partial
+  // parities (Section 3.1 of the paper).
   RowSpace space(params_.data_units());
   std::vector<std::size_t> basis_symbols;
   std::vector<std::size_t> basis_slots;
-  for (const auto& [sym, slot] : survivors) {
-    if (space.rank() == params_.data_units()) break;
-    if (space.add(generator_.row(sym))) {
-      basis_symbols.push_back(sym);
-      basis_slots.push_back(slot);
+  for (std::size_t sym = 0;
+       sym < params_.num_symbols && space.rank() < params_.data_units();
+       ++sym) {
+    for (std::size_t slot : layout_.slots_of_symbol(sym)) {
+      if (failed.contains(layout_.node_of_slot(slot))) continue;
+      if (space.add(generator_.row(sym))) {
+        basis_symbols.push_back(sym);
+        basis_slots.push_back(slot);
+      }
+      break;
     }
   }
   if (basis_symbols.size() < params_.data_units()) {

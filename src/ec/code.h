@@ -12,8 +12,9 @@
 // single, heavily-tested generic decoder plus a rank oracle
 // (is_recoverable) reused verbatim by the reliability engine.
 //
-// Subclasses override the repair planners where the code structure allows
-// cheaper-than-generic recovery (repair-by-transfer, partial parities).
+// The generic planners already prefer repair by transfer and per-node
+// partial parities. A subclass overrides only plan_node_repair, where its
+// structure allows a cheaper single-node plan (the sub-packetized codes).
 #pragma once
 
 #include <memory>
@@ -106,29 +107,38 @@ class CodeScheme {
   Result<std::vector<Buffer>> decode(const SlotStore& store,
                                      std::size_t block_size) const;
 
-  /// Plan to restore every slot of one failed node. Default: generic
-  /// (decode-from-k-symbols at the replacement, then re-encode locally).
+  /// Plan to restore every slot of one failed node. Default:
+  /// plan_multi_node_repair({failed}).
   virtual Result<RepairPlan> plan_node_repair(NodeIndex failed) const;
 
+  /// Plan to rebuild the `lost` slots in place while the `down` nodes serve
+  /// nothing; a slot is readable iff it is neither, and a lost slot on a
+  /// down node waits for that node's repair. DATA_LOSS unless the readable
+  /// symbols span the data. Lost slots are visited node by node: a readable
+  /// twin is one copy, and any other symbol is solved over a basis folded
+  /// into per-node partial parities.
+  Result<RepairPlan> plan_slot_repair(const std::set<std::size_t>& lost,
+                                      const std::set<NodeIndex>& down) const;
+
   /// Plan to restore all slots of several failed nodes (executed on the
-  /// in-place replacements). Default: generic decode at first replacement,
-  /// then re-encode and distribute.
-  virtual Result<RepairPlan> plan_multi_node_repair(
+  /// in-place replacements): plan_slot_repair of every slot they host.
+  Result<RepairPlan> plan_multi_node_repair(
       const std::set<NodeIndex>& failed) const;
 
   /// Plan to deliver one symbol (one unit, for α > 1) to a client while
   /// `failed` nodes are down (the paper's on-the-fly repair during an MR
   /// job, Section 3.1). If a replica of the symbol survives, this is a
-  /// single copy.
-  virtual Result<RepairPlan> plan_degraded_read(
+  /// single copy; otherwise the client gathers a surviving basis, folded
+  /// into per-node partial parities, and solves.
+  Result<RepairPlan> plan_degraded_read(
       std::size_t symbol, const std::set<NodeIndex>& failed) const;
 
   /// Plan to deliver one full data BLOCK to a client: the α client
   /// reconstructions for units [block·α, (block+1)·α), in unit order, so
-  /// the executor's delivered buffers concatenate back into the block.
-  /// Default: the per-unit degraded-read plans merged into one plan (for
-  /// α == 1 this is exactly plan_degraded_read(block, failed)).
-  virtual Result<RepairPlan> plan_degraded_block(
+  /// the executor's delivered buffers concatenate back into the block:
+  /// the per-unit degraded-read plans merged into one plan (for α == 1
+  /// this is exactly plan_degraded_read(block, failed)).
+  Result<RepairPlan> plan_degraded_block(
       std::size_t block, const std::set<NodeIndex>& failed) const;
 
   /// Verifies that a full slot set is a valid codeword (replicas identical,
@@ -138,17 +148,11 @@ class CodeScheme {
  protected:
   CodeScheme(CodeParams params, StripeLayout layout, gf::Matrix generator);
 
-  /// Generic degraded read: gather k independent surviving symbols at the
-  /// client and solve. Exposed to subclasses as a fallback.
-  Result<RepairPlan> generic_degraded_read(std::size_t symbol,
-                                           const std::set<NodeIndex>& failed) const;
-
-  /// Surviving symbols (those with at least one slot on a live node),
-  /// each paired with one live slot chosen deterministically.
-  std::vector<std::pair<std::size_t, std::size_t>> surviving_symbol_slots(
-      const std::set<NodeIndex>& failed) const;
-
  private:
+  /// True iff the symbols with a slot marked in `readable` (one flag per
+  /// slot) span every data unit.
+  bool spans_data(const std::vector<bool>& readable) const;
+
   CodeParams params_;
   StripeLayout layout_;
   gf::Matrix generator_;

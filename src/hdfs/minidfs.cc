@@ -60,22 +60,28 @@ Result<const ec::CodeScheme*> MiniDfs::scheme(const std::string& code_spec) {
 
 Result<const ec::RepairPlan*> MiniDfs::cached_plan(
     const ec::CodeScheme& code, std::size_t target,
-    const std::set<ec::NodeIndex>& failed) {
-  const PlanKey key{&code, target, failed};
+    const std::set<ec::NodeIndex>& failed, const std::set<std::size_t>& lost) {
+  const PlanKey key{&code, target, failed, lost};
   {
     std::shared_lock<std::shared_mutex> lock(plan_mu_);
     const auto it = plan_cache_.find(key);
     if (it != plan_cache_.end()) return &it->second;
   }
   // Planning (the basis solve) runs outside any lock; losing the insertion
-  // race just discards a duplicate plan. Single-failure repairs route
-  // through the virtual plan_node_repair so sub-packetized schemes (Clay,
-  // piggyback) can serve their bandwidth-optimal sub-chunk plans; for
-  // every other scheme that call delegates straight back to
-  // plan_multi_node_repair.
+  // race just discards a duplicate plan. Holes that are exactly one node's
+  // slots, with nothing else down, route through the virtual
+  // plan_node_repair so sub-packetized schemes (Clay, piggyback) can serve
+  // their bandwidth-optimal sub-chunk plans; for every other scheme that
+  // call plans what plan_slot_repair would.
+  const ec::NodeIndex node =
+      lost.empty() ? 0 : code.layout().node_of_slot(*lost.begin());
+  const auto& on_node = code.layout().slots_on_node(node);
+  const bool whole_node =
+      failed.empty() &&
+      std::equal(on_node.begin(), on_node.end(), lost.begin(), lost.end());
   auto plan = target != kRepairTarget ? code.plan_degraded_block(target, failed)
-              : failed.size() == 1    ? code.plan_node_repair(*failed.begin())
-                                      : code.plan_multi_node_repair(failed);
+              : whole_node            ? code.plan_node_repair(node)
+                                      : code.plan_slot_repair(lost, failed);
   if (!plan.is_ok()) return plan.status();
   std::unique_lock<std::shared_mutex> lock(plan_mu_);
   return &plan_cache_.try_emplace(key, std::move(*plan)).first->second;
@@ -420,7 +426,7 @@ Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
   std::size_t known = 0;
   do {
     known = failed.size();
-    DBLREP_ASSIGN_OR_RETURN(plan, cached_plan(code, block, failed));
+    DBLREP_ASSIGN_OR_RETURN(plan, cached_plan(code, block, failed, {}));
     // Layered mode: each rack combines its partials locally and sends the
     // client one payload per rack instead of one per helper.
     if (options_.layered_repair) {
@@ -638,7 +644,8 @@ std::set<cluster::NodeId> MiniDfs::down_nodes() const {
   return down;
 }
 
-Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
+Result<std::size_t> MiniDfs::repair_stripe(cluster::StripeId stripe,
+                                           net::TransferClass cls) {
   // Pin the stripe against deletion for the whole pass: a delete or rename
   // arriving mid-repair now drain-waits on this lease instead of pulling
   // the catalog entry out from under us. A delete that announced itself
@@ -647,7 +654,7 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   const Status lease_status = namenode_.begin_repair(stripe);
   if (lease_status.code() == StatusCode::kAborted ||
       lease_status.code() == StatusCode::kNotFound) {
-    return Status::ok();
+    return 0;
   }
   DBLREP_RETURN_IF_ERROR(lease_status);
   struct LeaseGuard {
@@ -657,25 +664,26 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   } lease_guard{&namenode_, stripe};
 
   // Skip unsealed stripes (writes in flight).
-  if (!namenode_.is_sealed(stripe)) return Status::ok();
+  if (!namenode_.is_sealed(stripe)) return 0;
   const auto& info = namenode_.stripe(stripe);
   const ec::CodeScheme& code = *info.code;
 
-  // Read every slot once: repair also heals CRC-corrupt replicas on live
-  // nodes, and only a read finds those. Holes only on down nodes wait for
-  // their node's repair, as rebuilding them now would store nothing. The
-  // failed set is every node with a missing slot: down, or holding a hole.
+  // Read every slot once: only a read finds CRC-corrupt replicas on live
+  // nodes. The holes are the slots missing or corrupt on live nodes; the
+  // plan rebuilds exactly those, with the stripe's down nodes as failed
+  // helpers. Holes on down nodes wait for their node's repair.
   ec::SlotStore store;
   const auto holes = gather_all_slots(stripe, store);
-  if (holes.empty()) return Status::ok();
-  auto failed = namenode_.failed_in_stripe(stripe, down_nodes());
-  for (auto slot : holes) failed.insert(code.layout().node_of_slot(slot));
+  if (holes.empty()) return 0;
 
-  // The (code, failure-pattern) pair almost always repeats across stripes,
-  // so the basis solve behind plan_multi_node_repair runs once per distinct
-  // pattern and is replayed -- across threads -- for every affected stripe.
-  DBLREP_ASSIGN_OR_RETURN(const ec::RepairPlan* plan,
-                          cached_plan(code, kRepairTarget, failed));
+  // The (code, down nodes, holes) key almost always repeats across stripes,
+  // so the basis solve runs once per distinct pattern and is replayed --
+  // across threads -- for every affected stripe.
+  DBLREP_ASSIGN_OR_RETURN(
+      const ec::RepairPlan* plan,
+      cached_plan(code, kRepairTarget,
+                  namenode_.failed_in_stripe(stripe, down_nodes()),
+                  std::set<std::size_t>(holes.begin(), holes.end())));
   // Layering depends on this stripe's rack assignment, so it happens per
   // stripe over the shared cached plan (a cheap list rewrite -- the GF
   // work on actual blocks dwarfs it).
@@ -696,8 +704,7 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   const std::size_t repair_block_size =
       store.empty() ? 0 : store.begin()->second.size();
   DBLREP_RETURN_IF_ERROR(record_plan_sends(
-      *plan, info.group, static_cast<double>(repair_block_size),
-      net::TransferClass::kRepair));
+      *plan, info.group, static_cast<double>(repair_block_size), cls));
   // Re-check the seal before persisting. The repair lease already excludes
   // deletion, so this is a backstop against plan or state corruption: if
   // it ever fires, fail loudly rather than resurrect dropped blocks.
@@ -706,8 +713,8 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
         "stripe " + std::to_string(stripe) +
         " was unsealed or deleted while its repair was executing");
   }
-  // Persist only what landed on live nodes, moving each rebuilt block into
-  // its DataNode; still-down nodes get theirs when they are repaired.
+  // Move each rebuilt block into its DataNode. Every destination was live
+  // at planning time; one that failed since refuses the put (UNAVAILABLE).
   for (const auto& rec : plan->reconstructions) {
     const auto rebuilt = store.find(rec.dest_slot);
     if (rebuilt == store.end()) {
@@ -721,65 +728,66 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
     }
     const cluster::NodeId dest = info.group[static_cast<std::size_t>(
         code.layout().node_of_slot(rec.dest_slot))];
-    auto& dest_dn = datanodes_[static_cast<std::size_t>(dest)];
-    if (dest_dn.is_up()) {
-      DBLREP_RETURN_IF_ERROR(
-          dest_dn.put({stripe, rec.dest_slot}, std::move(rebuilt->second)));
-    }
+    DBLREP_RETURN_IF_ERROR(datanodes_[static_cast<std::size_t>(dest)].put(
+        {stripe, rec.dest_slot}, std::move(rebuilt->second)));
   }
-  return Status::ok();
+  return plan->reconstructions.size();
 }
 
-Status MiniDfs::repair_node(cluster::NodeId node) {
-  DBLREP_RETURN_IF_ERROR(restart_node(node));
-  // One pass over the node's stripes, fanned out across the pool.
+Result<std::size_t> MiniDfs::repair_stripes(
+    const std::vector<cluster::StripeId>& stripes, net::TransferClass cls) {
   // parallel_for_all: an unrecoverable stripe must not stop the others
-  // from healing, and the set of healed stripes (plus the reported error)
-  // must be identical whether the pass runs serial or parallel.
-  const auto stripes = namenode_.stripes_on_node(node);
-  return exec::parallel_for_all(*pool_, stripes.size(), [&](std::size_t i) {
-    return repair_stripe(stripes[i]);
-  });
+  // from healing, and the set of healed stripes (plus the reported error,
+  // the lowest stripe's) must be identical whether the pass runs serial or
+  // parallel.
+  std::atomic<std::size_t> rewritten{0};
+  DBLREP_RETURN_IF_ERROR(exec::parallel_for_all(
+      *pool_, stripes.size(), [&](std::size_t i) -> Status {
+        DBLREP_ASSIGN_OR_RETURN(const std::size_t n,
+                                repair_stripe(stripes[i], cls));
+        rewritten.fetch_add(n);
+        return Status::ok();
+      }));
+  return rewritten.load();
 }
 
-Status MiniDfs::repair_all() {
-  // Restart the down nodes, then visit each stripe once across the pool,
-  // planned against all of its holes at once. parallel_for_all: one bad
-  // stripe does not stop the others, and the error reported (the lowest
-  // stripe id's) does not depend on pool scheduling.
+std::vector<cluster::StripeId> MiniDfs::registered_stripes() const {
   std::vector<cluster::StripeId> stripes;
   for (const auto& dn : datanodes_) {
-    if (!dn.is_up()) DBLREP_RETURN_IF_ERROR(restart_node(dn.id()));
     const auto on_node = namenode_.stripes_on_node(dn.id());
     stripes.insert(stripes.end(), on_node.begin(), on_node.end());
   }
   std::sort(stripes.begin(), stripes.end());
   stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-  return exec::parallel_for_all(*pool_, stripes.size(), [&](std::size_t i) {
-    return repair_stripe(stripes[i]);
-  });
+  return stripes;
 }
 
-Status MiniDfs::for_each_file(
-    const std::function<Status(const std::string&, const FileInfo&)>& fn) {
+Status MiniDfs::repair_node(cluster::NodeId node) {
+  DBLREP_RETURN_IF_ERROR(restart_node(node));
+  return repair_stripes(namenode_.stripes_on_node(node),
+                        net::TransferClass::kRepair)
+      .status();
+}
+
+Status MiniDfs::repair_all() {
+  for (const auto& dn : datanodes_) {
+    if (!dn.is_up()) DBLREP_RETURN_IF_ERROR(restart_node(dn.id()));
+  }
+  return repair_stripes(registered_stripes(), net::TransferClass::kRepair)
+      .status();
+}
+
+Status MiniDfs::scrub() {
   for (const std::string& path : namenode_.list_files()) {
     // Re-resolved under the path's shared lock: a delete racing the walk
-    // either finished first (the file is skipped) or waits for `fn`.
+    // either finished first (the file is skipped) or waits for the check.
     std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
     const auto info = lookup_copy(path);
     if (info.status().code() == StatusCode::kNotFound) continue;
     if (!info.is_ok()) return info.status();
-    DBLREP_RETURN_IF_ERROR(fn(path, *info));
-  }
-  return Status::ok();
-}
-
-Status MiniDfs::scrub() {
-  return for_each_file([&](const std::string& path, const FileInfo& info) {
-    auto code_result = scheme(info.code_spec);
-    if (!code_result.is_ok()) return code_result.status();
-    const ec::CodeScheme& code = **code_result;
-    for (cluster::StripeId stripe : info.stripes) {
+    DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code,
+                            scheme(info->code_spec));
+    for (cluster::StripeId stripe : info->stripes) {
       ec::SlotStore store;
       const auto holes = gather_all_slots(stripe, store);
       if (!holes.empty()) {
@@ -787,55 +795,14 @@ Status MiniDfs::scrub() {
                                 " slot " + std::to_string(holes.front()) +
                                 " missing or corrupt on a live node");
       }
-      DBLREP_RETURN_IF_ERROR(code.verify_codeword(store, info.block_size));
+      DBLREP_RETURN_IF_ERROR(code->verify_codeword(store, info->block_size));
     }
-    return Status::ok();
-  });
+  }
+  return Status::ok();
 }
 
 Result<std::size_t> MiniDfs::scrub_repair() {
-  // Heal file by file, with the stripes of each file fanned out across the
-  // pool.
-  std::atomic<std::size_t> healed{0};
-  DBLREP_RETURN_IF_ERROR(for_each_file([&](const std::string&,
-                                           const FileInfo& info) {
-    auto code_result = scheme(info.code_spec);
-    if (!code_result.is_ok()) return code_result.status();
-    const ec::CodeScheme& code = **code_result;
-    return exec::parallel_for_all(
-        *pool_, info.stripes.size(), [&](std::size_t si) -> Status {
-          const cluster::StripeId stripe = info.stripes[si];
-          // Gather the verifiably-good slots, then decode once and rewrite
-          // every missing or CRC-failed slot on a live node from the
-          // re-encoded stripe; node repair handles down nodes. Slots that
-          // pass their CRC are never rewritten, so a parity that disagrees
-          // with its data stays for scrub() to report. (Replica-copy would
-          // be cheaper per block; decoding keeps this path simple.)
-          ec::SlotStore good;
-          const auto bad_slots = gather_all_slots(stripe, good);
-          if (bad_slots.empty()) return Status::ok();
-          auto data = code.decode(good, info.block_size);
-          if (!data.is_ok()) return data.status();
-          const auto symbols = code.encode_symbols(*data);
-          for (std::size_t slot : bad_slots) {
-            const cluster::NodeId node = namenode_.node_of({stripe, slot});
-            DBLREP_RETURN_IF_ERROR(
-                datanodes_[static_cast<std::size_t>(node)].put(
-                    {stripe, slot},
-                    symbols[code.layout().symbol_of_slot(slot)]));
-            // The rewrite is sourced from the decoding site; count the
-            // slot's payload (one unit) of traffic per healed replica.
-            traffic_.record(
-                net::kClientEndpoint, node,
-                static_cast<double>(
-                    symbols[code.layout().symbol_of_slot(slot)].size()),
-                net::TransferClass::kScrub);
-            healed.fetch_add(1);
-          }
-          return Status::ok();
-        });
-  }));
-  return healed.load();
+  return repair_stripes(registered_stripes(), net::TransferClass::kScrub);
 }
 
 DataNode& MiniDfs::datanode(cluster::NodeId node) {

@@ -18,9 +18,10 @@
 //    read_file / read_block (replica read, with corruption fallback and
 //    on-the-fly degraded reads through ec::RepairPlan when every replica
 //    is lost).
-//  * Repair engine: degraded reads and node repair share one RepairPlan
-//    path (failed nodes, plan, read its slots, execute, record), partial
-//    parities and all; with layered_repair enabled, every plan is rewritten
+//  * Repair engine: degraded reads and repairs share one RepairPlan path
+//    (failed nodes, plan, read its slots, execute, record), partial
+//    parities and all; repair_node, repair_all and scrub_repair all heal
+//    through it. With layered_repair enabled, every plan is rewritten
 //    through ec::layer_plan so each rack relays one combined block.
 //  * Traffic ledger (net::TrafficLedger): every byte that crosses the
 //    (simulated) wire is recorded once, with its class and direction --
@@ -48,18 +49,17 @@
 //    that block in every replica slot of the symbol, as a repair by
 //    transfer stores a twin's block; each DataNode keeps its own CRC.
 //  * Degraded-read and repair plans share one cache, keyed by (code,
-//    target, failure pattern), under a shared-read lock; a plan is built
-//    once and replayed across stripes, reads, and threads.
+//    target, failed nodes, lost slots), under a shared-read lock; a plan is
+//    built once and replayed across stripes, reads, and threads.
 //  * Deletes and renames are safe to run concurrently with repair and
 //    scrub: each repair pass pins its stripe with a catalog repair lease
 //    (NameNode::begin_repair), so a racing delete drain-waits for the
 //    lease -- or, if it wins the race, the repair aborts cleanly and
-//    skips the stripe. Scrub passes hold the per-path shared lock, which
-//    a delete's exclusive acquisition already excludes.
+//    skips the stripe. scrub() holds the per-path shared lock, which a
+//    delete's exclusive acquisition already excludes.
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -286,9 +286,9 @@ class MiniDfs {
   /// offline_node. Call repair_node to refill any holes.
   Status restart_node(cluster::NodeId node);
 
-  /// Rebuilds everything the (restarted) node should host, using the
-  /// cheapest repair plans available under the current failure set. The
-  /// node's stripes are repaired in parallel across the pool.
+  /// Restarts the node and rebuilds its stripes' holes on live nodes, its
+  /// own slots included, with the stripes' other down nodes as failed
+  /// helpers. The node's stripes are repaired in parallel across the pool.
   Status repair_node(cluster::NodeId node);
 
   /// Restarts every down node, then repairs each stripe once against all
@@ -302,10 +302,10 @@ class MiniDfs {
   /// Verifies CRCs and full codeword consistency of every stripe.
   Status scrub();
 
-  /// Scrubs and *heals*: corrupted or missing replicas on live nodes are
-  /// rewritten from a healthy replica or decoded from the stripe, stripes
-  /// fanned out across the pool. Returns the number of blocks repaired, or
-  /// an error if a stripe is beyond recovery.
+  /// Scrubs and *heals*: repair_all's sweep without the restarts, charged
+  /// as kScrub: corrupt or missing slots on live nodes are rebuilt, a
+  /// replica from its twin. Returns the number of slots rewritten, or the
+  /// lowest failing stripe's error (DATA_LOSS if beyond recovery).
   Result<std::size_t> scrub_repair();
 
   // ------------------------------------------------------------ access
@@ -358,12 +358,12 @@ class MiniDfs {
   /// composes the transaction primitives and scheme lookups directly.
   friend class Client;
 
-  /// Plans keyed by (code, target, code-local failure pattern), where the
-  /// target is a data block index for a degraded read or kRepairTarget for
-  /// a stripe repair; shared across stripes, reads, repair rounds, and
-  /// threads.
-  using PlanKey =
-      std::tuple<const ec::CodeScheme*, std::size_t, std::set<ec::NodeIndex>>;
+  /// Plans keyed by (code, target, code-local failed nodes, lost slots),
+  /// where the target is a data block index for a degraded read (no lost
+  /// slots) or kRepairTarget for a stripe repair; shared across stripes,
+  /// reads, repair rounds, and threads.
+  using PlanKey = std::tuple<const ec::CodeScheme*, std::size_t,
+                             std::set<ec::NodeIndex>, std::set<std::size_t>>;
   static constexpr std::size_t kRepairTarget = static_cast<std::size_t>(-1);
 
   /// Snapshot of a file's metadata under the namespace lock. FileInfo is
@@ -376,26 +376,22 @@ class MiniDfs {
   /// as ec::make_code does.
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
 
-  /// Plan under `code` for `target` -- a degraded read of that data block,
-  /// or kRepairTarget to rebuild every slot of the `failed` nodes --
-  /// computed once per distinct key and served under a shared-read lock
-  /// afterwards. The returned pointer stays valid for the lifetime of the
-  /// DFS (entries are never evicted).
+  /// Plan under `code` for `target` -- a degraded read of that data block
+  /// while the `failed` nodes serve nothing, or kRepairTarget to rebuild
+  /// the `lost` slots with the `failed` nodes down -- computed once per
+  /// distinct key and served under a shared-read lock afterwards. The
+  /// returned pointer stays valid for the lifetime of the DFS (entries are
+  /// never evicted).
   Result<const ec::RepairPlan*> cached_plan(
       const ec::CodeScheme& code, std::size_t target,
-      const std::set<ec::NodeIndex>& failed);
+      const std::set<ec::NodeIndex>& failed,
+      const std::set<std::size_t>& lost);
 
   /// The one CRC-checked slot reader: reads each of `slots` not in `store`
   /// into it; returns the code-local nodes whose slot failed to read.
   std::set<ec::NodeIndex> gather_stripe(cluster::StripeId stripe,
                                         std::span<const std::size_t> slots,
                                         ec::SlotStore& store) const;
-
-  /// Runs `fn` on every published file in path order, each under its
-  /// shared path lock and re-resolved there; files deleted since the
-  /// listing are skipped. Stops at the first error.
-  Status for_each_file(
-      const std::function<Status(const std::string&, const FileInfo&)>& fn);
 
   /// gather_stripe over every slot; returns the slots that are missing or
   /// corrupt on live nodes: what repair and scrub rewrite.
@@ -434,8 +430,21 @@ class MiniDfs {
   /// delete_file, replace_file: the catalog entries are already gone).
   Status drop_blocks(const RemovedFile& removed);
 
-  /// Repairs one stripe's holes on live nodes (repair_node, repair_all).
-  Status repair_stripe(cluster::StripeId stripe);
+  /// The one heal path (repair_node, repair_all, scrub_repair): rebuilds
+  /// the stripe's missing and CRC-corrupt slots on live nodes, with its
+  /// down nodes as failed helpers, charging every plan send under `cls`.
+  /// Returns the number of slots rewritten.
+  Result<std::size_t> repair_stripe(cluster::StripeId stripe,
+                                    net::TransferClass cls);
+
+  /// repair_stripe under `cls` over `stripes`, fanned out across the pool;
+  /// returns the slots rewritten in total, or the lowest failing stripe's
+  /// error once every stripe has run.
+  Result<std::size_t> repair_stripes(
+      const std::vector<cluster::StripeId>& stripes, net::TransferClass cls);
+
+  /// Every stripe the catalog holds, sealed or not, ascending.
+  std::vector<cluster::StripeId> registered_stripes() const;
 
   /// Block-report semantics on rejoin: a node returning from a transient
   /// outage may hold replicas of stripes deleted while it was away; drop

@@ -114,8 +114,8 @@ class TrafficLedger {
   double intra_rack_bytes() const { return route_bytes(Route::kIntraRack); }
   double cross_rack_bytes() const { return route_bytes(Route::kCrossRack); }
   /// Bytes exchanged with off-cluster clients in either direction (write
-  /// uploads, read/degraded-read deliveries, scrub-heal rewrites). Neither
-  /// intra- nor cross-rack: they leave the cluster regardless of topology.
+  /// uploads, read/degraded-read deliveries). Neither intra- nor
+  /// cross-rack: they leave the cluster regardless of topology.
   double client_bytes() const {
     return route_bytes(Route::kToClient) + route_bytes(Route::kFromClient);
   }

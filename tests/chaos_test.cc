@@ -300,9 +300,41 @@ TEST(MiniDfsFaultModel, RepairAllHealsCrcCorruptReplicaOnALiveNode) {
   auto& dn = dfs.datanode(f_group[1]);
   ASSERT_TRUE(dn.corrupt(bad, 3).is_ok());
   ASSERT_TRUE(dfs.fail_node(elsewhere).is_ok());
+  dfs.traffic().reset();
   ASSERT_TRUE(dfs.repair_all().is_ok());
   EXPECT_TRUE(dn.get(bad).is_ok());
   EXPECT_TRUE(dfs.scrub().is_ok());
+  // /f's stripe is healed with one block, its twin copied to the holder; the
+  // crashed node's 4 blocks of /g are copied from their twins.
+  EXPECT_DOUBLE_EQ(dfs.traffic().node_received_bytes(f_group[1]), 64.0);
+  EXPECT_DOUBLE_EQ(dfs.traffic().class_bytes(net::TransferClass::kRepair),
+                   (1 + 4) * 64.0);
+}
+
+TEST(MiniDfsFaultModel, RepairAllHealsCorruptReplicasOnThreeNodesOfAStripe) {
+  // Regression: repair_all used to fail every node holding a corrupt slot,
+  // so one bad replica on each of three pentagon nodes read as three lost
+  // nodes -- DATA_LOSS, though each replica has a good twin.
+  cluster::Topology topology;
+  topology.num_nodes = 21;
+  topology.num_racks = 3;
+  hdfs::MiniDfs dfs(topology, 7);
+  const Buffer data = random_buffer(64 * 9, 7);
+  ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", 64).is_ok());
+  const cluster::StripeId stripe = dfs.stat("/f")->stripes[0];
+  const auto& layout = dfs.code_for("/f").value()->layout();
+  for (const ec::NodeIndex node : {0, 2, 4}) {
+    const cluster::SlotAddress bad{stripe, layout.slots_on_node(node)[0]};
+    auto& holder = dfs.datanode(dfs.catalog().node_of(bad));
+    ASSERT_TRUE(holder.corrupt(bad, 3).is_ok());
+  }
+  dfs.traffic().reset();
+  const Status status = dfs.repair_all();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_DOUBLE_EQ(dfs.traffic().class_bytes(net::TransferClass::kRepair),
+                   3 * 64.0);
+  EXPECT_TRUE(dfs.scrub().is_ok());
+  EXPECT_EQ(*dfs.read_file("/f"), data);
 }
 
 // ----------------------------------------------------------- checkers

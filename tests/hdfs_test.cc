@@ -8,12 +8,14 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "hdfs/minidfs.h"
 #include "ec/local_polygon.h"
+#include "ec/registry.h"
 #include "hdfs/raidnode.h"
 
 namespace dblrep::hdfs {
@@ -202,15 +204,54 @@ TEST(MiniDfs, ScrubRepairHealsCorruptReplicas) {
     ASSERT_TRUE(dfs.datanode(holder).corrupt({stripe, slot}, 1).is_ok());
   }
   EXPECT_FALSE(dfs.scrub().is_ok());
+  dfs.traffic().reset();
+  dfs.traffic().set_capture(true);
   const auto healed = dfs.scrub_repair();
   ASSERT_TRUE(healed.is_ok()) << healed.status().to_string();
   EXPECT_EQ(*healed, 2u);
+  // Each bad replica is copied from its twin: one block of kScrub per heal,
+  // sent from the twin's node to the holder, and nothing from a client.
+  std::multiset<std::pair<cluster::NodeId, cluster::NodeId>> expected;
+  for (const auto& [slot, twin] :
+       {std::pair{data_slot, code.layout().slots_of_symbol(0)[1]},
+        std::pair{parity_slot, code.layout().slots_of_symbol(9)[0]}}) {
+    expected.emplace(dfs.catalog().node_of({stripe, twin}),
+                     dfs.catalog().node_of({stripe, slot}));
+  }
+  std::multiset<std::pair<cluster::NodeId, cluster::NodeId>> sends;
+  for (const auto& record : dfs.traffic().drain()) {
+    EXPECT_EQ(record.cls, net::TransferClass::kScrub);
+    EXPECT_DOUBLE_EQ(record.bytes, static_cast<double>(kBlockSize));
+    sends.emplace(record.from, record.to);
+  }
+  EXPECT_EQ(sends, expected);
+  EXPECT_DOUBLE_EQ(dfs.traffic().class_bytes(net::TransferClass::kScrub),
+                   2.0 * kBlockSize);
+  EXPECT_DOUBLE_EQ(dfs.traffic().client_bytes(), 0.0);
   EXPECT_TRUE(dfs.scrub().is_ok());
   EXPECT_EQ(*dfs.read_file("/f"), data);
+
+  // A code without replicas heals a slot by decoding it: rs-10-4 reads
+  // k = 10 blocks for one corrupt slot.
+  const Buffer rs_data = payload(kBlockSize * 10, 34);
+  ASSERT_TRUE(dfs.write_file("/rs", rs_data, "rs-10-4", kBlockSize).is_ok());
+  const auto rs_stripe = dfs.stat("/rs")->stripes[0];
+  const cluster::NodeId rs_holder = dfs.catalog().node_of({rs_stripe, 3});
+  ASSERT_TRUE(dfs.datanode(rs_holder).corrupt({rs_stripe, 3}, 1).is_ok());
+  dfs.traffic().set_capture(false);
+  dfs.traffic().reset();
+  const auto rs_healed = dfs.scrub_repair();
+  ASSERT_TRUE(rs_healed.is_ok()) << rs_healed.status().to_string();
+  EXPECT_EQ(*rs_healed, 1u);
+  EXPECT_DOUBLE_EQ(dfs.traffic().class_bytes(net::TransferClass::kScrub),
+                   10.0 * kBlockSize);
+  EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 10.0 * kBlockSize);
+  EXPECT_TRUE(dfs.scrub().is_ok());
+  EXPECT_EQ(*dfs.read_file("/rs"), rs_data);
 }
 
 TEST(MiniDfs, ScrubRepairHealsEvenWithBothReplicasOfABlockCorrupt) {
-  // scrub_repair decodes from whatever verifies, so it durably rewrites a
+  // scrub_repair plans over whatever verifies, so it durably rewrites a
   // block whose two replicas are both CRC-broken on live nodes (reads of
   // the block already succeed beforehand via degraded reads that count the
   // failed holders as failed, but only the scrub restores the replicas on
@@ -523,6 +564,47 @@ TEST(MiniDfs, RepairOfAnIntactNodeMovesNothing) {
   ASSERT_TRUE(dfs.repair_node(group[0]).is_ok());
   EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 0.0);
   EXPECT_EQ(dfs.stored_bytes(), stored);
+}
+
+TEST(MiniDfs, RepairNodeMovesNothingToAStillDownNode) {
+  // Regression: repair_node(X) used to plan as if every down node of the
+  // stripe were being rebuilt too, charging sends to and from a node that
+  // was still down. Now it rebuilds only X's slots, with the other down
+  // node as a failed helper; that node's own repair follows. Blocks per
+  // repair (sub-chunk codes in whole blocks): first X = code node 1, then
+  // code node 0.
+  struct Case {
+    const char* spec;
+    double first_blocks;
+    double second_blocks;
+  };
+  for (const Case& c : {Case{"pentagon", 6, 4}, Case{"heptagon", 10, 6},
+                        Case{"heptagon-local", 10, 6}, Case{"rs-10-4", 10, 10},
+                        Case{"raidm-9", 9, 1}, Case{"clay-6-4", 4, 2.5},
+                        Case{"pgy-10-4", 10, 7}}) {
+    SCOPED_TRACE(c.spec);
+    MiniDfs dfs = make_dfs();
+    const std::size_t k = ec::make_code(c.spec).value()->data_blocks();
+    const Buffer data = payload(kBlockSize * k, 23);
+    ASSERT_TRUE(dfs.write_file("/f", data, c.spec, kBlockSize).is_ok());
+    ASSERT_EQ(dfs.stat("/f")->stripes.size(), 1u);
+    const auto group = dfs.catalog().stripe(dfs.stat("/f")->stripes[0]).group;
+    ASSERT_TRUE(dfs.fail_node(group[0]).is_ok());
+    ASSERT_TRUE(dfs.fail_node(group[1]).is_ok());
+    dfs.traffic().reset();
+    ASSERT_TRUE(dfs.repair_node(group[1]).is_ok());
+    EXPECT_DOUBLE_EQ(dfs.traffic().node_sent_bytes(group[0]), 0.0);
+    EXPECT_DOUBLE_EQ(dfs.traffic().node_received_bytes(group[0]), 0.0);
+    EXPECT_DOUBLE_EQ(dfs.traffic().class_bytes(net::TransferClass::kRepair),
+                     c.first_blocks * kBlockSize);
+    EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), c.first_blocks * kBlockSize);
+    dfs.traffic().reset();
+    ASSERT_TRUE(dfs.repair_node(group[0]).is_ok());
+    EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(),
+                     c.second_blocks * kBlockSize);
+    EXPECT_EQ(*dfs.read_file("/f"), data);
+    EXPECT_TRUE(dfs.scrub().is_ok());
+  }
 }
 
 TEST(MiniDfs, RepairIgnoresDeletedFiles) {

@@ -405,9 +405,10 @@ TEST(DeleteRepairRace, DeleteDuringNodeRepairIsCleanOnBothSides) {
 // used to list the namespace once, then read each listed file's stripes
 // with no path lock held (scrub_repair took it only after the listing), so
 // a racing delete_file could unregister a stripe under them -- a CHECK
-// failure on the unknown stripe, or a read of freed catalog state. Each
-// file is now re-resolved under its shared path lock and skipped once
-// deleted, so both sides finish cleanly.
+// failure on the unknown stripe, or a read of freed catalog state. scrub()
+// now re-resolves each file under its shared path lock and skips it once
+// deleted, and scrub_repair pins each stripe with a repair lease, so both
+// sides finish cleanly.
 
 TEST(ScrubDeleteRace, ScrubRacingDeleteIsCleanOnBothSides) {
   constexpr int kFiles = 40;
