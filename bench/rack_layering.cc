@@ -9,8 +9,14 @@
 // layered and unlayered repairs of the same configuration leave every
 // datanode byte-identical and move the same total number of bytes.
 //
-// Runs on the inline (serial) pool so every number is a deterministic
-// function of the seed.
+// Every DFS runs on the inline (serial) pool, so each repair_* number is a
+// deterministic function of the seed. The mixed_* numbers are not: the
+// mixed scenario's WorkloadDriver runs 3 client threads against a
+// concurrent repair_all, so whether a read finds its block degraded
+// depends on thread timing, and mixed_total_bytes, mixed_client_bytes and
+// mixed_cross_rack_bytes move from run to run of one build (by up to
+// about 3%). Compare those across commits by their spread, not for
+// equality.
 //
 // Usage: rack_layering [--block-size=BYTES] [--stripes=N] [--racks=CSV]
 //                      [--schemes=CSV] [--json=PATH] [--skip-mixed]

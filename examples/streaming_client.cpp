@@ -81,7 +81,7 @@ int main() {
 
   // 4. Async: keep a burst of range reads in flight on the pool and drain
   //    the futures in order.
-  std::vector<exec::Future<Result<Buffer>>> futures;
+  std::vector<exec::Future<Result<SharedBlock>>> futures;
   for (std::size_t i = 0; i < 16; ++i) {
     futures.push_back(
         client.pread_async("/logs/ingest", i * kBlock, kBlock / 2));

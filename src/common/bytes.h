@@ -85,6 +85,13 @@ Buffer random_buffer(std::size_t size, std::uint64_t seed);
 /// crc32c(a‖b) == crc32c(b, crc32c(a)).
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
 
+/// Copies `src` into `dst` (same size, no overlap) and returns
+/// crc32c(src, seed): a DataNode read verifies the bytes it copies into the
+/// caller's memory in one pass over them where the implementation fuses the
+/// two (vpclmul), and otherwise copies, then checksums.
+std::uint32_t crc32c_copy(MutableByteSpan dst, ByteSpan src,
+                          std::uint32_t seed = 0);
+
 /// One compiled CRC-32C implementation. All return identical values:
 ///
 ///  * "table" -- portable byte-at-a-time table loop. Always available.
@@ -92,10 +99,12 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
 ///    by a precomputed shift; one stream below a few hundred bytes.
 ///  * "vpclmul" -- four ZMM accumulators fold 256 B per step with
 ///    carry-less multiplies (AVX-512 + VPCLMULQDQ); inputs under 512 B
-///    and the tail run on sse42.
+///    and the tail run on sse42. Its copy stores each 64-byte load it
+///    folds; table and sse42 copy with memcpy, then run.
 struct Crc32cImpl {
   const char* name;
   std::uint32_t (*run)(ByteSpan data, std::uint32_t seed);
+  std::uint32_t (*copy)(MutableByteSpan dst, ByteSpan src, std::uint32_t seed);
 };
 
 /// Implementations compiled in and supported by this CPU, slowest first;

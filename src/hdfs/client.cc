@@ -187,12 +187,12 @@ Status Client::write(const std::string& path, ByteSpan data,
   return dfs_->write_file(path, data, code_spec, block_size, write_class_);
 }
 
-Result<Buffer> Client::read(const std::string& path) {
+Result<SharedBlock> Client::read(const std::string& path) {
   return dfs_->read_file(path, read_class_);
 }
 
-Result<Buffer> Client::pread(const std::string& path, std::size_t offset,
-                             std::size_t len) {
+Result<SharedBlock> Client::pread(const std::string& path,
+                                  std::size_t offset, std::size_t len) {
   return dfs_->pread(path, offset, len, read_class_);
 }
 
@@ -214,7 +214,7 @@ exec::Future<Status> Client::write_async(std::string path, Buffer data,
                      });
 }
 
-exec::Future<Result<Buffer>> Client::read_async(std::string path) {
+exec::Future<Result<SharedBlock>> Client::read_async(std::string path) {
   MiniDfs* dfs = dfs_;
   const net::TransferClass cls = read_class_;
   return exec::spawn(dfs_->pool(), [dfs, cls, path = std::move(path)] {
@@ -222,9 +222,9 @@ exec::Future<Result<Buffer>> Client::read_async(std::string path) {
   });
 }
 
-exec::Future<Result<Buffer>> Client::pread_async(std::string path,
-                                                 std::size_t offset,
-                                                 std::size_t len) {
+exec::Future<Result<SharedBlock>> Client::pread_async(std::string path,
+                                                      std::size_t offset,
+                                                      std::size_t len) {
   MiniDfs* dfs = dfs_;
   const net::TransferClass cls = read_class_;
   return exec::spawn(dfs_->pool(),

@@ -22,6 +22,8 @@
 //    earlier); any failure rolls the whole file back.
 //  * pread(path, offset, len) -- byte-range reads resolving only the
 //    stripes covering the range, with per-block degraded-read fallback.
+//    Reads return SharedBlocks, as MiniDfs does: each healthy block is
+//    verified in the pass that lands it in the result.
 //  * *_async variants -- the same operations returning exec::Future,
 //    composed on the DFS's ThreadPool so a single caller can keep hundreds
 //    of operations in flight without burning a thread per call.
@@ -167,11 +169,11 @@ class Client {
 
   // ---------------------------------------------------------------- read
 
-  Result<Buffer> read(const std::string& path);
+  Result<SharedBlock> read(const std::string& path);
 
   /// Byte-range read; see MiniDfs::pread for the EOF/clamping contract.
-  Result<Buffer> pread(const std::string& path, std::size_t offset,
-                       std::size_t len);
+  Result<SharedBlock> pread(const std::string& path, std::size_t offset,
+                            std::size_t len);
 
   Result<SharedBlock> read_block(const std::string& path,
                                  std::size_t block_index);
@@ -186,10 +188,10 @@ class Client {
   exec::Future<Status> write_async(std::string path, Buffer data,
                                    std::string code_spec,
                                    std::size_t block_size);
-  exec::Future<Result<Buffer>> read_async(std::string path);
-  exec::Future<Result<Buffer>> pread_async(std::string path,
-                                           std::size_t offset,
-                                           std::size_t len);
+  exec::Future<Result<SharedBlock>> read_async(std::string path);
+  exec::Future<Result<SharedBlock>> pread_async(std::string path,
+                                                std::size_t offset,
+                                                std::size_t len);
 
  private:
   MiniDfs* dfs_;

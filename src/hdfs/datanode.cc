@@ -2,6 +2,16 @@
 
 namespace dblrep::hdfs {
 
+namespace {
+
+Status checksum_mismatch(cluster::SlotAddress address) {
+  return corruption_error("checksum mismatch on stripe " +
+                          std::to_string(address.stripe) + " slot " +
+                          std::to_string(address.slot));
+}
+
+}  // namespace
+
 Status DataNode::put(cluster::SlotAddress address, SharedBlock block) {
   if (!is_up()) return unavailable_error("datanode down");
   StoredBlock stored;
@@ -25,15 +35,28 @@ Result<DataNode::StoredBlock> DataNode::find(
   return it->second;
 }
 
+
 Result<SharedBlock> DataNode::get(cluster::SlotAddress address) const {
   if (!is_up()) return unavailable_error("datanode down");
   DBLREP_ASSIGN_OR_RETURN(StoredBlock block, find(address));
-  if (crc32c(block.bytes) != block.crc) {
-    return corruption_error("checksum mismatch on stripe " +
-                            std::to_string(address.stripe) + " slot " +
-                            std::to_string(address.slot));
-  }
+  if (crc32c(block.bytes) != block.crc) return checksum_mismatch(address);
   return std::move(block.bytes);
+}
+
+Status DataNode::read_into(cluster::SlotAddress address, std::size_t offset,
+                           MutableByteSpan dst) const {
+  if (!is_up()) return unavailable_error("datanode down");
+  DBLREP_ASSIGN_OR_RETURN(const StoredBlock block, find(address));
+  const ByteSpan bytes(block.bytes);
+  if (offset > bytes.size() || dst.size() > bytes.size() - offset) {
+    return invalid_argument_error("read range overruns the block");
+  }
+  // The CRC chains across the three parts: prefix, copied range, suffix.
+  std::uint32_t crc = crc32c(bytes.first(offset));
+  crc = crc32c_copy(dst, bytes.subspan(offset, dst.size()), crc);
+  crc = crc32c(bytes.subspan(offset + dst.size()), crc);
+  if (crc != block.crc) return checksum_mismatch(address);
+  return Status::ok();
 }
 
 bool DataNode::has(cluster::SlotAddress address) const {

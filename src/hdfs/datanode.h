@@ -8,16 +8,18 @@
 // the node is one shard of the DFS-wide store and operations on different
 // nodes never contend. A stored block is immutable -- a SharedBlock plus the
 // CRC computed when it was written -- so the mutex covers only the map
-// lookup or insert. get() verifies the CRC outside it and hands out the
-// stored block itself, uncopied: concurrent reads of one node run in
-// parallel, a gather or a plan executor reads the node's own bytes, and
-// corrupt() replaces the block instead of editing it, so a reader already
-// holding it keeps intact bytes. put() keeps the block it is given, so one
-// stored block may back several slots: a write stores each symbol's block
-// in all of its replica slots, and repair by transfer stores a twin's
-// block. Each slot keeps its own CRC, and corrupt() replaces only its own
-// slot's block. Liveness is a separate atomic so is_up() probes never
-// touch the block-map lock.
+// lookup or insert. Both reads verify the CRC over the whole block outside
+// it: get() hands out the stored block itself, uncopied, so a gather or a
+// plan executor reads the node's own bytes; read_into() copies a range of
+// it into the caller's memory in the same pass as the verify, so a byte-
+// range read lands each block in its window with one pass over it.
+// Concurrent reads of one node run in parallel, and corrupt() replaces the
+// block instead of editing it, so a reader already holding it keeps intact
+// bytes. put() keeps the block it is given, so one stored block may back
+// several slots: a write stores each symbol's block in all of its replica
+// slots, and repair by transfer stores a twin's block. Each slot keeps its
+// own CRC, and corrupt() replaces only its own slot's block. Liveness is a
+// separate atomic so is_up() probes never touch the block-map lock.
 #pragma once
 
 #include <atomic>
@@ -58,6 +60,16 @@ class DataNode {
   /// Reads a block replica: the stored block itself, after checking its
   /// CRC. Nothing is copied.
   Result<SharedBlock> get(cluster::SlotAddress address) const;
+
+  /// Reads bytes [offset, offset + dst.size()) of a block replica into
+  /// `dst`, checking the CRC over the *whole* block in the same pass
+  /// (crc32c_copy over the range, plain crc32c over the rest): CORRUPTION
+  /// if any byte of the block is bad, UNAVAILABLE if the node is down,
+  /// NOT_FOUND if the block is absent, INVALID_ARGUMENT if the range
+  /// overruns it. An empty `dst` verifies only. On any error `dst` holds
+  /// unspecified bytes.
+  Status read_into(cluster::SlotAddress address, std::size_t offset,
+                   MutableByteSpan dst) const;
 
   bool has(cluster::SlotAddress address) const;
   Status drop(cluster::SlotAddress address);

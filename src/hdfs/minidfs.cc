@@ -362,57 +362,68 @@ Status MiniDfs::record_plan_sends(const ec::RepairPlan& plan,
 Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
                                              cluster::StripeId stripe,
                                              std::size_t block,
-                                             net::TransferClass cls) {
+                                             net::TransferClass cls,
+                                             std::size_t offset,
+                                             MutableByteSpan dst) {
   const auto& info = namenode_.stripe(stripe);
   const ec::CodeScheme& code = *info.code;
   const std::size_t alpha = code.sub_chunks();
-  // The α units of the block, in unit order, as one block: for α == 1 the
-  // unit itself, otherwise their concatenation.
-  auto join = [&](std::vector<SharedBlock>& units) -> SharedBlock {
-    if (units.size() == 1) return std::move(units.front());
-    Buffer out;
-    out.reserve(file.block_size);
-    for (const SharedBlock& unit : units) {
-      out.insert(out.end(), unit.begin(), unit.end());
-    }
-    return out;
+  const std::size_t unit_bytes = file.block_size / alpha;
+  // A whole block of α > 1 units is assembled in one pass, as a window over
+  // all of it. A whole α == 1 block is shared: the stored or rebuilt block
+  // itself.
+  SharedBlock out;
+  if (dst.empty() && alpha > 1) {
+    out = SharedBlock::uninitialized(file.block_size, dst);
+  }
+  const bool share = dst.empty();
+  // Unit i's part of the window: where it starts in the unit, and where it
+  // lands in dst. A unit outside the window has none; it is still read.
+  const auto unit_window = [&](std::size_t i) {
+    const std::size_t begin = i * unit_bytes;
+    const std::size_t lo = std::clamp(offset, begin, begin + unit_bytes);
+    const std::size_t hi =
+        std::clamp(offset + dst.size(), begin, begin + unit_bytes);
+    return hi > lo ? std::pair(lo - begin, dst.subspan(lo - offset, hi - lo))
+                   : std::pair(std::size_t{0}, MutableByteSpan());
   };
   std::set<ec::NodeIndex> failed;  // holders whose replica read fails
-  // Fast path: every sub-chunk of the block served from a replica. Gather
-  // all α units first and account the deliveries only once the whole block
-  // is in hand -- a miss on any unit means the block is served degraded
-  // instead, and the abandoned replica reads must not be charged. For
-  // α == 1 this is exactly the old single-replica block read.
-  {
-    std::vector<SharedBlock> units;
-    std::vector<cluster::NodeId> holders;
-    units.reserve(alpha);
-    holders.reserve(alpha);
-    for (std::size_t unit = block * alpha; unit < (block + 1) * alpha;
-         ++unit) {
-      // Try each replica in turn; CRC failures and down nodes fall through.
-      bool got = false;
-      for (std::size_t slot : code.layout().slots_of_symbol(unit)) {
-        const cluster::NodeId node = namenode_.node_of({stripe, slot});
-        auto bytes =
-            datanodes_[static_cast<std::size_t>(node)].get({stripe, slot});
-        if (bytes.is_ok()) {
-          units.push_back(std::move(*bytes));
-          holders.push_back(node);
-          got = true;
-          break;
-        }
-        failed.insert(code.layout().node_of_slot(slot));
+  // Replica walk: each of the block's α units from the first replica whose
+  // CRC verifies over the whole unit -- the stored block itself for a
+  // whole α == 1 block, otherwise copied into its window in the same pass.
+  // The deliveries are charged only once every unit is in hand: a miss on
+  // any unit means the block is served degraded instead, and the abandoned
+  // replica reads must not be charged.
+  std::vector<cluster::NodeId> holders;
+  holders.reserve(alpha);
+  for (std::size_t i = 0; i < alpha; ++i) {
+    const auto [unit_offset, unit_dst] = unit_window(i);
+    // Try each replica in turn; CRC failures and down nodes fall through.
+    for (std::size_t slot : code.layout().slots_of_symbol(block * alpha + i)) {
+      const cluster::NodeId node = namenode_.node_of({stripe, slot});
+      const DataNode& dn = datanodes_[static_cast<std::size_t>(node)];
+      Status read;
+      if (share) {
+        auto bytes = dn.get({stripe, slot});
+        read = bytes.status();
+        if (bytes.is_ok()) out = std::move(*bytes);
+      } else {
+        read = dn.read_into({stripe, slot}, unit_offset, unit_dst);
       }
-      if (!got) break;
-    }
-    if (units.size() == alpha) {
-      for (std::size_t i = 0; i < alpha; ++i) {
-        traffic_.record(holders[i], net::kClientEndpoint,
-                        static_cast<double>(units[i].size()), cls);
+      if (read.is_ok()) {
+        holders.push_back(node);
+        break;
       }
-      return join(units);
+      failed.insert(code.layout().node_of_slot(slot));
     }
+    if (holders.size() == i) break;  // no replica served unit i
+  }
+  if (holders.size() == alpha) {
+    for (const cluster::NodeId holder : holders) {
+      traffic_.record(holder, net::kClientEndpoint,
+                      static_cast<double>(unit_bytes), cls);
+    }
+    return out;
   }
   // On-the-fly repair (Section 3.1): plan against the down nodes and the
   // failed holders, and read only the slots the plan names. A slot that
@@ -437,14 +448,24 @@ Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
   } while (failed.size() > known);
   auto delivered = ec::PlanExecutor(code.layout()).execute(*plan, store);
   if (!delivered.is_ok()) return delivered.status();
-  if (delivered->size() != alpha) {
-    return internal_error("degraded read returned unexpected unit count");
+  if (delivered->size() != alpha ||
+      std::any_of(delivered->begin(), delivered->end(),
+                  [&](const SharedBlock& unit) {
+                    return unit.size() != unit_bytes;
+                  })) {
+    return internal_error("degraded read returned unexpected units");
   }
   DBLREP_RETURN_IF_ERROR(record_plan_sends(
-      *plan, info.group, static_cast<double>(file.block_size / alpha), cls));
-  // plan_degraded_block delivers the α client units in unit order, so they
-  // join straight back into the logical block.
-  return join(*delivered);
+      *plan, info.group, static_cast<double>(unit_bytes), cls));
+  // plan_degraded_block delivers the α client units in unit order.
+  if (share) return std::move(delivered->front());
+  for (std::size_t i = 0; i < alpha; ++i) {
+    const auto [unit_offset, unit_dst] = unit_window(i);
+    if (unit_dst.empty()) continue;
+    std::memcpy(unit_dst.data(), (*delivered)[i].data() + unit_offset,
+                unit_dst.size());
+  }
+  return out;
 }
 
 Result<SharedBlock> MiniDfs::read_block(const std::string& path,
@@ -472,15 +493,14 @@ Result<SharedBlock> MiniDfs::read_block(const std::string& path,
   return out;
 }
 
-Result<Buffer> MiniDfs::pread_span(const FileInfo& info,
-                                   const ec::CodeScheme& code,
-                                   std::size_t offset, std::size_t len,
-                                   net::TransferClass cls) {
-  // Reads past EOF are clamped; a zero-length window is an empty buffer
+Result<SharedBlock> MiniDfs::pread_span(const FileInfo& info,
+                                        const ec::CodeScheme& code,
+                                        std::size_t offset, std::size_t len,
+                                        net::TransferClass cls) {
+  // Reads past EOF are clamped; a zero-length window is an empty block
   // that touches no datanode (and therefore moves no bytes).
   const std::size_t want = std::min(len, info.length - offset);
-  Buffer out(want);
-  if (want == 0) return out;
+  if (want == 0) return SharedBlock();
 
   const std::size_t k = code.data_blocks();
   const std::size_t block_size = info.block_size;
@@ -490,23 +510,27 @@ Result<Buffer> MiniDfs::pread_span(const FileInfo& info,
   const std::size_t last_stripe = last_block / k;
 
   // Only the covering stripes resolve; they stream in parallel straight
-  // into the result buffer (each block is copied once, into a disjoint byte
-  // range), with the first and last block trimmed to the requested window.
+  // into the uninitialised result. Each block lands its overlap with the
+  // window (a disjoint byte range) in the pass that verifies it, and the
+  // blocks together write every byte.
+  MutableByteSpan fill;
+  SharedBlock out = SharedBlock::uninitialized(want, fill);
   const Status read_status = exec::parallel_for_all(
       *pool_, last_stripe - first_stripe + 1, [&](std::size_t i) -> Status {
         const std::size_t si = first_stripe + i;
         const std::size_t blk_lo = si == first_stripe ? first_block % k : 0;
         const std::size_t blk_hi = si == last_stripe ? last_block % k : k - 1;
         for (std::size_t blk = blk_lo; blk <= blk_hi; ++blk) {
-          auto block = read_data_block(info, info.stripes[si], blk, cls);
-          if (!block.is_ok()) return block.status();
           const std::size_t block_begin = (si * k + blk) * block_size;
           const std::size_t copy_begin = std::max(block_begin, offset);
           const std::size_t copy_end =
               std::min(block_begin + block_size, offset + want);
-          std::memcpy(out.data() + (copy_begin - offset),
-                      block->data() + (copy_begin - block_begin),
-                      copy_end - copy_begin);
+          DBLREP_RETURN_IF_ERROR(
+              read_data_block(info, info.stripes[si], blk, cls,
+                              copy_begin - block_begin,
+                              fill.subspan(copy_begin - offset,
+                                           copy_end - copy_begin))
+                  .status());
         }
         return Status::ok();
       });
@@ -514,8 +538,9 @@ Result<Buffer> MiniDfs::pread_span(const FileInfo& info,
   return out;
 }
 
-Result<Buffer> MiniDfs::pread(const std::string& path, std::size_t offset,
-                              std::size_t len, net::TransferClass cls) {
+Result<SharedBlock> MiniDfs::pread(const std::string& path,
+                                   std::size_t offset, std::size_t len,
+                                   net::TransferClass cls) {
   std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
   // Resolve once: one namespace lookup and one scheme resolution for the
   // whole range, then pread_span moves the bytes.
@@ -537,8 +562,8 @@ Result<Buffer> MiniDfs::pread(const std::string& path, std::size_t offset,
   return out;
 }
 
-Result<Buffer> MiniDfs::read_file(const std::string& path,
-                                  net::TransferClass cls) {
+Result<SharedBlock> MiniDfs::read_file(const std::string& path,
+                                       net::TransferClass cls) {
   return pread(path, 0, std::numeric_limits<std::size_t>::max(), cls);
 }
 

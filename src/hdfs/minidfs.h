@@ -17,7 +17,8 @@
 //    pread (byte-range reads resolving only the covering stripes),
 //    read_file / read_block (replica read, with corruption fallback and
 //    on-the-fly degraded reads through ec::RepairPlan when every replica
-//    is lost).
+//    is lost). Reads return SharedBlocks: a healthy block is verified in
+//    the pass that copies it into the result (DataNode::read_into).
 //  * Repair engine: degraded reads and repairs share one RepairPlan path
 //    (failed nodes, plan, read its slots, execute, record), partial
 //    parities and all; repair_node, repair_all and scrub_repair all heal
@@ -234,19 +235,21 @@ class MiniDfs {
   /// Whole-file read: pread of [0, length). `cls` classes the delivery
   /// traffic (client read by default; kRetier for tiering re-encode
   /// streams).
-  Result<Buffer> read_file(
+  Result<SharedBlock> read_file(
       const std::string& path,
       net::TransferClass cls = net::TransferClass::kClientRead);
 
   /// Byte-range read: resolves only the stripes covering
   /// [offset, offset + len) and streams them in parallel, with the same
   /// per-block replica fallbacks and on-the-fly degraded reads as
-  /// read_file. Reads are clamped at EOF (the result carries
+  /// read_block. Each block a healthy read touches is verified in full
+  /// while its overlap is copied into the result, in one pass, and charged
+  /// in full. Reads are clamped at EOF (the result carries
   /// min(len, length - offset) bytes; len may overshoot); an offset beyond
-  /// EOF is INVALID_ARGUMENT, and a zero-length range is an empty buffer.
-  Result<Buffer> pread(const std::string& path, std::size_t offset,
-                       std::size_t len,
-                       net::TransferClass cls = net::TransferClass::kClientRead);
+  /// EOF is INVALID_ARGUMENT, and a zero-length range is an empty block.
+  Result<SharedBlock> pread(
+      const std::string& path, std::size_t offset, std::size_t len,
+      net::TransferClass cls = net::TransferClass::kClientRead);
 
   /// Reads one data block (index within the file): the block the replica
   /// read or degraded read produced, shared rather than copied. Indices at
@@ -409,22 +412,30 @@ class MiniDfs {
       const std::vector<cluster::NodeId>& group) const;
 
   /// Reads one data block (all α sub-chunk units) of one stripe with all
-  /// fallbacks -- replica reads first, then a degraded read through the
-  /// cached plan_degraded_block plan; records traffic at unit granularity.
-  /// For α == 1 a replica read returns the DataNode's block itself and a
-  /// degraded read the block its plan rebuilt, neither copied.
+  /// fallbacks -- the replica walk first, then a degraded read through the
+  /// cached plan_degraded_block plan; records traffic at unit granularity,
+  /// every unit verified and charged in full. With an empty `dst` it
+  /// returns the block: for α == 1 the DataNode's block itself
+  /// (DataNode::get) or the block the plan rebuilt, neither copied; for
+  /// α > 1 its units assembled in one pass. Otherwise bytes
+  /// [offset, offset + dst.size()) of the block land in `dst`
+  /// (DataNode::read_into, or a copy out of the rebuilt units) and the
+  /// returned block is empty.
   Result<SharedBlock> read_data_block(const FileInfo& file,
                                       cluster::StripeId stripe,
                                       std::size_t block,
-                                      net::TransferClass cls);
+                                      net::TransferClass cls,
+                                      std::size_t offset = 0,
+                                      MutableByteSpan dst = {});
 
   /// Range-read core shared by pread and read_file: fans the covering
-  /// stripes out across the pool and copies each block, once, into its
-  /// window of the result, trimming the first and last block. `offset`
-  /// must be <= info.length.
-  Result<Buffer> pread_span(const FileInfo& info, const ec::CodeScheme& code,
-                            std::size_t offset, std::size_t len,
-                            net::TransferClass cls);
+  /// stripes out across the pool, and each block lands its overlap with the
+  /// window in an uninitialised result, trimming the first and last block.
+  /// `offset` must be <= info.length.
+  Result<SharedBlock> pread_span(const FileInfo& info,
+                                 const ec::CodeScheme& code,
+                                 std::size_t offset, std::size_t len,
+                                 net::TransferClass cls);
 
   /// Drops every landed block of a removed file's placements (abort_write,
   /// delete_file, replace_file: the catalog entries are already gone).

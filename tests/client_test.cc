@@ -524,6 +524,61 @@ TEST(Pread, MovesStrictlyFewerClientBytesThanReadFile) {
   EXPECT_EQ(read_bytes, static_cast<double>(data.size()));
 }
 
+TEST(Pread, CorruptSubChunkUnitChargesTheDegradedPlan) {
+  // clay-6-4 and pgy-10-4 store each block as α units, one slot each. A
+  // healthy window verifies and charges every unit of the block it
+  // touches, the units outside it included. One corrupt unit of that block
+  // -- inside the window, or outside it -- sends the block to the degraded
+  // read, which charges exactly its plan's sends: the units already read
+  // are not charged.
+  for (const std::string spec : {"clay-6-4", "pgy-10-4"}) {
+    const std::size_t block = 1;
+    for (const bool inside : {true, false}) {
+      MiniDfs dfs = make_dfs();
+      Client client(dfs);
+      const Buffer data = payload(2 * data_blocks(spec) * kBlockSize, 43);
+      ASSERT_TRUE(client.write("/f", data, spec, kBlockSize).is_ok());
+      const ec::CodeScheme& code = *dfs.code_for("/f").value();
+      const std::size_t alpha = code.sub_chunks();
+      const std::size_t unit = kBlockSize / alpha;
+      ASSERT_GT(alpha, 1u) << spec;
+      // Inside: units 0 and 1 of the block, unit 1 corrupt. Outside: half
+      // of unit 0, the block's last unit corrupt.
+      const std::size_t offset =
+          block * kBlockSize + (inside ? unit / 2 : unit / 4);
+      const std::size_t len = inside ? unit : unit / 2;
+      const std::size_t bad_unit = inside ? 1 : alpha - 1;
+      const auto expect_window = [&] {
+        const auto got = client.pread("/f", offset, len);
+        ASSERT_TRUE(got.is_ok()) << spec << ": " << got.status().to_string();
+        EXPECT_EQ(*got, ByteSpan(data).subspan(offset, len)) << spec;
+      };
+
+      dfs.traffic().reset();
+      expect_window();
+      EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(),
+                       static_cast<double>(kBlockSize))
+          << spec;
+
+      const auto stripe = dfs.stat("/f")->stripes[0];
+      const std::size_t slot =
+          code.layout().slots_of_symbol(block * alpha + bad_unit)[0];
+      ASSERT_TRUE(dfs.datanode(dfs.catalog().node_of({stripe, slot}))
+                      .corrupt({stripe, slot}, 0)
+                      .is_ok());
+      const auto plan = code.plan_degraded_block(
+          block, {code.layout().node_of_slot(slot)});
+      ASSERT_TRUE(plan.is_ok()) << spec;
+      dfs.traffic().reset();
+      expect_window();
+      EXPECT_DOUBLE_EQ(
+          dfs.traffic().total_bytes(),
+          static_cast<double>(plan->network_bytes(kBlockSize, alpha)))
+          << spec << (inside ? " inside" : " outside");
+    }
+  }
+}
+
 TEST(ReadBlock, IndicesPastLogicalEofRejected) {
   MiniDfs dfs = make_dfs();
   // 2 logical blocks of a pentagon stripe (k = 4): indices 2..3 fall in
@@ -573,7 +628,7 @@ TEST(AsyncClient, MatchesSyncBytesAndTraffic) {
     const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
         {0, stripe_bytes}, {kBlockSize - 1, 2 * kBlockSize}, {5, 1},
         {stripe_bytes - 2, kBlockSize}, {0, data.size()}};
-    std::vector<exec::Future<Result<Buffer>>> futures;
+    std::vector<exec::Future<Result<SharedBlock>>> futures;
     futures.reserve(ranges.size());
     for (const auto& [offset, len] : ranges) {
       futures.push_back(async_client.pread_async("/f", offset, len));
@@ -611,7 +666,7 @@ TEST(AsyncClient, HundredsOfOperationsInFlight) {
   ASSERT_TRUE(client.write("/f", data, "pentagon", kBlockSize).is_ok());
 
   // One caller thread, hundreds of outstanding futures.
-  std::vector<exec::Future<Result<Buffer>>> reads;
+  std::vector<exec::Future<Result<SharedBlock>>> reads;
   std::vector<exec::Future<Status>> writes;
   for (std::size_t i = 0; i < 200; ++i) {
     const std::size_t offset = (i * 37) % data.size();
@@ -718,14 +773,14 @@ ClientShardRun run_client_scenario(const std::string& spec,
   ClientShardRun run;
   const auto whole = dfs.read_file("/h/file");
   EXPECT_TRUE(whole.is_ok());
-  if (whole.is_ok()) run.whole = *whole;
+  if (whole.is_ok()) run.whole.assign(whole->begin(), whole->end());
   for (const auto& [off, len] :
        {std::pair<std::size_t, std::size_t>{0, kBlockSize},
         {kBlockSize / 2, 2 * kBlockSize},
         {data.size() - kBlockSize, 2 * kBlockSize}}) {
     const auto range = dfs.pread("/h/file", off, len);
     EXPECT_TRUE(range.is_ok());
-    if (range.is_ok()) run.ranges.push_back(*range);
+    if (range.is_ok()) run.ranges.emplace_back(range->begin(), range->end());
   }
   const auto info = dfs.stat("/h/file");
   EXPECT_TRUE(info.is_ok());

@@ -1,7 +1,9 @@
 // Tests for src/common: status/result, bytes, rng, stats, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -144,6 +146,15 @@ TEST(Bytes, EveryCrc32cImplMatchesTheTableAtEveryLengthAndOffset) {
   // previous one over the new bytes, which keeps the sweep linear in the
   // table's (slow) time; the last one is checked against the table's
   // direct value.
+  //
+  // Each length is also copied (the `copy` entry behind crc32c_copy) to a
+  // destination offset 0-63 picked independently of the source's (the
+  // pair's distance mod 64 takes every value): whole, or for half the
+  // (length, offset) pairs in the two halves chained through the seed.
+  // The copy must return the same CRC, its window must equal the source,
+  // and the guard bytes before it and the 64 after it must be untouched.
+  // The table's own copy is a memcpy and a byte loop that no alignment
+  // reaches, so it runs at offsets 0 and 1 only.
   const auto impls = supported_crc32c_impls();
   const Crc32cImpl& table = *impls.front();
   std::vector<std::size_t> lengths;
@@ -152,7 +163,14 @@ TEST(Bytes, EveryCrc32cImplMatchesTheTableAtEveryLengthAndOffset) {
     lengths.push_back(len);
   }
   constexpr std::size_t kOffsets = 64;
+  constexpr std::uint8_t kGuard = 0xa5;
   const Buffer data = random_buffer(lengths.back() + kOffsets, 11);
+  Buffer out(lengths.back() + 2 * kOffsets);
+  const auto guarded = [&](std::size_t from, std::size_t to) {
+    return std::all_of(out.begin() + static_cast<std::ptrdiff_t>(from),
+                       out.begin() + static_cast<std::ptrdiff_t>(to),
+                       [](std::uint8_t b) { return b == kGuard; });
+  };
   for (std::size_t offset = 0; offset < kOffsets; ++offset) {
     const ByteSpan base = ByteSpan(data).subspan(offset);
     std::uint32_t want = 0;  // the CRC of zero bytes
@@ -162,16 +180,50 @@ TEST(Bytes, EveryCrc32cImplMatchesTheTableAtEveryLengthAndOffset) {
       want_len = len;
       const ByteSpan a = base.first(len / 2);
       const ByteSpan b = base.subspan(len / 2, len - len / 2);
+      const std::size_t dst_offset = (offset * 7 + len * 37) % kOffsets;
+      const MutableByteSpan dst = MutableByteSpan(out).subspan(dst_offset, len);
+      const bool halves = (offset + len) % 2 == 1;
       for (const Crc32cImpl* impl : impls) {
-        if (impl == &table) continue;
-        ASSERT_EQ(impl->run(base.first(len), 0), want)
-            << impl->name << " len " << len << " offset " << offset;
-        ASSERT_EQ(impl->run(b, impl->run(a, 0)), want)
-            << impl->name << " chained, len " << len << " offset " << offset;
+        const auto where = [&] {
+          return std::string(impl->name) + " len " + std::to_string(len) +
+                 " offset " + std::to_string(offset);
+        };
+        if (impl == &table) {
+          if (offset > 1) continue;
+        } else {
+          ASSERT_EQ(impl->run(base.first(len), 0), want) << where();
+          ASSERT_EQ(impl->run(b, impl->run(a, 0)), want)
+              << where() << " chained";
+        }
+        std::fill_n(out.begin(), dst_offset + len + kOffsets, kGuard);
+        const std::uint32_t copied =
+            halves ? impl->copy(dst.subspan(len / 2), b,
+                                impl->copy(dst.first(len / 2), a, 0))
+                   : impl->copy(dst, base.first(len), 0);
+        const auto copy_where = [&] {
+          return where() + (halves ? " copied in halves" : " copied") +
+                 " to offset " + std::to_string(dst_offset);
+        };
+        ASSERT_EQ(copied, want) << copy_where();
+        ASSERT_TRUE(std::equal(dst.begin(), dst.end(), base.begin()))
+            << copy_where();
+        ASSERT_TRUE(guarded(0, dst_offset)) << copy_where();
+        ASSERT_TRUE(guarded(dst_offset + len, dst_offset + len + kOffsets))
+            << copy_where();
       }
     }
     ASSERT_EQ(table.run(base.first(want_len), 0), want) << offset;
   }
+}
+
+TEST(Bytes, Crc32cCopyReturnsTheCrcAndRejectsASizeMismatch) {
+  // The dispatched copy, which the sweep above checks per implementation.
+  const Buffer src = random_buffer(4096 + 3, 13);
+  Buffer dst(src.size());
+  EXPECT_EQ(crc32c_copy(dst, src, 0x1234u), crc32c(src, 0x1234u));
+  EXPECT_EQ(dst, src);
+  EXPECT_THROW(crc32c_copy(MutableByteSpan(dst).first(7), src),
+               ContractViolation);
 }
 
 TEST(Bytes, Crc32cDetectsSingleBitFlip) {

@@ -189,6 +189,42 @@ TEST(MiniDfs, BothReplicasCorruptTriggersDegradedRead) {
   EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
 }
 
+TEST(MiniDfs, PreadFallsBackToTheTwinAndChargesWholeBlocks) {
+  // A window over the second half of block 0 and the first half of block
+  // 1. Block 0's first replica has a byte flipped *before* the window: the
+  // read verifies the whole block as it copies its half, so it falls back
+  // to the twin. Each touched block is charged whole, once: block 0 from
+  // its twin's node, block 1 from its first replica's.
+  MiniDfs dfs = make_dfs();
+  const Buffer data = payload(kBlockSize * 9, 41);
+  ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
+  const auto stripe = dfs.stat("/f")->stripes[0];
+  const auto& code = *dfs.code_for("/f").value();
+  const auto replica_holder = [&](std::size_t symbol, std::size_t replica) {
+    return dfs.catalog().node_of(
+        {stripe, code.layout().slots_of_symbol(symbol)[replica]});
+  };
+  ASSERT_TRUE(dfs.datanode(replica_holder(0, 0))
+                  .corrupt({stripe, code.layout().slots_of_symbol(0)[0]}, 3)
+                  .is_ok());
+  dfs.traffic().reset();
+  dfs.traffic().set_capture(true);
+  const auto got = dfs.pread("/f", kBlockSize / 2, kBlockSize);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(*got, ByteSpan(data).subspan(kBlockSize / 2, kBlockSize));
+  EXPECT_DOUBLE_EQ(
+      dfs.traffic().class_bytes(net::TransferClass::kClientRead),
+      2.0 * kBlockSize);
+  std::multiset<cluster::NodeId> senders;
+  for (const auto& record : dfs.traffic().drain()) {
+    EXPECT_EQ(record.to, net::kClientEndpoint);
+    EXPECT_DOUBLE_EQ(record.bytes, static_cast<double>(kBlockSize));
+    senders.insert(record.from);
+  }
+  EXPECT_EQ(senders, (std::multiset<cluster::NodeId>{replica_holder(0, 1),
+                                                     replica_holder(1, 0)}));
+}
+
 TEST(MiniDfs, ScrubRepairHealsCorruptReplicas) {
   MiniDfs dfs = make_dfs();
   const Buffer data = payload(kBlockSize * 9, 30);
@@ -736,7 +772,8 @@ TEST(RaidNode, RaidsThroughDegradedStripes) {
 TEST(DataNode, ConcurrentReadersGetExactBytesWhileAWriterChurns) {
   // Reads verify outside the node lock, so four readers share one
   // node while a writer puts and drops other addresses and corrupts one
-  // block four times, at distinct bytes so it stays corrupt. Every read
+  // block four times, at distinct bytes so it stays corrupt. Two readers
+  // get() whole blocks and two read_into() a moving range. Every read
   // returns the exact bytes; only reads of the corrupted address may fail,
   // and only with kCorruption.
   DataNode dn(0);
@@ -754,15 +791,29 @@ TEST(DataNode, ConcurrentReadersGetExactBytesWhileAWriterChurns) {
   std::atomic<std::size_t> corruptions_seen{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, into = r % 2 == 1] {
+      Buffer range(3000);
       for (std::size_t round = 0; round < kRounds; ++round) {
         for (std::size_t slot = 0; slot < kBlocks; ++slot) {
           const cluster::SlotAddress address{1, slot};
-          const auto got = dn.get(address);
-          if (got.is_ok()) {
-            if (*got != blocks[slot]) ++wrong_bytes;
+          Status status;
+          bool exact = false;
+          if (into) {
+            const std::size_t offset =
+                (round * 131 + slot * 17) % (8192 - range.size());
+            status = dn.read_into(address, offset, range);
+            exact = std::equal(range.begin(), range.end(),
+                               blocks[slot].begin() +
+                                   static_cast<std::ptrdiff_t>(offset));
+          } else {
+            const auto got = dn.get(address);
+            status = got.status();
+            exact = got.is_ok() && *got == blocks[slot];
+          }
+          if (status.is_ok()) {
+            if (!exact) ++wrong_bytes;
           } else if (address == corrupted &&
-                     got.status().code() == StatusCode::kCorruption) {
+                     status.code() == StatusCode::kCorruption) {
             ++corruptions_seen;
           } else {
             ++unexpected_errors;
@@ -826,6 +877,46 @@ TEST(DataNode, GetHandsOutTheStoredBlockWithoutCopying) {
   ASSERT_TRUE(dn.corrupt({1, 0}, 7).is_ok());
   EXPECT_EQ(*first, expected);
   EXPECT_EQ(dn.get({1, 0}).status().code(), StatusCode::kCorruption);
+}
+
+TEST(DataNode, ReadIntoVerifiesTheWholeBlock) {
+  // read_into copies a range and checks the CRC over the whole block in
+  // the same pass, so a byte flipped outside the range fails the read.
+  DataNode dn(0);
+  const Buffer bytes = random_buffer(4096, 5);
+  ASSERT_TRUE(dn.put({1, 0}, bytes).is_ok());
+  Buffer range(1000);
+  ASSERT_TRUE(dn.read_into({1, 0}, 1500, range).is_ok());
+  EXPECT_TRUE(std::equal(range.begin(), range.end(), bytes.begin() + 1500));
+  Buffer whole(bytes.size());
+  ASSERT_TRUE(dn.read_into({1, 0}, 0, whole).is_ok());
+  EXPECT_EQ(whole, bytes);
+  // An empty range verifies only, at either end of the block.
+  EXPECT_TRUE(dn.read_into({1, 0}, 0, {}).is_ok());
+  EXPECT_TRUE(dn.read_into({1, 0}, bytes.size(), {}).is_ok());
+  EXPECT_EQ(dn.read_into({1, 0}, 3500, range).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dn.read_into({1, 0}, bytes.size() + 1, {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dn.read_into({1, 1}, 0, range).code(), StatusCode::kNotFound);
+
+  // A flip before the range, then one after it.
+  for (const std::size_t flipped : {std::size_t{10}, std::size_t{4000}}) {
+    ASSERT_TRUE(dn.put({1, 0}, bytes).is_ok());
+    ASSERT_TRUE(dn.corrupt({1, 0}, flipped).is_ok());
+    EXPECT_EQ(dn.read_into({1, 0}, 1500, range).code(),
+              StatusCode::kCorruption)
+        << flipped;
+    EXPECT_EQ(dn.read_into({1, 0}, 0, {}).code(), StatusCode::kCorruption)
+        << flipped;
+  }
+
+  ASSERT_TRUE(dn.put({1, 0}, bytes).is_ok());
+  dn.offline();
+  EXPECT_EQ(dn.read_into({1, 0}, 1500, range).code(),
+            StatusCode::kUnavailable);
+  dn.restart();
+  EXPECT_TRUE(dn.read_into({1, 0}, 1500, range).is_ok());
 }
 
 TEST(DataNode, PutRacingFailNeverLandsOnTheCrashedDisk) {

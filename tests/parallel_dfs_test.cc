@@ -508,7 +508,7 @@ ShardRun run_shard_scenario(const std::string& spec, std::size_t shards) {
   for (const std::string path : {"/eq/d0/f0", "/eq/d1/f1", "/moved/f2"}) {
     const auto read = dfs.read_file(path);
     EXPECT_TRUE(read.is_ok()) << path;
-    if (read.is_ok()) run.reads[path] = *read;
+    if (read.is_ok()) run.reads[path].assign(read->begin(), read->end());
     const auto info = dfs.stat(path);
     EXPECT_TRUE(info.is_ok()) << path;
     if (info.is_ok()) run.stats[path] = {info->length, info->stripes.size()};
