@@ -97,7 +97,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\nExpected shapes (paper): coded schemes lose locality at\n"
                "mu=2 (heptagon more than pentagon); the loss shrinks as mu\n"
-               "grows (>90% at 100% load with mu=8); peeling sits between\n"
-               "the delay scheduler and the max-matching benchmark.\n";
+               "grows; peeling sits between the delay scheduler and the\n"
+               "max-matching benchmark. At mu=8 and 100% load, max-matching\n"
+               "keeps all three schemes above 90%, while delay scheduling\n"
+               "gives pentagon 90.8% and heptagon 86.3%.\n";
   return 0;
 }

@@ -5,8 +5,8 @@
 // Usage: table1_metrics [--csv]
 //
 // Model: exact per-placement-group absorbing CTMC (node MTBF 10 years,
-// node MTTR 1 hour, parallel repair, rank-oracle fatality), system MTTDL =
-// group MTTDL / number of disjoint groups in 25 nodes. See
+// node MTTR 1.5 hours, parallel repair, rank-oracle fatality), system
+// MTTDL = group MTTDL / number of disjoint groups in 25 nodes. See
 // docs/paper_map.md for calibration and the tier-3 discussion.
 #include <iostream>
 #include <string>
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   std::cout << "Table 1: storage overhead, code length and MTTDL of the\n"
                "coding schemes (25-node system; node MTBF "
-            << params.node_mtbf_hours / 8766.0 << " y, MTTR "
+            << params.node_mtbf_hours / rel::kHoursPerYear << " y, MTTR "
             << params.node_mttr_hours << " h)\n\n";
   if (csv) {
     std::cout << table.to_csv();

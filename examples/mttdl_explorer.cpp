@@ -15,12 +15,14 @@ int main(int argc, char** argv) {
   using namespace dblrep;
 
   rel::ReliabilityParams params;
-  if (argc > 1) params.node_mtbf_hours = std::atof(argv[1]) * 8766.0;
+  if (argc > 1) {
+    params.node_mtbf_hours = std::atof(argv[1]) * rel::kHoursPerYear;
+  }
   if (argc > 2) params.node_mttr_hours = std::atof(argv[2]);
   if (argc > 3) params.block_read_error_prob = std::atof(argv[3]);
 
   std::cout << "MTTDL exploration: MTBF = "
-            << params.node_mtbf_hours / 8766.0 << " y, MTTR = "
+            << params.node_mtbf_hours / rel::kHoursPerYear << " y, MTTR = "
             << params.node_mttr_hours << " h, URE prob = "
             << params.block_read_error_prob << ", system = "
             << params.system_nodes << " nodes\n\n";

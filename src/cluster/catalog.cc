@@ -178,19 +178,6 @@ std::vector<NodeId> BlockCatalog::replica_nodes(StripeId id,
   return nodes;
 }
 
-std::set<ec::NodeIndex> BlockCatalog::failed_in_stripe(
-    StripeId id, const std::set<NodeId>& down_nodes) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const StripeInfo& info = stripe_unlocked(id);
-  std::set<ec::NodeIndex> failed;
-  for (std::size_t i = 0; i < info.group.size(); ++i) {
-    if (down_nodes.contains(info.group[i])) {
-      failed.insert(static_cast<ec::NodeIndex>(i));
-    }
-  }
-  return failed;
-}
-
 std::vector<StripeId> BlockCatalog::stripes_on_node(NodeId node) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   const auto it = node_stripes_.find(node);

@@ -96,10 +96,6 @@ class BlockCatalog {
   /// Cluster nodes holding replicas of (stripe, symbol), in slot order.
   std::vector<NodeId> replica_nodes(StripeId id, std::size_t symbol) const;
 
-  /// Code-local failed set for a stripe, given cluster-level down nodes.
-  std::set<ec::NodeIndex> failed_in_stripe(
-      StripeId id, const std::set<NodeId>& down_nodes) const;
-
   /// Stripes that have at least one slot on `node`, ascending. Returns a
   /// snapshot by value: the per-node index mutates under concurrent
   /// registration.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "ec/layering.h"
 #include "ec/registry.h"
@@ -308,11 +309,11 @@ Result<FileInfo> MiniDfs::lookup_copy(const std::string& path) const {
   return namenode_.lookup(path);
 }
 
-std::set<ec::NodeIndex> MiniDfs::gather_stripe(
+std::set<std::size_t> MiniDfs::gather_stripe(
     cluster::StripeId stripe, std::span<const std::size_t> slots,
-    ec::SlotStore& store) const {
+    ec::SlotStore& store, std::set<ec::NodeIndex>& down) const {
   const auto& info = namenode_.stripe(stripe);
-  std::set<ec::NodeIndex> failed;
+  std::set<std::size_t> holes;
   for (std::size_t slot : slots) {
     if (store.contains(slot)) continue;
     const ec::NodeIndex local = info.code->layout().node_of_slot(slot);
@@ -320,24 +321,49 @@ std::set<ec::NodeIndex> MiniDfs::gather_stripe(
                      .get({stripe, slot});
     if (bytes.is_ok()) {
       store[slot] = std::move(*bytes);
+    } else if (bytes.status().code() == StatusCode::kUnavailable) {
+      down.insert(local);
     } else {
-      failed.insert(local);
+      holes.insert(slot);
     }
   }
-  return failed;
+  return holes;
 }
 
-std::vector<std::size_t> MiniDfs::gather_all_slots(
-    cluster::StripeId stripe, ec::SlotStore& store) const {
-  std::vector<std::size_t> slots(
-      namenode_.stripe(stripe).code->layout().num_slots());
-  for (std::size_t slot = 0; slot < slots.size(); ++slot) slots[slot] = slot;
-  gather_stripe(stripe, slots, store);
-  std::erase_if(slots, [&](std::size_t slot) {
-    return store.contains(slot) ||
-           !datanode(namenode_.node_of({stripe, slot})).is_up();
-  });
-  return slots;
+Result<std::vector<SharedBlock>> MiniDfs::rebuild(
+    cluster::StripeId stripe, std::size_t target,
+    std::set<ec::NodeIndex> failed, const std::set<std::size_t>& lost,
+    ec::SlotStore& store, net::TransferClass cls) {
+  const auto& info = namenode_.stripe(stripe);
+  const ec::CodeScheme& code = *info.code;
+  const ec::RepairPlan* plan = nullptr;
+  ec::RepairPlan layered;
+  std::size_t known = 0;
+  do {
+    known = failed.size();
+    // The basis solve runs once per distinct key, replayed across stripes
+    // and threads.
+    DBLREP_ASSIGN_OR_RETURN(plan, cached_plan(code, target, failed, lost));
+    // Layering depends on this stripe's racks, so it rewrites the shared
+    // plan per stripe: one combined payload per rack leaves the rack.
+    if (options_.layered_repair) {
+      layered = ec::layer_plan(*plan, group_racks(info.group));
+      plan = &layered;
+    }
+    // A source that fails its read fails its node. Sources already read
+    // carry over, and the failed set only grows, so the loop ends.
+    for (const std::size_t slot :
+         gather_stripe(stripe, plan->source_slots(), store, failed)) {
+      failed.insert(code.layout().node_of_slot(slot));
+    }
+  } while (failed.size() > known);
+  // Each send is one unit: the size the executor requires of every slot.
+  const double unit_bytes =
+      store.empty() ? 0 : static_cast<double>(store.begin()->second.size());
+  auto delivered = ec::PlanExecutor(code.layout()).execute(*plan, store);
+  if (!delivered.is_ok()) return delivered.status();
+  DBLREP_RETURN_IF_ERROR(record_plan_sends(*plan, info.group, unit_bytes, cls));
+  return delivered;
 }
 
 Status MiniDfs::record_plan_sends(const ec::RepairPlan& plan,
@@ -425,44 +451,31 @@ Result<SharedBlock> MiniDfs::read_data_block(const FileInfo& file,
     }
     return out;
   }
-  // On-the-fly repair (Section 3.1): plan against the down nodes and the
-  // failed holders, and read only the slots the plan names. A slot that
-  // fails its read fails its node, and the read plans again with the slots
-  // it holds. The failed set only grows, so the loop ends. Executing over
-  // the gathered blocks keeps the read stable if the stripe changes.
-  failed.merge(namenode_.failed_in_stripe(stripe, down_nodes()));
-  ec::SlotStore store;
-  const ec::RepairPlan* plan = nullptr;
-  ec::RepairPlan layered;
-  std::size_t known = 0;
-  do {
-    known = failed.size();
-    DBLREP_ASSIGN_OR_RETURN(plan, cached_plan(code, block, failed, {}));
-    // Layered mode: each rack combines its partials locally and sends the
-    // client one payload per rack instead of one per helper.
-    if (options_.layered_repair) {
-      layered = ec::layer_plan(*plan, group_racks(info.group));
-      plan = &layered;
+  // On-the-fly repair (Section 3.1): a rebuild of the block from the
+  // stripe's down nodes and the failed holders. Executing over the gathered
+  // blocks keeps the read stable if the stripe changes.
+  for (std::size_t i = 0; i < info.group.size(); ++i) {
+    if (!datanode(info.group[i]).is_up()) {
+      failed.insert(static_cast<ec::NodeIndex>(i));
     }
-    failed.merge(gather_stripe(stripe, plan->source_slots(), store));
-  } while (failed.size() > known);
-  auto delivered = ec::PlanExecutor(code.layout()).execute(*plan, store);
-  if (!delivered.is_ok()) return delivered.status();
-  if (delivered->size() != alpha ||
-      std::any_of(delivered->begin(), delivered->end(),
+  }
+  ec::SlotStore store;
+  DBLREP_ASSIGN_OR_RETURN(
+      std::vector<SharedBlock> delivered,
+      rebuild(stripe, block, std::move(failed), {}, store, cls));
+  if (delivered.size() != alpha ||
+      std::any_of(delivered.begin(), delivered.end(),
                   [&](const SharedBlock& unit) {
                     return unit.size() != unit_bytes;
                   })) {
     return internal_error("degraded read returned unexpected units");
   }
-  DBLREP_RETURN_IF_ERROR(record_plan_sends(
-      *plan, info.group, static_cast<double>(unit_bytes), cls));
   // plan_degraded_block delivers the α client units in unit order.
-  if (share) return std::move(delivered->front());
+  if (share) return std::move(delivered.front());
   for (std::size_t i = 0; i < alpha; ++i) {
     const auto [unit_offset, unit_dst] = unit_window(i);
     if (unit_dst.empty()) continue;
-    std::memcpy(unit_dst.data(), (*delivered)[i].data() + unit_offset,
+    std::memcpy(unit_dst.data(), delivered[i].data() + unit_offset,
                 unit_dst.size());
   }
   return out;
@@ -691,72 +704,59 @@ Result<std::size_t> MiniDfs::repair_stripe(cluster::StripeId stripe,
   // Skip unsealed stripes (writes in flight).
   if (!namenode_.is_sealed(stripe)) return 0;
   const auto& info = namenode_.stripe(stripe);
-  const ec::CodeScheme& code = *info.code;
+  const auto& layout = info.code->layout();
 
   // Read every slot once: only a read finds CRC-corrupt replicas on live
-  // nodes. The holes are the slots missing or corrupt on live nodes; the
-  // plan rebuilds exactly those, with the stripe's down nodes as failed
-  // helpers. Holes on down nodes wait for their node's repair.
+  // nodes. The rebuild plans the holes against the nodes this read found
+  // down, never a later look at liveness, so a node that flaps mid-heal
+  // cannot leave the plan a source the read never got. Holes on those
+  // nodes wait for their node's repair.
   ec::SlotStore store;
-  const auto holes = gather_all_slots(stripe, store);
+  std::set<ec::NodeIndex> failed;
+  std::vector<std::size_t> every_slot(layout.num_slots());
+  std::iota(every_slot.begin(), every_slot.end(), std::size_t{0});
+  std::set<std::size_t> holes =
+      gather_stripe(stripe, every_slot, store, failed);
+  std::erase_if(holes, [&](std::size_t slot) {
+    return failed.contains(layout.node_of_slot(slot));
+  });
   if (holes.empty()) return 0;
-
-  // The (code, down nodes, holes) key almost always repeats across stripes,
-  // so the basis solve runs once per distinct pattern and is replayed --
-  // across threads -- for every affected stripe.
-  DBLREP_ASSIGN_OR_RETURN(
-      const ec::RepairPlan* plan,
-      cached_plan(code, kRepairTarget,
-                  namenode_.failed_in_stripe(stripe, down_nodes()),
-                  std::set<std::size_t>(holes.begin(), holes.end())));
-  // Layering depends on this stripe's rack assignment, so it happens per
-  // stripe over the shared cached plan (a cheap list rewrite -- the GF
-  // work on actual blocks dwarfs it).
-  ec::RepairPlan layered;
-  if (options_.layered_repair) {
-    layered = ec::layer_plan(*plan, group_racks(info.group));
-    plan = &layered;
-  }
-  auto run = ec::PlanExecutor(code.layout()).execute(*plan, store);
-  if (!run.is_ok()) return run.status();
+  DBLREP_RETURN_IF_ERROR(
+      rebuild(stripe, kRepairTarget, std::move(failed), holes, store, cls)
+          .status());
 
   // Always-on guards (Status, not DCHECK): a malformed plan or a stripe
   // mutated under the repair must surface as an error in Release builds --
-  // a chaos sweep that only runs Debug-checked paths proves nothing.
-  if (store.empty() && !plan->aggregates.empty()) {
-    return internal_error("repair plan executed over an empty slot store");
-  }
-  const std::size_t repair_block_size =
-      store.empty() ? 0 : store.begin()->second.size();
-  DBLREP_RETURN_IF_ERROR(record_plan_sends(
-      *plan, info.group, static_cast<double>(repair_block_size), cls));
-  // Re-check the seal before persisting. The repair lease already excludes
-  // deletion, so this is a backstop against plan or state corruption: if
-  // it ever fires, fail loudly rather than resurrect dropped blocks.
+  // a chaos sweep that only runs Debug-checked paths proves nothing. The
+  // seal re-check before persisting backstops the repair lease, which
+  // already excludes deletion: fail loudly rather than resurrect dropped
+  // blocks.
   if (!namenode_.is_sealed(stripe)) {
     return failed_precondition_error(
         "stripe " + std::to_string(stripe) +
         " was unsealed or deleted while its repair was executing");
   }
   // Move each rebuilt block into its DataNode. Every destination was live
-  // at planning time; one that failed since refuses the put (UNAVAILABLE).
-  for (const auto& rec : plan->reconstructions) {
-    const auto rebuilt = store.find(rec.dest_slot);
+  // when read; one that failed since refuses the put (UNAVAILABLE).
+  const std::size_t unit_bytes =
+      store.empty() ? 0 : store.begin()->second.size();
+  for (const std::size_t slot : holes) {
+    const auto rebuilt = store.find(slot);
     if (rebuilt == store.end()) {
-      return internal_error("repair plan left dest slot " +
-                            std::to_string(rec.dest_slot) + " unbuilt");
+      return internal_error("repair plan left hole slot " +
+                            std::to_string(slot) + " unbuilt");
     }
-    if (rebuilt->second.size() != repair_block_size) {
+    if (rebuilt->second.size() != unit_bytes) {
       return corruption_error("rebuilt block size mismatch on stripe " +
                               std::to_string(stripe) + " slot " +
-                              std::to_string(rec.dest_slot));
+                              std::to_string(slot));
     }
-    const cluster::NodeId dest = info.group[static_cast<std::size_t>(
-        code.layout().node_of_slot(rec.dest_slot))];
+    const cluster::NodeId dest =
+        info.group[static_cast<std::size_t>(layout.node_of_slot(slot))];
     DBLREP_RETURN_IF_ERROR(datanodes_[static_cast<std::size_t>(dest)].put(
-        {stripe, rec.dest_slot}, std::move(rebuilt->second)));
+        {stripe, slot}, std::move(rebuilt->second)));
   }
-  return plan->reconstructions.size();
+  return holes.size();
 }
 
 Result<std::size_t> MiniDfs::repair_stripes(
@@ -812,12 +812,15 @@ Status MiniDfs::scrub() {
     if (!info.is_ok()) return info.status();
     DBLREP_ASSIGN_OR_RETURN(const ec::CodeScheme* code,
                             scheme(info->code_spec));
+    std::vector<std::size_t> every_slot(code->layout().num_slots());
+    std::iota(every_slot.begin(), every_slot.end(), std::size_t{0});
     for (cluster::StripeId stripe : info->stripes) {
       ec::SlotStore store;
-      const auto holes = gather_all_slots(stripe, store);
+      std::set<ec::NodeIndex> down;
+      const auto holes = gather_stripe(stripe, every_slot, store, down);
       if (!holes.empty()) {
         return corruption_error(path + ": stripe " + std::to_string(stripe) +
-                                " slot " + std::to_string(holes.front()) +
+                                " slot " + std::to_string(*holes.begin()) +
                                 " missing or corrupt on a live node");
       }
       DBLREP_RETURN_IF_ERROR(code->verify_codeword(store, info->block_size));

@@ -19,11 +19,12 @@
 //    on-the-fly degraded reads through ec::RepairPlan when every replica
 //    is lost). Reads return SharedBlocks: a healthy block is verified in
 //    the pass that copies it into the result (DataNode::read_into).
-//  * Repair engine: degraded reads and repairs share one RepairPlan path
-//    (failed nodes, plan, read its slots, execute, record), partial
-//    parities and all; repair_node, repair_all and scrub_repair all heal
-//    through it. With layered_repair enabled, every plan is rewritten
-//    through ec::layer_plan so each rack relays one combined block.
+//  * Repair engine: degraded reads and heals share one rebuild loop (plan,
+//    read the plan's slots, replan without nodes that failed a read,
+//    execute, record), partial parities and all; repair_node, repair_all
+//    and scrub_repair heal through it, against what their own read found.
+//    With layered_repair enabled, every plan is rewritten through
+//    ec::layer_plan so each rack relays one combined block.
 //  * Traffic ledger (net::TrafficLedger): every byte that crosses the
 //    (simulated) wire is recorded once, with its class and direction --
 //    bucketed intra-rack, cross-rack, to-client, or from-client -- so tests
@@ -391,15 +392,23 @@ class MiniDfs {
       const std::set<std::size_t>& lost);
 
   /// The one CRC-checked slot reader: reads each of `slots` not in `store`
-  /// into it; returns the code-local nodes whose slot failed to read.
-  std::set<ec::NodeIndex> gather_stripe(cluster::StripeId stripe,
-                                        std::span<const std::size_t> slots,
-                                        ec::SlotStore& store) const;
+  /// into it. A slot on a down node (UNAVAILABLE) adds the node to `down`;
+  /// returns the slots missing or corrupt (NOT_FOUND, CORRUPTION): holes.
+  std::set<std::size_t> gather_stripe(cluster::StripeId stripe,
+                                      std::span<const std::size_t> slots,
+                                      ec::SlotStore& store,
+                                      std::set<ec::NodeIndex>& down) const;
 
-  /// gather_stripe over every slot; returns the slots that are missing or
-  /// corrupt on live nodes: what repair and scrub rewrite.
-  std::vector<std::size_t> gather_all_slots(cluster::StripeId stripe,
-                                            ec::SlotStore& store) const;
+  /// The one rebuild path of degraded reads (`target` a data block) and
+  /// heals (kRepairTarget, the `lost` slots): plans against `failed`, layers
+  /// the plan, gathers its source_slots() into `store`, and plans again
+  /// without every node whose source failed to read. Then executes the plan
+  /// over `store`, where rebuilt slots land, and charges its sends under
+  /// `cls`. Returns the blocks delivered to the client, in unit order.
+  Result<std::vector<SharedBlock>> rebuild(
+      cluster::StripeId stripe, std::size_t target,
+      std::set<ec::NodeIndex> failed, const std::set<std::size_t>& lost,
+      ec::SlotStore& store, net::TransferClass cls);
 
   /// Records an executed plan's sends, `unit_bytes` each, under `cls`,
   /// then marks the end of its flow.
@@ -412,8 +421,9 @@ class MiniDfs {
       const std::vector<cluster::NodeId>& group) const;
 
   /// Reads one data block (all α sub-chunk units) of one stripe with all
-  /// fallbacks -- the replica walk first, then a degraded read through the
-  /// cached plan_degraded_block plan; records traffic at unit granularity,
+  /// fallbacks -- the replica walk first, then a degraded read: a rebuild
+  /// of the block, seeded with the stripe's down nodes and the holders the
+  /// walk could not read; records traffic at unit granularity,
   /// every unit verified and charged in full. With an empty `dst` it
   /// returns the block: for α == 1 the DataNode's block itself
   /// (DataNode::get) or the block the plan rebuilt, neither copied; for
@@ -441,10 +451,10 @@ class MiniDfs {
   /// delete_file, replace_file: the catalog entries are already gone).
   Status drop_blocks(const RemovedFile& removed);
 
-  /// The one heal path (repair_node, repair_all, scrub_repair): rebuilds
-  /// the stripe's missing and CRC-corrupt slots on live nodes, with its
-  /// down nodes as failed helpers, charging every plan send under `cls`.
-  /// Returns the number of slots rewritten.
+  /// The one heal path (repair_node, repair_all, scrub_repair): reads every
+  /// slot once and rebuilds the holes it found on live nodes, with the
+  /// nodes it found down as failed helpers, charging every plan send under
+  /// `cls`. Returns the number of slots rewritten.
   Result<std::size_t> repair_stripe(cluster::StripeId stripe,
                                     net::TransferClass cls);
 

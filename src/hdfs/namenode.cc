@@ -571,11 +571,6 @@ std::vector<cluster::StripeId> NameNode::stripes_on_node(
   return out;
 }
 
-std::set<ec::NodeIndex> NameNode::failed_in_stripe(
-    cluster::StripeId id, const std::set<cluster::NodeId>& down_nodes) const {
-  return shards_[route(id)]->catalog.failed_in_stripe(id, down_nodes);
-}
-
 Status NameNode::begin_repair(cluster::StripeId id) {
   std::uint32_t shard = 0;
   if (!try_route(id, shard)) {

@@ -48,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -204,8 +203,6 @@ class NameNode {
   bool is_sealed(cluster::StripeId id) const;
   std::size_t num_stripes() const;  // live stripes across all shards
   std::vector<cluster::StripeId> stripes_on_node(cluster::NodeId node) const;
-  std::set<ec::NodeIndex> failed_in_stripe(
-      cluster::StripeId id, const std::set<cluster::NodeId>& down_nodes) const;
 
   /// Repair lease on the owning shard's catalog: pins the stripe so a
   /// concurrent delete/rename-driven unregistration waits for the lease to

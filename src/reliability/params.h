@@ -14,11 +14,14 @@
 
 namespace dblrep::rel {
 
+/// Hours in a mean (Julian) year: every hours <-> years conversion uses it.
+inline constexpr double kHoursPerYear = 24.0 * 365.25;
+
 struct ReliabilityParams {
   /// Mean time between failures of one storage node (hours). 10 years is a
   /// common whole-node figure for the 2014-era commodity hardware the paper
   /// deploys on.
-  double node_mtbf_hours = 87600.0;
+  double node_mtbf_hours = 10 * kHoursPerYear;
 
   /// Mean time to repair a failed node (hours). Declustered rebuild of a
   /// ~1 TB node across a 10 Gbps LAN plus detection lag; 1.5 h calibrates
@@ -49,7 +52,5 @@ struct ReliabilityParams {
     return 1.0 / node_mttr_hours;
   }
 };
-
-inline constexpr double kHoursPerYear = 24.0 * 365.25;
 
 }  // namespace dblrep::rel

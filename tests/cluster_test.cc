@@ -67,16 +67,6 @@ TEST(BlockCatalog, RejectsBadGroupsAndReusedIds) {
   EXPECT_TRUE(catalog.stripes_on_node(5).empty());
 }
 
-TEST(BlockCatalog, FailedInStripeMapsClusterToCodeIndices) {
-  const Topology t = setup1_topology();
-  BlockCatalog catalog(t);
-  ec::PolygonCode pentagon(5);
-  ASSERT_TRUE(
-      catalog.register_stripe_at(7, pentagon, {20, 5, 9, 3, 17}, true).is_ok());
-  const auto failed = catalog.failed_in_stripe(7, {5, 17, 4});
-  EXPECT_EQ(failed, (std::set<ec::NodeIndex>{1, 4}));
-}
-
 TEST(BlockCatalog, UnregisterTombstonesStripe) {
   const Topology t = setup1_topology();
   BlockCatalog catalog(t);

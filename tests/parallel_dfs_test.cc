@@ -13,6 +13,9 @@
 // writer/reader crossfire against one DFS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 
@@ -454,6 +457,88 @@ TEST(ScrubDeleteRace, ScrubRacingDeleteIsCleanOnBothSides) {
       EXPECT_EQ(*back, kept_payload);
       EXPECT_TRUE(dfs.scrub().is_ok());
     }
+  }
+}
+
+// A heal plans against exactly what its own read saw: a slot whose node was
+// down (UNAVAILABLE) makes the node a failed helper, and a slot missing or
+// corrupt (NOT_FOUND, CORRUPTION) is a hole. Here one node flaps while every
+// heal runs, and each round plants a corrupt twin of one of its slots in
+// every stripe it holds. A heal that looked at liveness again after its read
+// would see a node that came back up in between as neither, and fail with
+// UNAVAILABLE: its plan would name a source the read never got ("slot N not
+// available for repair"), or put a rebuilt block to the node's unread slot
+// as it went down again ("datanode down"). Every heal must succeed.
+
+TEST(HealRace, AHelperFlappingMidHealNeverFailsTheHeal) {
+  constexpr int kFiles = 40;
+  constexpr int kRounds = 100;
+  cluster::Topology topology;
+  topology.num_nodes = kNodes;
+  exec::ThreadPool pool(2);
+  MiniDfs dfs(topology, /*seed=*/31, &pool);
+  const auto code = ec::make_code("pentagon").value();
+  std::vector<Buffer> payloads;
+  for (int f = 0; f < kFiles; ++f) {
+    payloads.push_back(
+        random_buffer(code->data_blocks() * kBlockSize * 4, 100 + f));
+    ASSERT_TRUE(dfs.write_file("/f/" + std::to_string(f), payloads.back(),
+                               "pentagon", kBlockSize)
+                    .is_ok());
+  }
+  const cluster::NodeId flapper =
+      dfs.catalog().stripe(dfs.stat("/f/0")->stripes[0]).group[0];
+  const auto stripes = dfs.catalog().stripes_on_node(flapper);
+
+  std::atomic<bool> stop{false};
+  std::thread flap([&] {
+    while (!stop.load()) {
+      (void)dfs.offline_node(flapper);
+      std::this_thread::sleep_for(std::chrono::microseconds(2));
+      (void)dfs.restart_node(flapper);
+      std::this_thread::sleep_for(std::chrono::microseconds(2));
+    }
+  });
+  int failed_heals = 0;
+  std::string first_error;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const cluster::StripeId stripe : stripes) {
+      const auto& info = dfs.catalog().stripe(stripe);
+      const auto& layout = info.code->layout();
+      const auto local = static_cast<ec::NodeIndex>(
+          std::find(info.group.begin(), info.group.end(), flapper) -
+          info.group.begin());
+      const auto& own = layout.slots_on_node(local);
+      const std::size_t slot =
+          own[static_cast<std::size_t>(round) % own.size()];
+      for (const std::size_t twin :
+           layout.slots_of_symbol(layout.symbol_of_slot(slot))) {
+        if (twin == slot) continue;
+        const cluster::SlotAddress address{stripe, twin};
+        EXPECT_TRUE(dfs.datanode(dfs.catalog().node_of(address))
+                        .corrupt(address,
+                                 static_cast<std::size_t>(round) % kBlockSize)
+                        .is_ok());
+      }
+    }
+    const auto healed = dfs.scrub_repair();
+    if (!healed.is_ok() && failed_heals++ == 0) {
+      first_error = "round " + std::to_string(round) + ": " +
+                    healed.status().to_string();
+    }
+  }
+  stop.store(true);
+  flap.join();
+  EXPECT_EQ(failed_heals, 0) << "first failure, " << first_error;
+
+  const auto final_heal = dfs.scrub_repair();
+  ASSERT_TRUE(final_heal.is_ok()) << final_heal.status().to_string();
+  EXPECT_EQ(*final_heal, 0u);
+  EXPECT_TRUE(dfs.scrub().is_ok());
+  for (int f = 0; f < kFiles; ++f) {
+    const auto back = dfs.read_file("/f/" + std::to_string(f));
+    ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+    EXPECT_EQ(*back, payloads[static_cast<std::size_t>(f)]) << "file " << f;
   }
 }
 
