@@ -17,12 +17,14 @@
 //    each scheme's best kernel clears a stated minimum fraction. The
 //    default fraction is deliberately conservative (shared CI runners),
 //    tightened via --roof-gate=F.
-//  * Non-temporal win: for coefficient-1-only schemes (parity is pure
-//    XOR), the modeled memory traffic (gf::slice_op_stats -- a regular
+//  * Non-temporal routing: for coefficient-1-only schemes (parity is pure
+//    XOR) at a block size of at least gf::kNonTemporalMinBytes, one
+//    encode's modeled memory traffic (gf::slice_op_stats -- a regular
 //    store costs a read-for-ownership, a streaming store does not) must
-//    strictly shrink with the NT path enabled on at least one kernel that
-//    implements it. The model is deterministic, so this gate cannot flake
-//    on a noisy runner, yet it fails immediately if the fold path stops
+//    show every parity byte written through the streaming path and no
+//    read-for-ownership, on every kernel that implements streaming
+//    stores. The model is deterministic, so this gate cannot flake on a
+//    noisy runner, yet it fails immediately if the fold path stops
 //    routing large slices through streaming stores.
 //
 // Usage: bench_encode_throughput [--block-size=BYTES] [--min-time=SECONDS]
@@ -65,11 +67,12 @@ struct Sample {
   double roof_fraction = 0;       // encode_mb_s / memcpy roof
   bool xor_only = false;          // every parity coefficient is 0 or 1
   bool nt_capable = false;        // kernel implements streaming stores
-  // Modeled memory traffic of one stripe encode (see gf::SliceOpStats),
-  // with the non-temporal path off and on. Only for xor_only schemes on
-  // nt_capable kernels with block_size >= gf::kNonTemporalMinBytes.
-  std::uint64_t bytes_moved_regular = 0;
-  std::uint64_t bytes_moved_nt = 0;
+  // Modeled memory traffic of one stripe encode (see gf::SliceOpStats).
+  // Only for xor_only schemes on nt_capable kernels with
+  // block_size >= gf::kNonTemporalMinBytes; parity_bytes is 0 otherwise.
+  std::uint64_t parity_bytes = 0;
+  std::uint64_t nt_bytes_written = 0;
+  std::uint64_t rfo_bytes_read = 0;
 };
 
 /// Kernels whose xor_fold_slice honors the non-temporal hint (scalar and
@@ -103,8 +106,8 @@ double measure_mb_s(double min_time, std::size_t bytes, Fn&& fn) {
 /// Measures the host's copy bandwidth on a buffer large enough to defeat
 /// the LLC, so the encode fractions below are against a memory roof, not a
 /// cache roof. The stream rate uses the best kernel's single-source xor
-/// fold with streaming stores forced on -- the rate the NT parity path is
-/// ultimately bounded by.
+/// fold with streaming stores -- the rate the NT parity path is ultimately
+/// bounded by.
 Roofline measure_roofline(double min_time) {
   constexpr std::size_t kRoofBytes = 64 << 20;
   const Buffer src = random_buffer(kRoofBytes, 3);
@@ -118,15 +121,12 @@ Roofline measure_roofline(double min_time) {
 
   const gf::GfKernel* best = gf::supported_kernels().back();
   DBLREP_CHECK(gf::set_active_kernel(best->name));
-  const bool nt_was_enabled = gf::non_temporal_enabled();
-  gf::set_non_temporal(true);
   const std::vector<ByteSpan> one_source = {ByteSpan(src)};
   roof.stream_mb_s = measure_mb_s(min_time, kRoofBytes, [&] {
     gf::xor_fold_slice(dst, one_source, /*non_temporal=*/true);
     volatile std::uint8_t sink = dst.back();
     (void)sink;
   });
-  gf::set_non_temporal(nt_was_enabled);
   return roof;
 }
 
@@ -216,23 +216,20 @@ int main(int argc, char** argv) {
       }
       if (sample.xor_only && sample.nt_capable &&
           block_size >= gf::kNonTemporalMinBytes) {
-        // Deterministic A/B of the modeled memory traffic: one encode with
-        // regular stores (each parity write pays a read-for-ownership) and
-        // one with streaming stores (it does not). Not a timing -- the
-        // gate below wants a strict, noise-free bytes-moved win.
-        const bool nt_was_enabled = gf::non_temporal_enabled();
-        const auto bytes_moved_once = [&](bool nt) {
-          gf::set_non_temporal(nt);
-          gf::reset_slice_op_stats();
-          (void)codec.encode_batch(
-              data, block_size, [](std::size_t, std::span<const ByteSpan>) {
-                return Status::ok();
-              });
-          return gf::slice_op_stats().total_bytes_moved();
-        };
-        sample.bytes_moved_regular = bytes_moved_once(false);
-        sample.bytes_moved_nt = bytes_moved_once(true);
-        gf::set_non_temporal(nt_was_enabled);
+        // The modeled memory traffic of one encode: every parity row is
+        // a fold over a slice at or above the threshold, so every parity
+        // byte must stream and none may pay a read-for-ownership. Not a
+        // timing -- the gate below wants a noise-free routing check.
+        gf::reset_slice_op_stats();
+        (void)codec.encode_batch(
+            data, block_size, [](std::size_t, std::span<const ByteSpan>) {
+              return Status::ok();
+            });
+        const gf::SliceOpStats& stats = gf::slice_op_stats();
+        sample.parity_bytes = (code->num_symbols() - code->data_units()) *
+                              (block_size / code->sub_chunks());
+        sample.nt_bytes_written = stats.nt_bytes_written;
+        sample.rfo_bytes_read = stats.rfo_bytes_read;
       }
 
       // Worst-case decode: the maximum tolerated failures down (Gaussian
@@ -315,20 +312,27 @@ int main(int argc, char** argv) {
                 fraction, fraction >= roof_gate);
   }
 
-  // Non-temporal win: some xor-only scheme on some streaming-capable
-  // kernel must model strictly fewer bytes moved with NT on. Skipped (not
-  // failed) when the sweep produced no eligible sample -- a scalar-only
-  // host or a sub-threshold block size cannot exercise the NT path.
-  double best_nt_ratio = -1;  // bytes moved NT / regular; <0: no sample
+  // Non-temporal routing: every xor-only encode on a streaming-capable
+  // kernel writes all of its parity through streaming stores and pays no
+  // read-for-ownership. Skipped (not failed) when the sweep produced no
+  // eligible sample -- a host without a streaming kernel or a
+  // sub-threshold block size cannot exercise the NT path.
+  double worst_nt_fraction = -1;  // NT bytes / parity bytes; <0: no sample
+  std::uint64_t worst_rfo_bytes = 0;
   for (const auto& s : samples) {
-    if (s.bytes_moved_regular == 0) continue;
-    const double ratio = static_cast<double>(s.bytes_moved_nt) /
-                         static_cast<double>(s.bytes_moved_regular);
-    if (best_nt_ratio < 0 || ratio < best_nt_ratio) best_nt_ratio = ratio;
+    if (s.parity_bytes == 0) continue;
+    const double fraction = static_cast<double>(s.nt_bytes_written) /
+                            static_cast<double>(s.parity_bytes);
+    if (worst_nt_fraction < 0 || fraction < worst_nt_fraction) {
+      worst_nt_fraction = fraction;
+    }
+    worst_rfo_bytes = std::max(worst_rfo_bytes, s.rfo_bytes_read);
   }
-  if (best_nt_ratio >= 0) {
-    report.gate("best NT / regular modeled bytes moved", 1, best_nt_ratio,
-                best_nt_ratio < 1);
+  if (worst_nt_fraction >= 0) {
+    report.gate("worst xor-only parity fraction written NT", 1,
+                worst_nt_fraction, worst_nt_fraction == 1);
+    report.gate("worst xor-only modeled RFO bytes", 0,
+                static_cast<double>(worst_rfo_bytes), worst_rfo_bytes == 0);
   }
 
   auto& json = report.json();
@@ -348,9 +352,10 @@ int main(int argc, char** argv) {
         .field("speedup_vs_scalar", s.speedup_vs_scalar)
         .field("roof_fraction", s.roof_fraction)
         .field("xor_only", s.xor_only);
-    if (s.bytes_moved_regular > 0) {
-      json.field("bytes_moved_regular", s.bytes_moved_regular)
-          .field("bytes_moved_nt", s.bytes_moved_nt);
+    if (s.parity_bytes > 0) {
+      json.field("parity_bytes", s.parity_bytes)
+          .field("nt_bytes_written", s.nt_bytes_written)
+          .field("rfo_bytes_read", s.rfo_bytes_read);
     }
     json.end();
   }

@@ -146,10 +146,10 @@ int main(int argc, char** argv) {
   cluster::Topology topology;
   topology.num_nodes = 21;
   topology.num_racks = 3;
-  const double round_dt_s = 30.0;  // heat half-life is 60 logical seconds
+  const double round_dt_s = tier::kHeatHalfLifeS / 2;
 
   // Tiered cluster: heat observer wired in, everything ingested hot.
-  tier::HeatTracker heat(tier::HeatOptions{.half_life_s = 60.0});
+  tier::HeatTracker heat;
   hdfs::MiniDfsOptions options;
   options.access_observer = &heat;
   hdfs::MiniDfs dfs(topology, /*seed=*/2014, &exec::inline_pool(), options);

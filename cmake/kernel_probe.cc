@@ -1,8 +1,8 @@
 // Configure-time probe: prints the GF kernels this host can execute, so
 // CMake only registers forced-kernel test variants that can actually run
-// (a DBLREP_GF_KERNEL the dispatcher can't honor silently falls back,
-// which would report green coverage for a kernel that never executed).
-// It compiles in the CPUID/XCR0 probe the dispatchers themselves run.
+// (a DBLREP_GF_KERNEL the dispatcher can't honor falls back to another
+// kernel, which gf_kernel_test reports as a failure). It compiles in the
+// CPUID/XCR0 probe the dispatchers themselves run.
 #include <cstdio>
 
 #include "common/cpu.cc"

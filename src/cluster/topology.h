@@ -30,9 +30,6 @@ struct Topology {
   /// Aggregate switch capacity (bytes/s) shared by all cross-node flows.
   double switch_bytes_per_sec = 4 * 1.25e9;
 
-  /// Extra multiplicative cost for cross-rack transfers (1 = free).
-  double cross_rack_penalty = 1.0;
-
   /// Round-robin rack assignment.
   int rack_of(NodeId node) const {
     DBLREP_CHECK_GE(node, 0);

@@ -4,6 +4,9 @@
 
 namespace dblrep::cluster {
 
+/// Bytes one node holds: a repair rebuilds all of them.
+constexpr double kNodeDataBytes = 1.0e12;
+
 double repair_traffic_multiplier(const ec::CodeScheme& code) {
   const auto plan = code.plan_node_repair(0);
   DBLREP_CHECK_MSG(plan.is_ok(), "single-node repair must always be plannable");
@@ -22,7 +25,7 @@ TransientSimReport simulate_transient_failures(
   TransientSimReport report;
 
   const double multiplier = repair_traffic_multiplier(code);
-  const double repair_bytes_per_node = config.node_data_bytes * multiplier;
+  const double repair_bytes_per_node = kNodeDataBytes * multiplier;
 
   struct NodeState {
     bool down = false;

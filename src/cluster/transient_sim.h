@@ -30,7 +30,6 @@ struct TransientSimConfig {
   double outage_rate_per_hour = 1.0 / (24.0 * 30);  // ~1 outage/node/month
   double mean_outage_hours = 0.25;     // most outages are minutes
   double repair_timeout_hours = 0.25;  // HDFS-style grace period
-  double node_data_bytes = 1.0e12;
   std::uint64_t seed = 1;
 };
 

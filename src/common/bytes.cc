@@ -240,6 +240,11 @@ FoldConstants fold_by(std::uint64_t bits) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 #define DBLREP_VPCLMUL_TARGET "avx512f,avx512bw,avx512vl,vpclmulqdq,sse4.2"
+// The two entry points, with their inlined fold loops, start at a 64-byte
+// boundary: otherwise where the hottest loop of a read lands, and how fast
+// it runs, would move with the size of unrelated code linked before it.
+#define DBLREP_VPCLMUL_ENTRY \
+  __attribute__((target(DBLREP_VPCLMUL_TARGET), aligned(64)))
 
 __attribute__((target(DBLREP_VPCLMUL_TARGET))) __m512i broadcast(
     FoldConstants k) {
@@ -328,8 +333,8 @@ VpclmulSplit split_for_vpclmul(const std::uint8_t* aligned, std::size_t size) {
 /// vpclmul_fold over 256-byte steps whose loads start at a 64-byte boundary
 /// (loads that split cache lines run about a third slower); the head before
 /// them, the tail after them and inputs under 512 B run on sse42.
-__attribute__((target(DBLREP_VPCLMUL_TARGET))) std::uint32_t crc32c_vpclmul(
-    ByteSpan data, std::uint32_t seed) {
+DBLREP_VPCLMUL_ENTRY std::uint32_t crc32c_vpclmul(ByteSpan data,
+                                                  std::uint32_t seed) {
   if (data.size() < 512) return crc32c_sse42(data, seed);
   const auto [head, body] = split_for_vpclmul(data.data(), data.size());
   seed = crc32c_sse42(data.first(head), seed);
@@ -342,8 +347,9 @@ __attribute__((target(DBLREP_VPCLMUL_TARGET))) std::uint32_t crc32c_vpclmul(
 /// at `dst`'s 64-byte boundary instead: a store that splits cache lines
 /// costs more than a load that does (on a hot 64 KiB block, about 1.0x
 /// memcpy aligned on the stores against 0.9x aligned on the loads).
-__attribute__((target(DBLREP_VPCLMUL_TARGET))) std::uint32_t
-crc32c_copy_vpclmul(MutableByteSpan dst, ByteSpan src, std::uint32_t seed) {
+DBLREP_VPCLMUL_ENTRY std::uint32_t crc32c_copy_vpclmul(MutableByteSpan dst,
+                                                       ByteSpan src,
+                                                       std::uint32_t seed) {
   constexpr auto copy_sse42 = copy_then_run<crc32c_sse42>;
   if (src.size() < 512) return copy_sse42(dst, src, seed);
   const auto [head, body] = split_for_vpclmul(dst.data(), dst.size());

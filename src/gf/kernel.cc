@@ -181,7 +181,7 @@ void matrix_apply_batch_with(const GfKernel& kernel,
 
   // Streaming stores pay off only when the output would not have stayed
   // cache-resident anyway; resolved once per call on the full slice length.
-  const bool nt = non_temporal_enabled() && n >= kNonTemporalMinBytes;
+  const bool nt = n >= kNonTemporalMinBytes;
 
   std::array<RowClass, 64> row_class_storage;
   std::vector<RowClass> row_class_spill;
@@ -320,28 +320,17 @@ std::vector<const GfKernel*> compiled_kernels() {
 }
 
 std::atomic<const GfKernel*> g_active{nullptr};
-std::atomic<bool> g_non_temporal{true};
 std::once_flag g_init_once;
-
-void log_selection(const GfKernel& kernel, const char* how) {
-  // Off by default: every process start (including each ctest binary) would
-  // otherwise print it. DBLREP_GF_LOG=1 logs the one-time selection.
-  const char* env = std::getenv("DBLREP_GF_LOG");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) return;
-  std::fprintf(stderr, "dblrep: GF kernel '%s' (%s)\n", kernel.name, how);
-}
 
 void init_active_kernel() {
   const auto kernels = compiled_kernels();
   const GfKernel* chosen = kernels.back();  // fastest supported
-  const char* how = "runtime dispatch";
   if (const char* env = std::getenv("DBLREP_GF_KERNEL");
       env != nullptr && *env != '\0') {
     bool found = false;
     for (const GfKernel* k : kernels) {
       if (std::string_view(k->name) == env) {
         chosen = k;
-        how = "forced by DBLREP_GF_KERNEL";
         found = true;
         break;
       }
@@ -354,7 +343,6 @@ void init_active_kernel() {
     }
   }
   g_active.store(chosen, std::memory_order_release);
-  log_selection(*chosen, how);
 }
 
 }  // namespace
@@ -365,7 +353,7 @@ const GfKernel& active_kernel() {
 }
 
 std::vector<const GfKernel*> supported_kernels() {
-  active_kernel();  // ensure one-time init/logging happened
+  active_kernel();  // the one-time selection runs before any override
   return compiled_kernels();
 }
 
@@ -381,16 +369,6 @@ bool set_active_kernel(std::string_view name) {
   if (k == nullptr) return false;
   g_active.store(k, std::memory_order_release);
   return true;
-}
-
-void set_non_temporal(bool enabled) {
-  active_kernel();  // don't let startup env parsing overwrite the setting
-  g_non_temporal.store(enabled, std::memory_order_relaxed);
-}
-
-bool non_temporal_enabled() {
-  active_kernel();
-  return g_non_temporal.load(std::memory_order_relaxed);
 }
 
 SliceOpStats& slice_op_stats() {

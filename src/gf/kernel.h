@@ -18,16 +18,14 @@
 //
 // The active kernel is chosen once at startup by runtime CPUID dispatch
 // (best supported wins) and can be forced with DBLREP_GF_KERNEL=scalar|
-// ssse3|avx2|avx512|gfni for testing and benchmarking. Selection logging
-// is off by default; set DBLREP_GF_LOG=1 to log the choice once to stderr.
+// ssse3|avx2|avx512|gfni for testing and benchmarking.
 //
 // Coefficient-1-only work (XOR parities, replica folds) additionally takes
-// a non-temporal-store path on the vector kernels for large slices: parity
-// outputs are written once and never re-read by the encode pass, so
-// streaming stores skip the read-for-ownership of every destination cache
-// line -- for memory-bound schemes the win is exactly those bytes not
-// moved. Disable with set_non_temporal(false); the stored bytes are
-// identical either way.
+// a non-temporal-store path on the vector kernels for slices of at least
+// kNonTemporalMinBytes: parity outputs are written once and never re-read
+// by the encode pass, so streaming stores skip the read-for-ownership of
+// every destination cache line -- for memory-bound schemes the win is
+// exactly those bytes not moved. The stored bytes are identical either way.
 //
 // All kernels are bit-identical by contract; tests/gf_kernel_test.cc
 // cross-checks them exhaustively.
@@ -88,8 +86,8 @@ const GfKernel& active_kernel();
 /// The slice dimension is cache-blocked and rows run before groups, so one
 /// coefficient row's tables stay hot across every group (stripe) of a
 /// batch. Output slices must not alias source slices. Coefficient-1-only
-/// rows route through kernel.xor_fold_slice with the non-temporal flag
-/// resolved from the process-wide policy; modeled traffic is recorded into
+/// rows route through kernel.xor_fold_slice, streaming when the slice is
+/// at least kNonTemporalMinBytes long; modeled traffic is recorded into
 /// this thread's SliceOpStats.
 void matrix_apply_batch_with(const GfKernel& kernel,
                              std::span<const Elem> coeffs,
@@ -107,19 +105,13 @@ const GfKernel* find_kernel(std::string_view name);
 /// selection unchanged if the name is unknown or unsupported on this CPU.
 bool set_active_kernel(std::string_view name);
 
-// ------------------------------------------------------- non-temporal knob
+// ------------------------------------------------- non-temporal threshold
 
 /// Slices at least this long take the streaming-store path in
-/// coefficient-1-only rows (when enabled and the kernel has one). Chosen
-/// above typical per-core L2: smaller outputs are cache-resident and a
-/// streaming store would only evict them for no saved traffic.
+/// coefficient-1-only rows (when the kernel has one). Chosen above typical
+/// per-core L2: smaller outputs are cache-resident and a streaming store
+/// would only evict them for no saved traffic.
 inline constexpr std::size_t kNonTemporalMinBytes = 256 * 1024;
-
-/// Process-wide enable for the non-temporal store path (default on). Bytes
-/// produced are identical with it on or off -- this is a perf policy switch
-/// for benchmarking and A/B-ing, not a correctness knob.
-void set_non_temporal(bool enabled);
-bool non_temporal_enabled();
 
 // ------------------------------------------------ modeled bytes-moved stats
 

@@ -7,12 +7,14 @@ namespace dblrep::hdfs {
 // ----------------------------------------------------------- FileWriter
 
 FileWriter::FileWriter(MiniDfs* dfs, std::string path,
-                       std::size_t stripe_bytes, std::size_t max_inflight,
+                       std::size_t stripe_bytes,
                        net::TransferClass write_class)
     : dfs_(dfs),
       path_(std::move(path)),
       stripe_bytes_(stripe_bytes),
-      max_inflight_(std::max<std::size_t>(max_inflight, 1)),
+      // The "+ 1" counts the appending thread itself; doubling keeps every
+      // worker fed while the client fills the next stripe.
+      max_inflight_(2 * (dfs->pool().num_workers() + 1)),
       write_class_(write_class),
       open_(true) {}
 
@@ -161,11 +163,6 @@ Status FileWriter::abort() {
 
 Client::Client(MiniDfs& dfs, ClientOptions options)
     : dfs_(&dfs),
-      // The "+ 1" counts the appending thread itself; doubling keeps every
-      // worker fed while the client fills the next stripe.
-      max_inflight_(options.max_inflight_stripes > 0
-                        ? options.max_inflight_stripes
-                        : 2 * (dfs.pool().num_workers() + 1)),
       read_class_(options.read_class),
       write_class_(options.write_class) {}
 
@@ -179,7 +176,7 @@ Result<FileWriter> Client::create(const std::string& path,
     return code_result.status();
   }
   return FileWriter(dfs_, path, (*code_result)->data_blocks() * block_size,
-                    max_inflight_, write_class_);
+                    write_class_);
 }
 
 Status Client::write(const std::string& path, ByteSpan data,

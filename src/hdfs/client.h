@@ -49,11 +49,6 @@ namespace dblrep::hdfs {
 
 /// Client-side knobs (per handle; construction-time).
 struct ClientOptions {
-  /// Buffered-stripe stores a FileWriter keeps in flight before append
-  /// blocks on the oldest one. Bounds ingest memory to
-  /// max_inflight_stripes stripe buffers. 0 = auto: 2 * (pool workers + 1).
-  std::size_t max_inflight_stripes = 0;
-
   /// Transfer classes this handle's traffic is accounted under. Foreground
   /// clients keep the defaults; the tiering re-encode path constructs its
   /// Client with both set to kRetier, making transition bytes visible to
@@ -83,12 +78,13 @@ class FileWriter {
   ~FileWriter();
 
   /// Appends logical bytes. A stripe completed in the writer's buffer is
-  /// stored on the pool; the call blocks on it only when
-  /// max_inflight_stripes stores are already in flight. Full stripes taken
-  /// zero-copy from `data` are stored before append returns (the caller
-  /// may reuse the span immediately after). After any failure the writer
-  /// is poisoned: the first error (in stripe order -- independent of pool
-  /// scheduling) is returned from every subsequent append/close.
+  /// stored on the pool; the call blocks on it only when 2 * (pool workers
+  /// + 1) stores are already in flight, which bounds ingest memory to that
+  /// many stripe buffers. Full stripes taken zero-copy from `data` are
+  /// stored before append returns (the caller may reuse the span
+  /// immediately after). After any failure the writer is poisoned: the
+  /// first error (in stripe order -- independent of pool scheduling) is
+  /// returned from every subsequent append/close.
   Status append(ByteSpan data);
 
   /// Flushes the partial tail stripe, waits for every in-flight store,
@@ -112,7 +108,7 @@ class FileWriter {
  private:
   friend class Client;
   FileWriter(MiniDfs* dfs, std::string path, std::size_t stripe_bytes,
-             std::size_t max_inflight, net::TransferClass write_class);
+             net::TransferClass write_class);
 
   /// Allocates the next stripe (serially, on this thread) and spawns the
   /// store of its owned bytes on the pool, first draining to keep the
@@ -195,7 +191,6 @@ class Client {
 
  private:
   MiniDfs* dfs_;
-  std::size_t max_inflight_;
   net::TransferClass read_class_;
   net::TransferClass write_class_;
 };

@@ -15,6 +15,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Append ops a streaming file spreads over before close().
+constexpr std::size_t kAppendsPerFile = 4;
+
 double micros_since(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
@@ -141,10 +144,8 @@ void WorkloadDriver::client_loop(std::size_t client_index, Rng rng,
   // Streaming-append state: one open handle at a time per client, fed one
   // chunk per append op. The chunks partition payload_, so a sealed append
   // file is byte-identical to a written one.
-  const std::size_t appends_per_file =
-      std::max<std::size_t>(options_.appends_per_file, 1);
   const std::size_t append_chunk =
-      (payload_.size() + appends_per_file - 1) / appends_per_file;
+      (payload_.size() + kAppendsPerFile - 1) / kAppendsPerFile;
   std::optional<FileWriter> writer;
   std::size_t append_files = 0;
   std::size_t append_offset = 0;
@@ -266,6 +267,7 @@ Result<WorkloadReport> WorkloadDriver::run() {
   auto code = ec::make_code(options_.code_spec);
   if (!code.is_ok()) return code.status();
   const std::size_t k = (*code)->data_blocks();
+  const std::size_t alpha = (*code)->sub_chunks();
 
   // Crash-fail nodes out of the first preloaded stripe's placement group,
   // so the failures are guaranteed to hit stored data.
@@ -278,23 +280,26 @@ Result<WorkloadReport> WorkloadDriver::run() {
     }
   }
 
-  // Index the blocks whose replicas are all gone: the degraded-read mix.
+  // Index the blocks read degraded: those with a unit (unit b·α + a is
+  // sub-chunk a of block b) whose replicas are all gone.
   degraded_blocks_.clear();
   const auto down = dfs_->down_nodes();
   if (!down.empty()) {
+    const auto all_lost = [&](const std::vector<cluster::NodeId>& replicas) {
+      return std::all_of(replicas.begin(), replicas.end(),
+                         [&](cluster::NodeId n) { return down.contains(n); });
+    };
     for (const auto& path : preloaded_) {
       const auto info = dfs_->stat(path);
       if (!info.is_ok()) return info.status();
       for (std::size_t si = 0; si < info->stripes.size(); ++si) {
-        for (std::size_t symbol = 0; symbol < k; ++symbol) {
-          const auto replicas =
-              dfs_->catalog().replica_nodes(info->stripes[si], symbol);
-          const bool all_lost =
-              std::all_of(replicas.begin(), replicas.end(),
-                          [&](cluster::NodeId n) { return down.contains(n); });
-          if (all_lost) {
-            degraded_blocks_.emplace_back(path, si * k + symbol);
+        for (std::size_t block = 0; block < k; ++block) {
+          bool degraded = false;
+          for (std::size_t a = 0; a < alpha && !degraded; ++a) {
+            degraded = all_lost(dfs_->catalog().replica_nodes(
+                info->stripes[si], block * alpha + a));
           }
+          if (degraded) degraded_blocks_.emplace_back(path, si * k + block);
         }
       }
     }

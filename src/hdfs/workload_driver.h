@@ -42,18 +42,15 @@ struct WorkloadOptions {
   /// to a plain read when no block is actually degraded (healthy cluster).
   /// pread reads a random byte range of a preloaded file; append streams a
   /// new file through a FileWriter handle, one append op at a time, and
-  /// seals it after `appends_per_file` ops. The new mixes default to zero
-  /// so existing drivers (and chaos replays) are unchanged.
+  /// seals it after 4 ops (the chunks partition the shared payload, so a
+  /// sealed append file holds exactly the same bytes as a written one).
+  /// The new mixes default to zero so existing drivers (and chaos
+  /// replays) are unchanged.
   double read_fraction = 0.6;
   double write_fraction = 0.2;
   double degraded_fraction = 0.2;
   double pread_fraction = 0.0;
   double append_fraction = 0.0;
-
-  /// Append ops a streaming file spreads over before close(); the chunks
-  /// partition the shared payload, so a sealed append file holds exactly
-  /// the same bytes as a written one.
-  std::size_t appends_per_file = 4;
 
   std::string code_spec = "rs-10-4";
   std::size_t block_size = 4096;

@@ -153,7 +153,7 @@ JobMetrics run_terasort(const ec::CodeScheme& code, sched::Scheduler& scheduler,
           failed.insert(static_cast<ec::NodeIndex>(i));
         }
       }
-      const auto plan = code.plan_degraded_read(task.symbol, failed);
+      const auto plan = code.plan_degraded_block(task.symbol, failed);
       if (!plan.is_ok()) {
         info.runnable = false;  // data loss: the block is unrecoverable
         ++unrunnable;

@@ -73,6 +73,14 @@ std::size_t parity_read_blocks(const ec::CodeScheme& code,
 
 namespace {
 
+/// Stripes per placement group: as many as fill one node's capacity.
+double stripes_filling_a_node(const ec::CodeScheme& code) {
+  const double bytes_per_node_per_stripe =
+      static_cast<double>(code.layout().max_slots_per_node()) *
+      kBlockSizeBytes;
+  return std::max(1.0, kNodeCapacityBytes / bytes_per_node_per_stripe);
+}
+
 /// Dense linear solve for expected absorption times of an absorbing CTMC.
 /// For transient state i with total outflow q_i and transition rates
 /// q_ij to transient j:  q_i * t_i - sum_j q_ij * t_j = 1.
@@ -118,11 +126,7 @@ GroupMarkovModel::GroupMarkovModel(const ec::CodeScheme& code,
     : params_(params) {
   DBLREP_CHECK_GE(params.system_nodes, code.num_nodes());
   num_groups_ = params.system_nodes / code.num_nodes();
-  const double bytes_per_node_per_stripe =
-      static_cast<double>(code.layout().max_slots_per_node()) *
-      params.block_size_bytes;
-  stripes_per_group_ =
-      std::max(1.0, params.node_capacity_bytes / bytes_per_node_per_stripe);
+  stripes_per_group_ = stripes_filling_a_node(code);
   build_and_solve(code);
 }
 
@@ -221,11 +225,7 @@ double simulate_group_mttdl_hours(const ec::CodeScheme& code,
   const double lambda = params.failure_rate_per_hour();
   const double mu = params.repair_rate_per_hour();
   const std::size_t c = code.num_nodes();
-  const double bytes_per_node_per_stripe =
-      static_cast<double>(code.layout().max_slots_per_node()) *
-      params.block_size_bytes;
-  const double stripes =
-      std::max(1.0, params.node_capacity_bytes / bytes_per_node_per_stripe);
+  const double stripes = stripes_filling_a_node(code);
 
   double total_hours = 0.0;
   for (int trial = 0; trial < trials; ++trial) {

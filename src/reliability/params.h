@@ -17,6 +17,11 @@ namespace dblrep::rel {
 /// Hours in a mean (Julian) year: every hours <-> years conversion uses it.
 inline constexpr double kHoursPerYear = 24.0 * 365.25;
 
+/// Per-node storage and block size, used to derive stripes per placement
+/// group (which scales the optional read-error term).
+inline constexpr double kNodeCapacityBytes = 1.0e12;
+inline constexpr double kBlockSizeBytes = 256.0e6;
+
 struct ReliabilityParams {
   /// Mean time between failures of one storage node (hours). 10 years is a
   /// common whole-node figure for the 2014-era commodity hardware the paper
@@ -30,11 +35,6 @@ struct ReliabilityParams {
 
   /// Cluster size the paper states for Table 1.
   std::size_t system_nodes = 25;
-
-  /// Per-node storage and block size, used to derive stripes per placement
-  /// group (which scales the optional read-error term).
-  double node_capacity_bytes = 1.0e12;
-  double block_size_bytes = 256.0e6;
 
   /// Probability that reading one source block during a parity-based
   /// reconstruction hits an unrecoverable error that destroys the stripe.

@@ -27,8 +27,9 @@ struct TaskInfo {
   std::vector<NodeId> locations;
   /// Stripe the block belongs to (for stripe-aware schedulers/metrics).
   std::size_t stripe = 0;
-  /// Symbol index of the block within its stripe (needed by degraded-read
-  /// planning in the MapReduce simulator).
+  /// Index of the data block within its stripe (needed by degraded-read
+  /// planning in the MapReduce simulator). For a code with α units per
+  /// block this is not a symbol: the block is units b·α ... b·α+α-1.
   std::size_t symbol = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "sched/workload.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dblrep::sched {
@@ -13,6 +14,8 @@ Workload make_workload(const ec::CodeScheme& code, std::size_t num_nodes,
   workload.problem.slots_per_node = slots_per_node;
 
   const std::size_t k = code.data_blocks();
+  const std::size_t alpha = code.sub_chunks();
+  const ec::StripeLayout& layout = code.layout();
   while (workload.problem.tasks.size() < num_tasks) {
     // Sample this stripe's placement group.
     StripePlacement placement;
@@ -29,10 +32,21 @@ Workload make_workload(const ec::CodeScheme& code, std::size_t num_nodes,
       TaskInfo task;
       task.stripe = stripe_id;
       task.symbol = block;
-      for (std::size_t slot : code.layout().slots_of_symbol(block)) {
-        const ec::NodeIndex local = code.layout().node_of_slot(slot);
-        task.locations.push_back(
-            placement.group[static_cast<std::size_t>(local)]);
+      // The block's holders: the nodes with a replica of every one of its
+      // units (unit block·α + a is sub-chunk a of the block).
+      for (std::size_t slot : layout.slots_of_symbol(block * alpha)) {
+        const ec::NodeIndex local = layout.node_of_slot(slot);
+        bool holds_block = true;
+        for (std::size_t a = 1; a < alpha && holds_block; ++a) {
+          const auto& unit_slots = layout.slots_of_symbol(block * alpha + a);
+          holds_block = std::any_of(
+              unit_slots.begin(), unit_slots.end(),
+              [&](std::size_t s) { return layout.node_of_slot(s) == local; });
+        }
+        if (holds_block) {
+          task.locations.push_back(
+              placement.group[static_cast<std::size_t>(local)]);
+        }
       }
       workload.problem.tasks.push_back(std::move(task));
     }

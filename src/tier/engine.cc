@@ -50,16 +50,10 @@ PassReport TieringEngine::run_once(double now_s) {
       continue;
     }
 
-    // Pass budgets: count, then bytes. Byte-budget skips keep scanning --
-    // a smaller file later in the order may still fit.
+    // Pass budget: every due file past it counts as skipped.
     if (options_.max_transitions_per_pass > 0 &&
         report.transitions + report.errors >=
             options_.max_transitions_per_pass) {
-      ++report.skipped_budget;
-      continue;
-    }
-    if (options_.max_bytes_per_pass > 0 &&
-        report.bytes_streamed + info->length > options_.max_bytes_per_pass) {
       ++report.skipped_budget;
       continue;
     }

@@ -11,8 +11,8 @@
 // every instant -- chaos tests crash nodes mid-stream to enforce exactly
 // that. Transition traffic runs under net::TransferClass::kRetier, so a
 // replay harness can throttle it like repair; pacing inside a pass is a
-// transition-count and byte budget, so one pass can never starve
-// foreground traffic for longer than its budget.
+// transition-count budget, so one pass can never starve foreground
+// traffic for longer than its budget.
 //
 // Transitions racing deletes resolve by construction: replace_file returns
 // NOT_FOUND if the target path vanished, RaidNode drops its temp file, and
@@ -34,9 +34,6 @@ namespace dblrep::tier {
 struct TieringEngineOptions {
   /// Most transitions one pass will execute (0 = unlimited).
   std::size_t max_transitions_per_pass = 4;
-
-  /// Most logical bytes one pass will re-encode (0 = unlimited).
-  std::size_t max_bytes_per_pass = 0;
 };
 
 /// One executed (or attempted) transition.

@@ -5,9 +5,6 @@
 
 namespace dblrep::tier {
 
-HeatTracker::HeatTracker(const HeatOptions& options)
-    : half_life_s_(options.half_life_s > 0 ? options.half_life_s : 60.0) {}
-
 void HeatTracker::advance_to(double now_s) {
   std::lock_guard<std::mutex> lock(mu_);
   now_ = std::max(now_, now_s);
@@ -21,7 +18,7 @@ double HeatTracker::now_s() const {
 double HeatTracker::decayed_locked(const Entry& entry) const {
   const double dt = now_ - entry.last_s;
   if (dt <= 0) return entry.heat;
-  return entry.heat * std::exp2(-dt / half_life_s_);
+  return entry.heat * std::exp2(-dt / kHeatHalfLifeS);
 }
 
 double HeatTracker::heat(const std::string& path) const {

@@ -25,11 +25,8 @@
 
 namespace dblrep::tier {
 
-struct HeatOptions {
-  /// Exponential half-life of the per-file byte counter, in logical
-  /// seconds. 0 (or less) selects the default, 60.
-  double half_life_s = 0;
-};
+/// Exponential half-life of the per-file byte counter, in logical seconds.
+inline constexpr double kHeatHalfLifeS = 60.0;
 
 /// One file's decayed state, as of the tracker's clock.
 struct HeatSample {
@@ -40,8 +37,6 @@ struct HeatSample {
 
 class HeatTracker : public hdfs::AccessObserver {
  public:
-  explicit HeatTracker(const HeatOptions& options = {});
-
   /// Advances the logical clock (monotonic: earlier times are ignored).
   /// Decay is evaluated lazily against this clock.
   void advance_to(double now_s);
@@ -80,7 +75,6 @@ class HeatTracker : public hdfs::AccessObserver {
   double decayed_locked(const Entry& entry) const;
 
   mutable std::mutex mu_;
-  double half_life_s_;
   double now_ = 0;
   std::map<std::string, Entry> entries_;
 };

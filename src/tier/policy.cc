@@ -33,7 +33,6 @@ TieringPolicy::TieringPolicy(TieringPolicyOptions options)
                   ? TieringPolicyOptions{}.ladder
                   : std::move(options.ladder)),
       demote_below_(resolve_thresholds(options, ladder_.size() - 1)),
-      hysteresis_(std::max(options.promote_hysteresis, 1.0)),
       min_residency_s_(std::max(options.min_residency_s, 0.0)) {}
 
 Result<std::size_t> TieringPolicy::tier_of(const std::string& code_spec) const {
@@ -54,8 +53,8 @@ std::size_t TieringPolicy::target_tier(double heat,
   while (t + 1 < ladder_.size() && heat < demote_below_[t]) ++t;
   // Promote while the heat clears the band above (threshold x hysteresis).
   // The two loops cannot both move: demotion required heat <
-  // demote_below_[t - 1] at the rung it left, and hysteresis_ >= 1.
-  while (t > 0 && heat >= demote_below_[t - 1] * hysteresis_) --t;
+  // demote_below_[t - 1] at the rung it left, and kPromoteHysteresis >= 1.
+  while (t > 0 && heat >= demote_below_[t - 1] * kPromoteHysteresis) --t;
   return t;
 }
 

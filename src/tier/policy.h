@@ -18,6 +18,10 @@
 
 namespace dblrep::tier {
 
+/// Promote from tier t to t-1 once heat >= demote_below[t-1] times this
+/// factor (>= 1; the width of the anti-thrash band).
+inline constexpr double kPromoteHysteresis = 4.0;
+
 struct TieringPolicyOptions {
   /// Hottest to coldest code specs. Every entry must name a registered
   /// scheme; transitions only ever move along this ladder.
@@ -27,10 +31,6 @@ struct TieringPolicyOptions {
   /// below this (one entry per ladder rung except the last). Empty selects
   /// the defaults, 4096 / 1024 bytes of decayed access.
   std::vector<double> demote_below;
-
-  /// Promote from tier t to t-1 once heat >= demote_below[t-1] times this
-  /// factor (>= 1; the width of the anti-thrash band).
-  double promote_hysteresis = 4.0;
 
   /// Minimum logical seconds a file stays put after a transition before
   /// the engine will move it again.
@@ -53,18 +53,16 @@ class TieringPolicy {
 
   /// Target ladder index for a file with `heat` currently in tier
   /// `current`. Pure and deterministic; promotion and demotion cannot both
-  /// apply (hysteresis >= 1 separates the bands).
+  /// apply (kPromoteHysteresis >= 1 separates the bands).
   std::size_t target_tier(double heat, std::size_t current) const;
 
   /// Demotion threshold of rung `t` (t < num_tiers() - 1).
   double demote_threshold(std::size_t t) const { return demote_below_[t]; }
-  double promote_hysteresis() const { return hysteresis_; }
   double min_residency_s() const { return min_residency_s_; }
 
  private:
   std::vector<std::string> ladder_;
   std::vector<double> demote_below_;  // ladder_.size() - 1 entries
-  double hysteresis_;
   double min_residency_s_;
 };
 

@@ -1,13 +1,11 @@
 // Cross-kernel chaos determinism: one chaos seed replayed under each
 // available GF kernel backend (scalar / ssse3 / avx2 / avx512 / gfni) must
 // produce the identical event trace, identical datanode contents, and
-// identical traffic totals -- and so must the same kernel with streaming
-// stores disabled, since the non-temporal path may only change how parity
-// bytes reach memory, never which bytes. The kernels are bit-identical by
-// contract at the slice level (tests/gf_kernel_test.cc); this closes the
-// loop end to end -- thousands of encode/decode/repair calls deep -- so a
-// failing chaos seed found on a gfni machine reproduces exactly on a
-// scalar-only one.
+// identical traffic totals. The kernels are bit-identical by contract at
+// the slice level (tests/gf_kernel_test.cc); this closes the loop end to
+// end -- thousands of encode/decode/repair calls deep -- so a failing
+// chaos seed found on a gfni machine reproduces exactly on a scalar-only
+// one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,15 +17,10 @@
 namespace dblrep::chaos {
 namespace {
 
-/// Restores the kernel (and streaming-store setting) active at
-/// construction when the test exits.
+/// Restores the kernel active at construction when the test exits.
 struct KernelGuard {
   std::string original = gf::active_kernel().name;
-  bool nt = gf::non_temporal_enabled();
-  ~KernelGuard() {
-    gf::set_active_kernel(original);
-    gf::set_non_temporal(nt);
-  }
+  ~KernelGuard() { gf::set_active_kernel(original); }
 };
 
 ChaosConfig scenario(const std::string& code_spec) {
@@ -48,15 +41,8 @@ TEST(ChaosCrossKernel, SameSeedSameTraceUnderEveryKernel) {
     std::vector<std::string> names;
     for (const gf::GfKernel* kernel : gf::supported_kernels()) {
       ASSERT_TRUE(gf::set_active_kernel(kernel->name));
-      // Each kernel runs with streaming stores on and off: the NT fold
-      // path has its own head/interior/tail structure, so both routes
-      // must land in the same trace.
-      for (const bool nt : {true, false}) {
-        gf::set_non_temporal(nt);
-        reports.push_back(ChaosHarness(scenario(spec)).run_seed(17));
-        names.push_back(std::string(kernel->name) +
-                        (nt ? "+nt" : "+no-nt"));
-      }
+      reports.push_back(ChaosHarness(scenario(spec)).run_seed(17));
+      names.push_back(kernel->name);
     }
     ASSERT_FALSE(reports.empty());
     EXPECT_TRUE(reports.front().ok())

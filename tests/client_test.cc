@@ -84,7 +84,7 @@ TEST_P(ClientSchemeTest, StreamingWriterMatchesBulkWrite) {
   ASSERT_TRUE(bulk.write_file("/f", data, spec, kBlockSize).is_ok());
 
   MiniDfs streamed = make_dfs();  // same seed: same placement draws
-  Client client(streamed, {.max_inflight_stripes = 2});
+  Client client(streamed);
   auto writer = client.create("/f", spec, kBlockSize);
   ASSERT_TRUE(writer.is_ok()) << writer.status().to_string();
   // Odd-sized chunks that never line up with block or stripe boundaries.
@@ -117,11 +117,12 @@ TEST_P(ClientSchemeTest, StreamingWriterMatchesBulkWrite) {
 }
 
 TEST(FileWriter, PipelinesManyStripesThroughBoundedWindow) {
-  // A worker pool plus a 2-stripe in-flight cap: ingest far more stripes
-  // than the window holds; every byte must still land exactly once.
+  // A worker pool and its 10-stripe in-flight window (2 * (4 workers +
+  // 1)): ingest far more stripes than the window holds; every byte must
+  // still land exactly once.
   exec::ThreadPool pool(4);
   MiniDfs dfs = make_dfs(25, 7, &pool);
-  Client client(dfs, {.max_inflight_stripes = 2});
+  Client client(dfs);
   const std::size_t stripe_bytes = data_blocks("rs-10-4") * kBlockSize;
   const Buffer data = payload(32 * stripe_bytes + 5);
   auto writer = client.create("/big", "rs-10-4", kBlockSize);
@@ -143,7 +144,7 @@ TEST(FileWriter, StripeAlignedAppendsAreZeroCopy) {
   // WriterStats probe counts every byte down each path.
   exec::ThreadPool pool(4);
   MiniDfs dfs = make_dfs(25, 7, &pool);
-  Client client(dfs, {.max_inflight_stripes = 4});
+  Client client(dfs);
   const std::size_t stripe_bytes = data_blocks("rs-10-4") * kBlockSize;
   const Buffer data = payload(8 * stripe_bytes);
   auto writer = client.create("/aligned", "rs-10-4", kBlockSize);
@@ -181,7 +182,7 @@ TEST(FileWriter, RaggedAppendsAccountToBufferedBytes) {
   // that tops up the buffer and the sub-stripe tail are copied; the
   // stripe-aligned middle of a large span still goes zero-copy.
   MiniDfs dfs = make_dfs();
-  Client client(dfs, {.max_inflight_stripes = 2});
+  Client client(dfs);
   const std::size_t stripe_bytes = data_blocks("pentagon") * kBlockSize;
   const Buffer data = payload(2 * stripe_bytes + stripe_bytes / 2);
   auto writer = client.create("/ragged", "pentagon", kBlockSize);
@@ -757,7 +758,7 @@ struct ClientShardRun {
 ClientShardRun run_client_scenario(const std::string& spec,
                                    std::size_t shards, const Buffer& data) {
   MiniDfs dfs = make_sharded(shards);
-  Client client(dfs, {.max_inflight_stripes = 2});
+  Client client(dfs);
   auto writer = client.create("/h/file", spec, kBlockSize);
   EXPECT_TRUE(writer.is_ok()) << writer.status().to_string();
   // Odd-sized chunks exercise the sub-stripe buffering path.
@@ -834,7 +835,7 @@ TEST(ClientShards, ConcurrentWritersOnSameAndDifferentShards) {
   const Buffer data = payload(data_blocks("pentagon") * kBlockSize * 3, 21);
   for (const auto& partner : {same, other}) {
     SCOPED_TRACE(partner);
-    Client client(dfs, {.max_inflight_stripes = 2});
+    Client client(dfs);
     auto a = client.create("/c/a", "pentagon", kBlockSize);
     auto b = client.create(partner, "pentagon", kBlockSize);
     ASSERT_TRUE(a.is_ok());

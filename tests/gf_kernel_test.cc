@@ -7,6 +7,7 @@
 // that absence visible as a GTEST_SKIP instead of silent green.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -293,16 +294,18 @@ TEST(GfKernelDispatch, Ssse3RunsOrSkips) {
   if (find_kernel("ssse3") == nullptr) {
     GTEST_SKIP() << "host lacks SSSE3; kernel excluded from the param suite";
   }
+  const GfKernel& original = active_kernel();
   EXPECT_TRUE(set_active_kernel("ssse3"));
-  ASSERT_TRUE(set_active_kernel("scalar"));
+  ASSERT_TRUE(set_active_kernel(original.name));
 }
 
 TEST(GfKernelDispatch, Avx2RunsOrSkips) {
   if (find_kernel("avx2") == nullptr) {
     GTEST_SKIP() << "host lacks AVX2; kernel excluded from the param suite";
   }
+  const GfKernel& original = active_kernel();
   EXPECT_TRUE(set_active_kernel("avx2"));
-  ASSERT_TRUE(set_active_kernel("scalar"));
+  ASSERT_TRUE(set_active_kernel(original.name));
 }
 
 TEST(GfKernelDispatch, Avx512RunsOrSkips) {
@@ -310,8 +313,9 @@ TEST(GfKernelDispatch, Avx512RunsOrSkips) {
     GTEST_SKIP() << "host lacks AVX-512F/BW/VL or OS ZMM state; kernel "
                     "excluded from the param suite";
   }
+  const GfKernel& original = active_kernel();
   EXPECT_TRUE(set_active_kernel("avx512"));
-  ASSERT_TRUE(set_active_kernel("scalar"));
+  ASSERT_TRUE(set_active_kernel(original.name));
 }
 
 TEST(GfKernelDispatch, GfniRunsOrSkips) {
@@ -319,50 +323,57 @@ TEST(GfKernelDispatch, GfniRunsOrSkips) {
     GTEST_SKIP() << "host lacks GFNI (or the AVX-512 it rides on); kernel "
                     "excluded from the param suite";
   }
+  const GfKernel& original = active_kernel();
   EXPECT_TRUE(set_active_kernel("gfni"));
-  ASSERT_TRUE(set_active_kernel("scalar"));
+  ASSERT_TRUE(set_active_kernel(original.name));
+}
+
+TEST(GfKernelDispatch, ForcedKernelIsTheActiveOne) {
+  // DBLREP_GF_KERNEL names the kernel every free function routes through,
+  // and without it dispatch picks the fastest supported one. A forced
+  // name this host cannot run falls back; that must fail the per-kernel
+  // test variants, not pass them on some other kernel.
+  const char* forced = std::getenv("DBLREP_GF_KERNEL");
+  const std::string expected = forced != nullptr && *forced != '\0'
+                                   ? forced
+                                   : supported_kernels().back()->name;
+  EXPECT_EQ(active_kernel().name, expected);
 }
 
 TEST(SliceOpStats, NonTemporalRemovesRfoFromModeledTraffic) {
-  // The modeled accounting behind the bench's bytes-moved gate: an
-  // all-ones parity row over a slice at the NT threshold. A regular store
-  // pays write + read-for-ownership; a streaming store pays write only.
-  // The model is kernel-independent, so this holds even on scalar-only
-  // hosts (where the hint is ignored at execution but the routing --
-  // which is what the model audits -- is identical).
-  const std::size_t n = kNonTemporalMinBytes;
-  std::vector<Buffer> storage;
-  std::vector<ByteSpan> sources;
-  for (std::size_t s = 0; s < 3; ++s) {
-    storage.push_back(pattern_buffer(n, 67 + s));
-    sources.emplace_back(storage.back());
-  }
-  const std::vector<Elem> coeffs = {1, 1, 1};
-  Buffer out(n);
-  std::vector<MutableByteSpan> outputs = {MutableByteSpan(out)};
+  // The modeled accounting behind the bench's NT routing gate: an
+  // all-ones parity row streams from kNonTemporalMinBytes up, paying the
+  // write only; 64 bytes shorter it is a regular store, paying write +
+  // read-for-ownership. The model is kernel-independent, so this holds
+  // even on scalar-only hosts (where the hint is ignored at execution but
+  // the routing -- which is what the model audits -- is identical). Both
+  // routes must still write the XOR of the sources.
+  for (const std::size_t n :
+       {kNonTemporalMinBytes, kNonTemporalMinBytes - 64}) {
+    const bool streams = n >= kNonTemporalMinBytes;
+    std::vector<Buffer> storage;
+    std::vector<ByteSpan> sources;
+    Buffer expected(n, 0);
+    for (std::size_t s = 0; s < 3; ++s) {
+      storage.push_back(pattern_buffer(n, 67 + s));
+      sources.emplace_back(storage.back());
+      for (std::size_t i = 0; i < n; ++i) expected[i] ^= storage.back()[i];
+    }
+    const std::vector<Elem> coeffs = {1, 1, 1};
+    Buffer out(n, 0xcc);  // the fold overwrites: stale bytes must vanish
+    std::vector<MutableByteSpan> outputs = {MutableByteSpan(out)};
 
-  const bool nt_was_enabled = non_temporal_enabled();
-  const auto moved = [&](bool nt) {
-    set_non_temporal(nt);
     reset_slice_op_stats();
     matrix_apply(coeffs, sources, outputs);
-    return slice_op_stats();
-  };
-  const SliceOpStats regular = moved(false);
-  const SliceOpStats streamed = moved(true);
-  set_non_temporal(nt_was_enabled);
+    const SliceOpStats stats = slice_op_stats();
 
-  EXPECT_EQ(regular.src_bytes_read, 3 * n);
-  EXPECT_EQ(regular.dst_bytes_written, n);
-  EXPECT_EQ(regular.rfo_bytes_read, n);
-  EXPECT_EQ(regular.nt_bytes_written, 0u);
-
-  EXPECT_EQ(streamed.src_bytes_read, 3 * n);
-  EXPECT_EQ(streamed.dst_bytes_written, n);
-  EXPECT_EQ(streamed.rfo_bytes_read, 0u);
-  EXPECT_EQ(streamed.nt_bytes_written, n);
-
-  EXPECT_LT(streamed.total_bytes_moved(), regular.total_bytes_moved());
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EXPECT_EQ(out, expected) << active_kernel().name;
+    EXPECT_EQ(stats.src_bytes_read, 3 * n);
+    EXPECT_EQ(stats.dst_bytes_written, n);
+    EXPECT_EQ(stats.rfo_bytes_read, streams ? 0u : n);
+    EXPECT_EQ(stats.nt_bytes_written, streams ? n : 0u);
+  }
 }
 
 #ifndef NDEBUG

@@ -165,6 +165,32 @@ TEST(TerasortFailures, DegradedReadsCostLessWithPentagonThanRaidMirror) {
               9 * 128e6, 1e3);
 }
 
+TEST(TerasortFailures, SubPacketizedDegradedTaskReadsTheWholeBlockPlan) {
+  // A clay-6-4 block is 8 units on one node. With that node down its task
+  // is degraded and reads what plan_degraded_block moves for all 8 units,
+  // the same for every data block (code nodes 0-3).
+  JobConfig config = setup1_config();
+  config.overhead_traffic_bytes = 0;
+  config.down_nodes = {3};
+  const auto code = ec::make_code("clay-6-4").value();
+  const auto plan_bytes = [&](std::size_t block) {
+    const auto plan =
+        code->plan_degraded_block(block, {static_cast<ec::NodeIndex>(block)});
+    EXPECT_TRUE(plan.is_ok());
+    return static_cast<double>(plan->network_bytes(
+        static_cast<std::size_t>(config.block_bytes), code->sub_chunks()));
+  };
+  const double expected = plan_bytes(0);
+  for (std::size_t block = 1; block < code->data_blocks(); ++block) {
+    ASSERT_EQ(plan_bytes(block), expected) << "block " << block;
+  }
+  const auto metrics = run("clay-6-4", config, 1.0, 10);
+  ASSERT_GT(metrics.degraded_read_tasks, 0.0);
+  EXPECT_EQ(metrics.unrunnable_tasks, 0.0);
+  EXPECT_NEAR(metrics.degraded_read_bytes / metrics.degraded_read_tasks,
+              expected, 1e-3 * expected);
+}
+
 TEST(TerasortFailures, BeyondToleranceReportsUnrunnableTasks) {
   // Three down nodes can destroy pentagon blocks outright; the simulator
   // must report them as unrunnable rather than fabricating reads.

@@ -229,32 +229,42 @@ TEST(WorkloadDriver, MixedWorkloadUnderConcurrentRepairIsErrorFree) {
 }
 
 TEST(WorkloadDriver, DegradedMixTargetsActuallyLostBlocks) {
-  cluster::Topology topology;
-  topology.num_nodes = kNodes;
-  exec::ThreadPool pool(2);
-  MiniDfs dfs(topology, 32, &pool);
+  // No replication: any loss is degraded. A block of clay-6-4 (α = 8) or
+  // pgy-10-4 (α = 2) is α units on one node, so the mix must pick the
+  // blocks on the failed nodes, not the blocks holding units 0 .. k-1.
+  for (const char* spec : {"rs-10-4", "clay-6-4", "pgy-10-4"}) {
+    SCOPED_TRACE(spec);
+    cluster::Topology topology;
+    topology.num_nodes = kNodes;
+    exec::ThreadPool pool(2);
+    MiniDfs dfs(topology, 32, &pool);
 
-  WorkloadOptions options;
-  options.code_spec = "rs-10-4";  // no replication: any loss is degraded
-  options.block_size = kBlockSize;
-  options.stripes_per_file = 1;
-  options.preload_files = 3;
-  options.clients = 2;
-  options.ops_per_client = 20;
-  options.read_fraction = 0.0;
-  options.write_fraction = 0.0;
-  options.degraded_fraction = 1.0;
-  options.fail_nodes = 2;
-  options.repair_concurrently = false;  // stays degraded the whole run
-  options.seed = 23;
-  WorkloadDriver driver(dfs, options);
-  const auto report = driver.run();
-  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
-  EXPECT_EQ(report->total_errors(), 0u);
-  EXPECT_EQ(report->degraded.latency_us.count(), 40u);
-  // Degraded reads move extra blocks over the wire; with rs-10-4 each one
-  // costs k transfers, so traffic dwarfs the block count.
-  EXPECT_GT(dfs.traffic().total_bytes(), 40.0 * kBlockSize);
+    WorkloadOptions options;
+    options.code_spec = spec;
+    options.block_size = kBlockSize;
+    options.stripes_per_file = 1;
+    options.preload_files = 3;
+    options.clients = 2;
+    options.ops_per_client = 20;
+    options.read_fraction = 0.0;
+    options.write_fraction = 0.0;
+    options.degraded_fraction = 1.0;
+    options.fail_nodes = 2;
+    options.repair_concurrently = false;  // stays degraded the whole run
+    options.seed = 23;
+    WorkloadDriver driver(dfs, options);
+    ASSERT_TRUE(driver.preload().is_ok());
+    const double traffic0 = dfs.traffic().total_bytes();
+    const auto report = driver.run();
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_EQ(report->total_errors(), 0u);
+    EXPECT_EQ(report->degraded.latency_us.count(), 40u);
+    // Every op rebuilds a lost block, and rebuilding one block of these
+    // codes reads k blocks' worth; a healthy block would read one.
+    const std::size_t k = ec::make_code(spec).value()->data_blocks();
+    EXPECT_EQ(dfs.traffic().total_bytes() - traffic0,
+              40.0 * static_cast<double>(k * kBlockSize));
+  }
 }
 
 // --------------------------------------------------- raw client crossfire

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "ec/registry.h"
@@ -170,6 +173,39 @@ TEST(Workload, TaskCountAndLocationsComeFromTheCode) {
     for (NodeId node : task.locations) {
       EXPECT_GE(node, 0);
       EXPECT_LT(node, 25);
+    }
+  }
+}
+
+TEST(Workload, SubPacketizedTasksAreLocalWhereTheirBlockIs) {
+  // Block b of a code with α units per block is units b·α ... b·α+α-1, so
+  // its task is local on exactly the nodes that hold all of them.
+  for (const char* spec : {"clay-6-4", "pgy-10-4"}) {
+    const auto code = ec::make_code(spec).value();
+    const std::size_t alpha = code->sub_chunks();
+    ASSERT_GT(alpha, 1u) << spec;
+    Rng rng(12);
+    const auto workload = make_workload(*code, 25, 2, 50, rng);
+    for (const auto& task : workload.problem.tasks) {
+      const auto& group = workload.stripes[task.stripe].group;
+      std::map<NodeId, std::size_t> units_held;
+      for (std::size_t a = 0; a < alpha; ++a) {
+        std::set<NodeId> holders;
+        for (std::size_t slot :
+             code->layout().slots_of_symbol(task.symbol * alpha + a)) {
+          holders.insert(group[static_cast<std::size_t>(
+              code->layout().node_of_slot(slot))]);
+        }
+        for (NodeId node : holders) ++units_held[node];
+      }
+      std::vector<NodeId> holding_block;
+      for (const auto& [node, units] : units_held) {
+        if (units == alpha) holding_block.push_back(node);
+      }
+      std::vector<NodeId> locations = task.locations;
+      std::sort(locations.begin(), locations.end());
+      EXPECT_FALSE(holding_block.empty()) << spec << " block " << task.symbol;
+      EXPECT_EQ(locations, holding_block) << spec << " block " << task.symbol;
     }
   }
 }

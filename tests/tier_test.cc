@@ -37,30 +37,21 @@ hdfs::MiniDfs make_dfs(hdfs::MiniDfsOptions options = {},
 // ------------------------------------------------------------ HeatTracker
 
 TEST(HeatTrackerTest, AccruesAndDecaysWithHalfLife) {
-  HeatTracker heat({.half_life_s = 10.0});
+  HeatTracker heat;  // kHeatHalfLifeS = 60
   heat.record_access("/f", 1000);
   EXPECT_DOUBLE_EQ(heat.heat("/f"), 1000.0);
-  heat.advance_to(10.0);
+  heat.advance_to(60.0);
   EXPECT_DOUBLE_EQ(heat.heat("/f"), 500.0);
-  heat.advance_to(20.0);
+  heat.advance_to(120.0);
   EXPECT_DOUBLE_EQ(heat.heat("/f"), 250.0);
   // The clock is monotonic: rewinding is a no-op, not a re-heat.
-  heat.advance_to(5.0);
+  heat.advance_to(30.0);
   EXPECT_DOUBLE_EQ(heat.heat("/f"), 250.0);
   EXPECT_DOUBLE_EQ(heat.heat("/untracked"), 0.0);
 }
 
-TEST(HeatTrackerTest, UnsetHalfLifeDefaultsToSixtySeconds) {
-  for (const double unset : {0.0, -5.0}) {
-    HeatTracker heat({.half_life_s = unset});
-    heat.record_access("/f", 100);
-    heat.advance_to(60.0);
-    EXPECT_DOUBLE_EQ(heat.heat("/f"), 50.0) << "half_life_s " << unset;
-  }
-}
-
 TEST(HeatTrackerTest, NamespaceEventsFollowTheFile) {
-  HeatTracker heat({.half_life_s = 60.0});
+  HeatTracker heat;
   heat.record_access("/a", 100);
   heat.on_rename("/a", "/b");
   EXPECT_FALSE(heat.tracked("/a"));
@@ -78,7 +69,7 @@ TEST(HeatTrackerTest, NamespaceEventsFollowTheFile) {
 }
 
 TEST(HeatTrackerTest, SnapshotIsHottestFirstAndDeterministic) {
-  HeatTracker heat({.half_life_s = 60.0});
+  HeatTracker heat;
   heat.record_access("/cold", 10);
   heat.record_access("/hot", 1000);
   heat.record_access("/warm", 100);
@@ -90,7 +81,7 @@ TEST(HeatTrackerTest, SnapshotIsHottestFirstAndDeterministic) {
 }
 
 TEST(HeatTrackerTest, ObservesClientTrafficButNotRetierStreams) {
-  HeatTracker heat({.half_life_s = 60.0});
+  HeatTracker heat;
   hdfs::MiniDfsOptions options;
   options.access_observer = &heat;
   hdfs::MiniDfs dfs = make_dfs(options);
@@ -125,17 +116,16 @@ TEST(TieringPolicyTest, MapsHeatToLadderRungs) {
 }
 
 TEST(TieringPolicyTest, PromotionRequiresHysteresis) {
-  TieringPolicy policy(
-      {.demote_below = {4096, 1024}, .promote_hysteresis = 4.0});
+  TieringPolicy policy({.demote_below = {4096, 1024}});
   // Just above the demotion threshold is inside the anti-thrash band: the
   // file stays where it is in both directions.
   EXPECT_EQ(policy.target_tier(5000, 1), 1u);
   EXPECT_EQ(policy.target_tier(5000, 0), 0u);
   // Past threshold x hysteresis it promotes -- from the bottom rung all the
   // way up when hot enough.
-  EXPECT_EQ(policy.target_tier(4096 * 4, 1), 0u);
-  EXPECT_EQ(policy.target_tier(4096 * 4, 2), 0u);
-  EXPECT_EQ(policy.target_tier(1024 * 4, 2), 1u);
+  EXPECT_EQ(policy.target_tier(4096 * kPromoteHysteresis, 1), 0u);
+  EXPECT_EQ(policy.target_tier(4096 * kPromoteHysteresis, 2), 0u);
+  EXPECT_EQ(policy.target_tier(1024 * kPromoteHysteresis, 2), 1u);
 }
 
 TEST(TieringPolicyTest, EmptyThresholdsDefaultToHotAndColdBytes) {
@@ -161,7 +151,7 @@ TEST(TieringPolicyTest, OffLadderSpecsAreRejected) {
 // ---------------------------------------------------------- TieringEngine
 
 struct Cluster {
-  HeatTracker heat{HeatOptions{.half_life_s = 60.0}};
+  HeatTracker heat;
   hdfs::MiniDfs dfs;
   TieringEngine engine;
 
@@ -361,7 +351,7 @@ TEST(TieringEngineTest, ConcurrentReadersSeeConsistentBytesThroughout) {
 TEST(TieringEngineTest, TransitionTrafficIsRetierClassed) {
   // Capture off: the ledger's always-live per-class view alone shows that
   // every byte a transition moves is classed kRetier.
-  HeatTracker heat({.half_life_s = 60.0});
+  HeatTracker heat;
   hdfs::MiniDfsOptions options;
   options.access_observer = &heat;
   hdfs::MiniDfs dfs = make_dfs(options);
